@@ -123,23 +123,21 @@ const (
 	Linear    = encoding.Linear
 )
 
-// Projection selects where an encoder's random projection lives: the
-// legacy stored Gaussian matrix, a materialized counter-based Rademacher
-// matrix, or a rematerialized projection regenerated inside the encode
-// kernels from a splitmix64 counter stream — O(1) encoder state and
-// seed-sized checkpoints, bit-identical to the materialized seeded mode.
-// Set it on Config.Projection; the zero value is the legacy encoder.
+// Projection selects where an encoder's random projection lives: a
+// stored Gaussian matrix, or a seeded Rademacher projection regenerated
+// inside the encode kernels from a splitmix64 counter stream — O(1)
+// encoder state and seed-sized checkpoints. Set it on Config.Projection;
+// the zero value is the stored encoder.
 type Projection = encoding.Projection
 
 // Projection modes.
 const (
-	ProjStored       = encoding.ProjStored
-	ProjSeededStored = encoding.ProjSeededStored
-	ProjSeeded       = encoding.ProjSeeded
+	ProjStored = encoding.ProjStored
+	ProjSeeded = encoding.ProjSeeded
 )
 
-// ParseProjection maps a CLI spelling ("stored", "seeded-stored",
-// "seeded"/"remat") onto a projection mode.
+// ParseProjection maps a CLI spelling ("stored" or "seeded") onto a
+// projection mode.
 var ParseProjection = encoding.ParseProjection
 
 // Normalizer rescales feature columns with statistics fitted on training

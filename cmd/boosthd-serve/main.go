@@ -8,7 +8,7 @@
 // Usage:
 //
 //	boosthd-serve [-addr :8080] [-checkpoint model.bhde] [-backend float|binary]
-//	              [-projection stored|seeded-stored|seeded]
+//	              [-projection stored|seeded]
 //	              [-max-batch 64] [-max-wait 200us] [-workers N]
 //	              [-checkpoint-dir dir] [-body-limit bytes] [-max-rows N]
 //	              [-auth-token secret]
@@ -26,7 +26,7 @@
 // re-quantization. Without -checkpoint the server trains a demo model on
 // the synthetic WESAD workload so the endpoints can be exercised
 // immediately; -projection selects that demo model's encoder projection
-// (stored matrix, seeded-stored, or the rematerialized seeded encoder).
+// (stored matrix or the rematerialized seeded encoder).
 //
 // Hardening: every request body is capped (-body-limit, 413 beyond),
 // batch row counts are capped (-max-rows, 400 beyond), the listener
@@ -127,7 +127,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	checkpoint := flag.String("checkpoint", "", "model checkpoint to serve (empty = train a synthetic demo model)")
 	backend := flag.String("backend", "float", "serving backend: float or binary")
-	projection := flag.String("projection", "stored", "demo-model encoder projection: stored, seeded-stored, or seeded (remat)")
+	projection := flag.String("projection", "stored", "demo-model encoder projection: stored or seeded")
 	maxBatch := flag.Int("max-batch", 0, "micro-batcher max coalesced rows (0 = default 64)")
 	maxWait := flag.Duration("max-wait", 0, "micro-batcher straggler wait (0 = default 200us)")
 	workers := flag.Int("workers", 0, "batch executor goroutines (0 = GOMAXPROCS)")

@@ -5,7 +5,7 @@
 //
 //	boosthd -dataset wesad|nurse|stresspredict
 //	        -model boosthd|onlinehd|adaboost|rf|xgboost|svm|dnn
-//	        [-backend float|binary] [-projection stored|seeded-stored|seeded]
+//	        [-backend float|binary] [-projection stored|seeded]
 //	        [-dim 10000] [-nl 10] [-epochs 20] [-runs 3] [-seed 7]
 //	        [-subjects N] [-samples N]
 //	        [-save model.bhde] [-save-binary model.bhdb]
@@ -15,12 +15,10 @@
 // vectors and scores by Hamming similarity.
 //
 // -projection selects the encoder's projection representation: "stored"
-// is the legacy materialized Gaussian matrix, "seeded-stored" a
-// materialized counter-based matrix, "seeded" (alias "remat") the
-// rematerialized encoder that regenerates projection rows in-kernel —
-// O(1) encoder state, seed-sized checkpoints, identical predictions to
-// seeded-stored. Seeded checkpoints use a newer wire framing that older
-// builds reject loudly.
+// is the materialized Gaussian matrix, "seeded" the encoder that
+// regenerates Rademacher projection rows in-kernel from a counter stream —
+// O(1) encoder state and seed-sized checkpoints. Seeded checkpoints use a
+// newer wire framing that older builds reject loudly.
 //
 // -save writes the last run's trained BoostHD ensemble as a float
 // checkpoint; -save-binary writes its quantized binary snapshot. Both
@@ -58,7 +56,7 @@ func main() {
 	datasetName := flag.String("dataset", "wesad", "wesad, nurse, or stresspredict")
 	modelName := flag.String("model", "boosthd", "boosthd, onlinehd, adaboost, rf, xgboost, svm, dnn")
 	backend := flag.String("backend", "float", "BoostHD serving backend: float or binary")
-	projection := flag.String("projection", "stored", "BoostHD encoder projection: stored, seeded-stored, or seeded (remat)")
+	projection := flag.String("projection", "stored", "BoostHD encoder projection: stored or seeded")
 	dim := flag.Int("dim", 10000, "HDC total dimension Dtotal")
 	nl := flag.Int("nl", 10, "BoostHD weak learners NL")
 	epochs := flag.Int("epochs", 20, "HDC training epochs")

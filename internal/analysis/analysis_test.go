@@ -144,16 +144,30 @@ var benchKernels = map[string][]struct{ dir, fn string }{
 		{"internal/boosthd", "classifyEncoded"},
 		{"internal/infer", "predictBits"},
 	},
-	"internal/encoding.BenchmarkEncodeBatchParallel": {{"internal/encoding", "encodeRange4"}},
-	"internal/encoding.BenchmarkEncodeBatchRemat":    {{"internal/encoding", "rematEncodeRows"}},
-	"internal/encoding.BenchmarkEncodeBitsRemat":     {{"internal/encoding", "rematEncodeBitsBatch"}},
-	"internal/encoding.BenchmarkEncodeBitsStored":    {{"internal/encoding", "encodeBits4"}},
-	"internal/encoding.BenchmarkEncodeLinear":        {{"internal/encoding", "encodeRange"}},
-	"internal/encoding.BenchmarkEncodeNonlinear":     {{"internal/encoding", "encodeRange"}},
-	"internal/encoding.BenchmarkEncodeRFF":           {{"internal/encoding", "encodeRange"}},
-	"internal/encoding.BenchmarkIDLevelEncode":       {{"internal/encoding", "quantize"}},
-	"internal/infer.BenchmarkPredictBatchBinary":     {{"internal/infer", "predictBits4"}},
-	"internal/infer.BenchmarkPredictBatchFloat":      {{"internal/boosthd", "classifyEncoded"}},
+	"internal/encoding.BenchmarkEncodeBatchParallel": {
+		{"internal/encoding", "encodeRows"},
+		{"internal/encoding", "encode4"},
+	},
+	"internal/encoding.BenchmarkEncodeBatchRemat": {
+		{"internal/encoding", "encodeRows"},
+		{"internal/encoding", "encode4"},
+		{"internal/encoding", "materializeRowsInto"},
+	},
+	"internal/encoding.BenchmarkEncodeBitsRemat": {
+		{"internal/encoding", "encodeBitsRows"},
+		{"internal/encoding", "encodeBits4"},
+		{"internal/encoding", "materializeRowsInto"},
+	},
+	"internal/encoding.BenchmarkEncodeBitsStored": {
+		{"internal/encoding", "encodeBitsRows"},
+		{"internal/encoding", "encodeBits4"},
+	},
+	"internal/encoding.BenchmarkEncodeLinear":    {{"internal/encoding", "encodeRows"}, {"internal/encoding", "encodeRow"}},
+	"internal/encoding.BenchmarkEncodeNonlinear": {{"internal/encoding", "encodeRows"}, {"internal/encoding", "encodeRow"}},
+	"internal/encoding.BenchmarkEncodeRFF":       {{"internal/encoding", "encodeRows"}, {"internal/encoding", "encodeRow"}},
+	"internal/encoding.BenchmarkIDLevelEncode":   {{"internal/encoding", "quantize"}},
+	"internal/infer.BenchmarkPredictBatchBinary": {{"internal/infer", "predictBits4"}},
+	"internal/infer.BenchmarkPredictBatchFloat":  {{"internal/boosthd", "classifyEncoded"}},
 	"internal/infer.BenchmarkScoreEncodedBinary": {
 		{"internal/infer", "planeDistance"},
 		{"internal/infer", "planeDistance4"},

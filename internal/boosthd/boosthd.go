@@ -67,13 +67,12 @@ type Config struct {
 	Seed        int64
 
 	// Projection selects the encoder's projection representation: the
-	// zero value keeps the legacy stored math/rand Gaussian matrix (and
-	// byte-identical behavior for existing checkpoints); the seeded modes
-	// use counter-based Rademacher streams, with encoding.ProjSeeded
-	// rematerializing rows inside the kernels for O(1) encoder state.
-	// Checkpoints carrying a non-zero mode are framed at a newer wire
-	// version so pre-seeded builds reject them loudly instead of silently
-	// rebuilding the wrong encoder.
+	// zero value keeps the stored math/rand Gaussian matrix (and
+	// byte-identical behavior for existing checkpoints);
+	// encoding.ProjSeeded regenerates counter-based Rademacher rows inside
+	// the kernels for O(1) encoder state. Seeded checkpoints are framed
+	// at a newer wire version so pre-seeded builds reject them loudly
+	// instead of silently rebuilding the wrong encoder.
 	Projection encoding.Projection
 }
 
@@ -105,7 +104,7 @@ type segment struct{ lo, hi int }
 // Model is a trained BoostHD ensemble.
 type Model struct {
 	Cfg      Config
-	Enc      hdEncoder
+	Enc      *encoderStack
 	Learners []*onlinehd.HVClassifier
 	Alphas   []float64
 	segs     []segment
@@ -170,7 +169,7 @@ func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
 	if gamma <= 0 {
 		gamma = encoding.GammaHeuristic(X, 0.5, rand.New(rand.NewSource(cfg.Seed+55)))
 	}
-	enc, err := newSpreadEncoder(len(X[0]), cfg, gamma)
+	enc, err := newEncoderStack(len(X[0]), cfg, gamma)
 	if err != nil {
 		return nil, fmt.Errorf("boosthd: %w", err)
 	}
@@ -685,17 +684,14 @@ func (m *Model) EmbeddedClassVectors() []hdc.Vector {
 // sign of each component is derived from the projection phase without
 // evaluating the trigonometric activation.
 func (m *Model) EncodeSegmentBits(x []float64, dst []*hdc.BitVector) error {
-	if len(dst) != len(m.segs) {
-		return fmt.Errorf("boosthd: %d bit destinations for %d segments", len(dst), len(m.segs))
-	}
-	return m.Enc.EncodeSegmentBits(x, m.segs, dst)
+	return m.Enc.EncodeSegmentBits(x, dst)
 }
 
 // EncodeSegmentBitsBatch encodes a block of rows into per-segment sign
 // bits (dst[r][i] = row r, segment i) through the register-blocked batch
 // kernel — the binary engine's batch query path.
 func (m *Model) EncodeSegmentBitsBatch(X [][]float64, dst [][]*hdc.BitVector) error {
-	return m.Enc.EncodeSegmentBitsBatch(X, m.segs, dst)
+	return m.Enc.EncodeSegmentBitsBatch(X, dst)
 }
 
 // InvalidateCaches discards every learner's derived scoring state (cached

@@ -341,12 +341,9 @@ func LoadDelta(r io.Reader, base *Model, baseFP uint64) (string, *Delta, error) 
 // the fence value journal patches extending the record must carry.
 // Records written before epochs existed decode as epoch zero.
 func LoadDeltaStamped(r io.Reader, base *Model, baseFP uint64) (string, *Delta, uint64, error) {
-	v, body, err := wire.ReadHeader(r, wire.MagicTenant)
+	_, body, err := wire.ReadHeader(r, wire.MagicTenant)
 	if err != nil {
 		return "", nil, 0, fmt.Errorf("boosthd: load delta: %w", err)
-	}
-	if v == 0 {
-		return "", nil, 0, fmt.Errorf("boosthd: load delta: not a tenant delta record")
 	}
 	var dw deltaWire
 	if err := gob.NewDecoder(body).Decode(&dw); err != nil {
@@ -366,12 +363,9 @@ func LoadDeltaStamped(r io.Reader, base *Model, baseFP uint64) (string, *Delta, 
 // false and every other return is zero. Patches from the current epoch
 // are validated as strictly as full records; their failures are loud.
 func LoadDeltaPatch(r io.Reader, base *Model, baseFP, wantEpoch uint64) (tenant string, d *Delta, matched bool, err error) {
-	v, body, err := wire.ReadHeader(r, wire.MagicTenantJournal)
+	_, body, err := wire.ReadHeader(r, wire.MagicTenantJournal)
 	if err != nil {
 		return "", nil, false, fmt.Errorf("boosthd: load delta patch: %w", err)
-	}
-	if v == 0 {
-		return "", nil, false, fmt.Errorf("boosthd: load delta patch: not a tenant delta journal entry")
 	}
 	var dw deltaWire
 	if err := gob.NewDecoder(body).Decode(&dw); err != nil {

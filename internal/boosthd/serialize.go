@@ -31,27 +31,33 @@ func wireVersionFor(cfg Config) byte {
 // CheckProjectionWire validates a checkpoint's decoded projection mode
 // against the header version it arrived under. Every loader that decodes
 // a Config runs this before rebuilding encoders: an unknown mode means a
-// newer (or foreign) writer, and a seeded mode under a version-1 (or
-// legacy headerless) frame means a writer that did not follow the
-// framing contract — either way the blob must not be trusted, because a
-// build that ignored the field would silently rebuild the wrong encoder.
+// newer (or foreign) writer, mode 1 is the retired seeded-stored mode,
+// and a seeded mode under a version-1 frame means a writer that did not
+// follow the framing contract — in every case the blob must not be
+// trusted, because a build that ignored the field would silently rebuild
+// the wrong encoder.
 func CheckProjectionWire(version byte, p encoding.Projection) error {
-	if p < encoding.ProjStored || p > encoding.ProjSeeded {
+	switch p {
+	case encoding.ProjStored:
+		return nil
+	case encoding.ProjSeeded:
+		if version < wire.VersionSeeded {
+			return fmt.Errorf("seeded-encoder checkpoint framed at header version %d (need >= %d); foreign or corrupted writer",
+				version, wire.VersionSeeded)
+		}
+		return nil
+	case 1:
+		return fmt.Errorf("projection mode 1 (seeded-stored) is retired; retrain with the seeded mode, which encodes bit-identically")
+	default:
 		return fmt.Errorf("unknown projection mode %d; written by a newer build?", int(p))
 	}
-	if p != encoding.ProjStored && version < wire.VersionSeeded {
-		return fmt.Errorf("seeded-encoder checkpoint framed at header version %d (need >= %d); foreign or corrupted writer",
-			version, wire.VersionSeeded)
-	}
-	return nil
 }
 
 // ensembleWire is the gob wire format of a trained BoostHD ensemble. Like
 // the OnlineHD format it ships only the learned state — the encoder stack
 // is rebuilt deterministically from the configuration and the stored
 // base bandwidth. On disk the gob stream is framed by a
-// wire.MagicEnsemble + version header; blobs written before the header
-// existed load through the legacy path.
+// wire.MagicEnsemble + version header.
 type ensembleWire struct {
 	Cfg    Config
 	InDim  int
@@ -167,7 +173,7 @@ func Rehydrate(cfg Config, inDim int, gamma float64) (*Model, error) {
 	if cfg.TotalDim < cfg.NumLearners {
 		return nil, fmt.Errorf("boosthd: stored TotalDim %d < NumLearners %d", cfg.TotalDim, cfg.NumLearners)
 	}
-	enc, err := newSpreadEncoder(inDim, cfg, gamma)
+	enc, err := newEncoderStack(inDim, cfg, gamma)
 	if err != nil {
 		return nil, fmt.Errorf("boosthd: %w", err)
 	}

@@ -225,8 +225,8 @@ func TestSaveSnapshotNotAliased(t *testing.T) {
 	}
 }
 
-// TestLegacyHeaderlessLoad decodes a v0 blob (raw gob, no magic header)
-// written by the pre-versioning format.
+// TestLegacyHeaderlessLoad: a v0 blob (raw gob, no magic header) written
+// by the pre-versioning format is rejected loudly instead of decoded.
 func TestLegacyHeaderlessLoad(t *testing.T) {
 	X, y := blobs(60, 0.3, 26)
 	cfg := DefaultConfig(240, 4, 3)
@@ -249,19 +249,8 @@ func TestLegacyHeaderlessLoad(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("legacy blob rejected: %v", err)
-	}
-	want, _ := m.PredictBatch(X)
-	got, err := loaded.PredictBatch(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatal("legacy-loaded model predicts differently")
-		}
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "missing BHDE header") {
+		t.Fatalf("headerless blob: err %v, want a missing-header rejection", err)
 	}
 }
 

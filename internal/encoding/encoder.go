@@ -8,10 +8,13 @@
 // An ID-level record encoder for symbolic/classic HDC pipelines completes
 // the set.
 //
-// The batch entry points write into caller-owned flat buffers and tile the
-// projection so a batch is one cache-friendly GEMM-style loop rather than
-// independent row encodes; the packed-binary backend additionally gets a
-// sign-only path that skips the trigonometric evaluation entirely.
+// Every entry point, single-row or batch, runs one of two blocked
+// kernels: a float kernel, and a sign-only kernel for the packed-binary
+// backend that skips the trigonometric evaluation entirely. Both sweep
+// the projection in tiles of rows — views of a stored matrix, or rows
+// regenerated from a seeded counter stream (see Projection) — and write
+// into caller-owned buffers, so a batch is one cache-friendly GEMM-style
+// loop rather than independent row encodes.
 package encoding
 
 import (
@@ -65,25 +68,19 @@ type Encoder struct {
 	Kind   Kind
 	Gamma  float64
 
-	// Proj selects the projection representation. The zero value
-	// (ProjStored) is the legacy materialized math/rand matrix; the seeded
-	// modes (built by NewSeeded*) draw from counter-based splitmix64
-	// streams, and ProjSeeded carries no projection memory at all —
-	// kernels regenerate rows in flight from wBase/bBase.
-	Proj Projection
-
-	// wBase/bBase root the counter streams of the seeded modes; wpr is the
-	// number of 64-bit sign words per projection row, ceil(InDim/64).
+	// w is the stored OutDim x InDim projection, row-major, and b the
+	// OutDim phase offsets. Both are nil on a seeded encoder, whose
+	// kernels regenerate rows and phases from the counter streams rooted
+	// at wBase/bBase; wpr is the number of 64-bit sign words per row,
+	// ceil(InDim/64).
+	w, b         []float64
 	wBase, bBase uint64
 	wpr          int
-
-	w []float64 // OutDim x InDim projection, row-major (nil when ProjSeeded)
-	b []float64 // OutDim phase offsets (nil when ProjSeeded)
 
 	// halfSinB caches 0.5*sin(b_j) for the product-to-sum form of the
 	// nonlinear activation: cos(d+b)*sin(d) = 0.5*sin(2d+b) - 0.5*sin(b),
 	// which costs one trigonometric evaluation per component instead of
-	// two on the inference hot path.
+	// two on the inference hot path. A seeded encoder computes it per tile.
 	halfSinB []float64
 }
 
@@ -105,24 +102,16 @@ func New(inDim, outDim int, kind Kind, seed int64) (*Encoder, error) {
 
 // NewWithGamma builds an encoder with an explicit kernel bandwidth.
 func NewWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64) (*Encoder, error) {
-	if inDim <= 0 || outDim <= 0 {
-		return nil, fmt.Errorf("encoding: invalid dimensions in=%d out=%d", inDim, outDim)
-	}
-	if gamma <= 0 {
-		return nil, fmt.Errorf("encoding: gamma must be positive, got %v", gamma)
+	e, err := newEncoder(inDim, outDim, kind, gamma)
+	if err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	e := &Encoder{
-		InDim:  inDim,
-		OutDim: outDim,
-		Kind:   kind,
-		Gamma:  gamma,
-		w:      make([]float64, outDim*inDim),
-		b:      make([]float64, outDim),
-	}
+	e.w = make([]float64, outDim*inDim)
 	for i := range e.w {
 		e.w[i] = rng.NormFloat64()
 	}
+	e.b = make([]float64, outDim)
 	for i := range e.b {
 		e.b[i] = rng.Float64() * 2 * math.Pi
 	}
@@ -135,6 +124,18 @@ func NewWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64) (*Enc
 	return e, nil
 }
 
+// newEncoder validates the geometry and bandwidth both projection modes
+// share.
+func newEncoder(inDim, outDim int, kind Kind, gamma float64) (*Encoder, error) {
+	if inDim <= 0 || outDim <= 0 {
+		return nil, fmt.Errorf("encoding: invalid dimensions in=%d out=%d", inDim, outDim)
+	}
+	if gamma <= 0 {
+		return nil, fmt.Errorf("encoding: gamma must be positive, got %v", gamma)
+	}
+	return &Encoder{InDim: inDim, OutDim: outDim, Kind: kind, Gamma: gamma}, nil
+}
+
 // checkRow validates one feature row.
 func (e *Encoder) checkRow(x []float64) error {
 	if len(x) != e.InDim {
@@ -143,46 +144,9 @@ func (e *Encoder) checkRow(x []float64) error {
 	return nil
 }
 
-// project returns Gamma * <w_j, x> for output component j.
-//
-//hd:hotpath
-func (e *Encoder) project(j int, x []float64) float64 {
-	row := e.w[j*e.InDim : (j+1)*e.InDim]
-	var dot float64
-	for k, wv := range row {
-		dot += wv * x[k]
-	}
-	return dot * e.Gamma
-}
-
-// encodeRange writes components [lo,hi) of the encoding of x into
-// dst[0:hi-lo]. The activation switch is hoisted out of the component loop.
-//
-//hd:hotpath
-func (e *Encoder) encodeRange(x []float64, lo, hi int, dst []float64) {
-	if e.Proj == ProjSeeded {
-		e.rematEncodeRange(x, lo, hi, dst)
-		return
-	}
-	switch e.Kind {
-	case Nonlinear:
-		for j := lo; j < hi; j++ {
-			d := e.project(j, x)
-			dst[j-lo] = 0.5*math.Sin(2*d+e.b[j]) - e.halfSinB[j]
-		}
-	case RFF:
-		for j := lo; j < hi; j++ {
-			dst[j-lo] = math.Cos(e.project(j, x) + e.b[j])
-		}
-	default:
-		for j := lo; j < hi; j++ {
-			dst[j-lo] = e.project(j, x)
-		}
-	}
-}
-
 // EncodeInto maps one feature vector into hyperspace, writing the result
-// into dst (length OutDim). It allocates nothing.
+// into dst (length OutDim). A stored encoder allocates nothing; a seeded
+// one regenerates its rows into a pooled tile.
 func (e *Encoder) EncodeInto(x []float64, dst []float64) error {
 	if err := e.checkRow(x); err != nil {
 		return err
@@ -190,7 +154,8 @@ func (e *Encoder) EncodeInto(x []float64, dst []float64) error {
 	if len(dst) != e.OutDim {
 		return fmt.Errorf("encoding: dst length %d != OutDim %d", len(dst), e.OutDim)
 	}
-	e.encodeRange(x, 0, e.OutDim, dst)
+	xs := [1][]float64{x}
+	e.encodeRows(xs[:], dst, e.OutDim, 0)
 	return nil
 }
 
@@ -211,80 +176,14 @@ func (e *Encoder) Encode(x []float64) (hdc.Vector, error) {
 const BatchRowBlock = 32
 
 // Batch tiling parameters: each worker encodes BatchRowBlock rows at a
-// time, sweeping the projection matrix in dimBlock-row tiles so a tile
-// of w is loaded once per row block instead of once per row. At typical
-// feature widths a tile is tens of kilobytes — cache resident — which
-// turns the batch projection into a blocked GEMM-style loop.
+// time, sweeping the projection in dimBlock-row tiles so a tile is loaded
+// once per row block instead of once per row. At typical feature widths a
+// tile is tens of kilobytes — cache resident — which turns the batch
+// projection into a blocked GEMM-style loop.
 const (
 	encodeRowBlock = BatchRowBlock
 	encodeDimBlock = 256
 )
-
-// encodeRange4 encodes components [lo,hi) for four rows at once. Each
-// projection row w_j is loaded once and fed to four independent
-// accumulator chains — the register-blocking step of the batch GEMM —
-// which hides the floating-point add latency that serializes a lone dot
-// product. Every row's dot product still accumulates in index order, so
-// results are bit-identical to the one-row path.
-//
-//hd:hotpath
-func (e *Encoder) encodeRange4(x0, x1, x2, x3 []float64, lo, hi int, d0, d1, d2, d3 []float64) {
-	in := e.InDim
-	g := e.Gamma
-	// Pin every row to exactly InDim elements so the compiler can drop the
-	// bounds checks inside the accumulation loop.
-	x0, x1, x2, x3 = x0[:in], x1[:in], x2[:in], x3[:in]
-	switch e.Kind {
-	case Nonlinear:
-		for j := lo; j < hi; j++ {
-			row := e.w[j*in : j*in+in]
-			var s0, s1, s2, s3 float64
-			for k, wv := range row {
-				s0 += wv * x0[k]
-				s1 += wv * x1[k]
-				s2 += wv * x2[k]
-				s3 += wv * x3[k]
-			}
-			b := e.b[j]
-			hsb := e.halfSinB[j]
-			d0[j] = 0.5*math.Sin(2*(s0*g)+b) - hsb
-			d1[j] = 0.5*math.Sin(2*(s1*g)+b) - hsb
-			d2[j] = 0.5*math.Sin(2*(s2*g)+b) - hsb
-			d3[j] = 0.5*math.Sin(2*(s3*g)+b) - hsb
-		}
-	case RFF:
-		for j := lo; j < hi; j++ {
-			row := e.w[j*in : j*in+in]
-			var s0, s1, s2, s3 float64
-			for k, wv := range row {
-				s0 += wv * x0[k]
-				s1 += wv * x1[k]
-				s2 += wv * x2[k]
-				s3 += wv * x3[k]
-			}
-			b := e.b[j]
-			d0[j] = math.Cos(s0*g + b)
-			d1[j] = math.Cos(s1*g + b)
-			d2[j] = math.Cos(s2*g + b)
-			d3[j] = math.Cos(s3*g + b)
-		}
-	default:
-		for j := lo; j < hi; j++ {
-			row := e.w[j*in : j*in+in]
-			var s0, s1, s2, s3 float64
-			for k, wv := range row {
-				s0 += wv * x0[k]
-				s1 += wv * x1[k]
-				s2 += wv * x2[k]
-				s3 += wv * x3[k]
-			}
-			d0[j] = s0 * g
-			d1[j] = s1 * g
-			d2[j] = s2 * g
-			d3[j] = s3 * g
-		}
-	}
-}
 
 // EncodeBatchInto encodes every row of xs into the caller-owned flat
 // buffer out: row i occupies out[i*stride+offset : i*stride+offset+OutDim].
@@ -309,29 +208,8 @@ func (e *Encoder) EncodeBatchInto(xs [][]float64, out []float64, stride, offset 
 	blocks := (len(xs) + encodeRowBlock - 1) / encodeRowBlock
 	return par.ForEach(blocks, func(blk int) error {
 		lo := blk * encodeRowBlock
-		hi := lo + encodeRowBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		dst := func(i int) []float64 { return out[i*stride+offset : i*stride+offset+e.OutDim] }
-		if e.Proj == ProjSeeded {
-			e.rematEncodeRows(xs, lo, hi, dst)
-			return nil
-		}
-		for j0 := 0; j0 < e.OutDim; j0 += encodeDimBlock {
-			j1 := j0 + encodeDimBlock
-			if j1 > e.OutDim {
-				j1 = e.OutDim
-			}
-			i := lo
-			for ; i+4 <= hi; i += 4 {
-				e.encodeRange4(xs[i], xs[i+1], xs[i+2], xs[i+3], j0, j1,
-					dst(i), dst(i+1), dst(i+2), dst(i+3))
-			}
-			for ; i < hi; i++ {
-				e.encodeRange(xs[i], j0, j1, dst(i)[j0:j1])
-			}
-		}
+		hi := min(lo+encodeRowBlock, len(xs))
+		e.encodeRows(xs[lo:hi], out[lo*stride:], stride, offset)
 		return nil
 	})
 }
@@ -354,6 +232,149 @@ func (e *Encoder) EncodeBatch(xs [][]float64) ([]hdc.Vector, error) {
 	return out, nil
 }
 
+// tile fetches projection rows [j0,j1), row-major, and their phases:
+// views of a stored encoder's matrix, or the rows and phases a seeded
+// encoder regenerates from its counter streams into wBuf and bBuf. It is
+// the one place the kernels see the projection mode; every loop after it
+// is shared.
+//
+//hd:hotpath
+func (e *Encoder) tile(j0, j1 int, wBuf []float64, bBuf *[encodeDimBlock]float64) (w, b []float64) {
+	if e.w != nil {
+		return e.w[j0*e.InDim : j1*e.InDim], e.b[j0:j1]
+	}
+	e.materializeRowsInto(j0, j1, wBuf)
+	for j := j0; j < j1; j++ {
+		bBuf[j-j0] = e.phaseAt(j)
+	}
+	return wBuf[:(j1-j0)*e.InDim], bBuf[:j1-j0]
+}
+
+// halfSinTile returns 0.5*sin(b) for the phases b of the tile starting at
+// component j0: a view of the stored cache, or computed into buf once per
+// tile, so the sin() costs one evaluation per (component, row block).
+//
+//hd:hotpath
+func (e *Encoder) halfSinTile(j0 int, b []float64, buf *[encodeDimBlock]float64) []float64 {
+	if e.halfSinB != nil {
+		return e.halfSinB[j0 : j0+len(b)]
+	}
+	for i, bv := range b {
+		buf[i] = 0.5 * math.Sin(bv)
+	}
+	return buf[:len(b)]
+}
+
+// dot is <w, x> accumulated in feature index order: the per-component
+// dot of the one-row kernel bodies.
+//
+//hd:hotpath
+func dot(w, x []float64) float64 {
+	x = x[:len(w)]
+	var s float64
+	for k, wv := range w {
+		s += wv * x[k]
+	}
+	return s
+}
+
+// encodeRows is the blocked float kernel behind every float entry point:
+// row i of xs is encoded into out[i*stride+offset : i*stride+offset+OutDim].
+// Dimension tiles run outer; each tile is fetched once and swept by
+// encode4 over four-row groups and by encodeRow over the remainder.
+//
+//hd:hotpath
+func (e *Encoder) encodeRows(xs [][]float64, out []float64, stride, offset int) {
+	var bBuf, hsbBuf [encodeDimBlock]float64
+	var wBuf []float64
+	if e.w == nil {
+		wBuf = getTile(encodeDimBlock * e.InDim)
+		defer putTile(wBuf)
+	}
+	for j0 := 0; j0 < e.OutDim; j0 += encodeDimBlock {
+		j1 := min(j0+encodeDimBlock, e.OutDim)
+		w, b := e.tile(j0, j1, wBuf, &bBuf)
+		var hsb []float64
+		if e.Kind == Nonlinear {
+			hsb = e.halfSinTile(j0, b, &hsbBuf)
+		}
+		i := 0
+		for ; i+4 <= len(xs); i += 4 {
+			d := out[i*stride+offset+j0:]
+			e.encode4(w, b, hsb, xs[i], xs[i+1], xs[i+2], xs[i+3], d, d[stride:], d[2*stride:], d[3*stride:])
+		}
+		for ; i < len(xs); i++ {
+			e.encodeRow(w, b, hsb, xs[i], out[i*stride+offset+j0:])
+		}
+	}
+}
+
+// encode4 encodes one tile of components for four rows, writing component
+// j0+t of row r into dr[t]. Each tile row is loaded once and fed to four
+// independent accumulator chains — the register-blocking step of the
+// batch GEMM — which hides the floating-point add latency that serializes
+// a lone dot product. Every row still accumulates in index order, so
+// results are bit-identical to encodeRow.
+//
+//hd:hotpath
+func (e *Encoder) encode4(w, b, hsb, x0, x1, x2, x3, d0, d1, d2, d3 []float64) {
+	in := e.InDim
+	g := e.Gamma
+	// Pin every row to exactly InDim elements so the compiler can drop the
+	// bounds checks inside the accumulation loop.
+	x0, x1, x2, x3 = x0[:in], x1[:in], x2[:in], x3[:in]
+	for t, bt := range b {
+		row := w[t*in : t*in+in]
+		var s0, s1, s2, s3 float64
+		for k, wv := range row {
+			s0 += wv * x0[k]
+			s1 += wv * x1[k]
+			s2 += wv * x2[k]
+			s3 += wv * x3[k]
+		}
+		switch e.Kind {
+		case Nonlinear:
+			h := hsb[t]
+			d0[t] = 0.5*math.Sin(2*(s0*g)+bt) - h
+			d1[t] = 0.5*math.Sin(2*(s1*g)+bt) - h
+			d2[t] = 0.5*math.Sin(2*(s2*g)+bt) - h
+			d3[t] = 0.5*math.Sin(2*(s3*g)+bt) - h
+		case RFF:
+			d0[t] = math.Cos(s0*g + bt)
+			d1[t] = math.Cos(s1*g + bt)
+			d2[t] = math.Cos(s2*g + bt)
+			d3[t] = math.Cos(s3*g + bt)
+		default:
+			d0[t] = s0 * g
+			d1[t] = s1 * g
+			d2[t] = s2 * g
+			d3[t] = s3 * g
+		}
+	}
+}
+
+// encodeRow encodes one tile of components for one row — the batch
+// remainder and the whole single-row path — writing component j0+t into
+// d[t].
+//
+//hd:hotpath
+func (e *Encoder) encodeRow(w, b, hsb, x, d []float64) {
+	in := e.InDim
+	g := e.Gamma
+	x = x[:in]
+	for t, bt := range b {
+		s := dot(w[t*in:t*in+in], x)
+		switch e.Kind {
+		case Nonlinear:
+			d[t] = 0.5*math.Sin(2*(s*g)+bt) - hsb[t]
+		case RFF:
+			d[t] = math.Cos(s*g + bt)
+		default:
+			d[t] = s * g
+		}
+	}
+}
+
 const invTwoPi = 1 / (2 * math.Pi)
 
 // phaseFrac returns t/(2*pi) mod 1 in [0,1) — the quadrant information the
@@ -366,50 +387,38 @@ func phaseFrac(t float64) float64 {
 	return f - math.Floor(f)
 }
 
+// signBit reports the sign of one encoding component from its projection
+// p = Gamma * <w_j, x> and phase b, read off the phase quadrants: RFF is
+// the sign of cos(p+b), Nonlinear the product of the signs of cos(p+b)
+// and sin(p), Linear the raw projection sign.
+//
+//hd:hotpath
+func (e *Encoder) signBit(p, b float64) bool {
+	switch e.Kind {
+	case Nonlinear:
+		fc := phaseFrac(p + b)
+		return (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75)
+	case RFF:
+		fc := phaseFrac(p + b)
+		return !(fc > 0.25 && fc < 0.75)
+	default:
+		return p >= 0
+	}
+}
+
 // EncodeBitsRange writes the sign bits of encoding components [lo,hi) of x
 // into dst: bit k of dst is set iff component lo+k of the real encoding is
 // >= 0. For the trigonometric kinds the sign is derived from the phase
 // quadrants directly — sign(cos(d+b)*sin(d)) = sign(cos(d+b))*sign(sin(d))
 // — so the packed-binary backend never evaluates sin or cos at all.
 func (e *Encoder) EncodeBitsRange(x []float64, lo, hi int, dst *hdc.BitVector) error {
-	if err := e.checkRow(x); err != nil {
-		return err
-	}
-	if lo < 0 || hi > e.OutDim || lo > hi {
-		return fmt.Errorf("encoding: bit range [%d,%d) outside [0,%d)", lo, hi, e.OutDim)
-	}
-	if dst.N != hi-lo {
-		return fmt.Errorf("encoding: bit destination dim %d != range width %d", dst.N, hi-lo)
-	}
-	if e.Proj == ProjSeeded {
-		e.rematEncodeBitsRange(x, lo, hi, dst)
-		return nil
-	}
-	switch e.Kind {
-	case Nonlinear:
-		for j := lo; j < hi; j++ {
-			d := e.project(j, x)
-			sinNeg := phaseFrac(d) > 0.5
-			fc := phaseFrac(d + e.b[j])
-			cosNeg := fc > 0.25 && fc < 0.75
-			dst.Set(j-lo, sinNeg == cosNeg)
-		}
-	case RFF:
-		for j := lo; j < hi; j++ {
-			fc := phaseFrac(e.project(j, x) + e.b[j])
-			dst.Set(j-lo, !(fc > 0.25 && fc < 0.75))
-		}
-	default:
-		for j := lo; j < hi; j++ {
-			dst.Set(j-lo, e.project(j, x) >= 0)
-		}
-	}
-	return nil
+	xs, ds := [1][]float64{x}, [1]*hdc.BitVector{dst}
+	return e.EncodeBitsRangeBatch(xs[:], lo, hi, ds[:])
 }
 
 // EncodeBitsRangeBatch encodes components [lo,hi) of every row of xs into
 // dst: bit k of dst[r] is the sign bit of component lo+k of row r's
-// encoding. Rows are register-blocked four at a time like the float batch
+// encoding. Rows are register-blocked four at a time like the float
 // kernel, and bits are assembled in registers and flushed a whole 64-bit
 // word at a time.
 func (e *Encoder) EncodeBitsRangeBatch(xs [][]float64, lo, hi int, dst []*hdc.BitVector) error {
@@ -424,67 +433,65 @@ func (e *Encoder) EncodeBitsRangeBatch(xs [][]float64, lo, hi int, dst []*hdc.Bi
 	if lo < 0 || hi > e.OutDim || lo > hi {
 		return fmt.Errorf("encoding: bit range [%d,%d) outside [0,%d)", lo, hi, e.OutDim)
 	}
-	// Destinations must be exactly the range width: the 4-row kernel
-	// stores whole 64-bit words, so a wider vector would have bits beyond
-	// the range zeroed (and inconsistently so between the blocked and
-	// scalar row paths).
+	// Destinations must be exactly the range width: the kernel stores
+	// whole 64-bit words, so a wider vector would have bits beyond the
+	// range zeroed.
 	for i, d := range dst {
 		if d.N != hi-lo {
 			return fmt.Errorf("encoding: row %d bit destination dim %d != range width %d", i, d.N, hi-lo)
 		}
 	}
-	if e.Proj == ProjSeeded {
-		e.rematEncodeBitsBatch(xs, lo, hi, dst)
-		return nil
-	}
-	r := 0
-	for ; r+4 <= len(xs); r += 4 {
-		e.encodeBits4(xs[r], xs[r+1], xs[r+2], xs[r+3], lo, hi,
-			dst[r], dst[r+1], dst[r+2], dst[r+3])
-	}
-	for ; r < len(xs); r++ {
-		if err := e.EncodeBitsRange(xs[r], lo, hi, dst[r]); err != nil {
-			return err
-		}
-	}
+	e.encodeBitsRows(xs, lo, hi, dst)
 	return nil
 }
 
-// bitSign reads one component's sign off its phase for the non-Nonlinear
-// kinds: RFF is the sign of cos(d+b) read from the cosine quadrant, Linear
-// the raw projection sign. Hoisted out of encodeBits4 so the kernel stays
-// closure-free.
+// encodeBitsRows is the blocked sign-bit kernel behind every bit entry
+// point. Tiles of [lo,hi) run outer; each is fetched once and swept by
+// encodeBits4 over four-row groups and by encodeBitsRow over the
+// remainder. Tiles span whole 64-bit words, so each body stores complete
+// words.
 //
 //hd:hotpath
-func bitSign(kind Kind, d, bj float64) bool {
-	if kind == RFF {
-		fc := phaseFrac(d + bj)
-		return !(fc > 0.25 && fc < 0.75)
+func (e *Encoder) encodeBitsRows(xs [][]float64, lo, hi int, dst []*hdc.BitVector) {
+	var bBuf [encodeDimBlock]float64
+	var wBuf []float64
+	if e.w == nil {
+		wBuf = getTile(encodeDimBlock * e.InDim)
+		defer putTile(wBuf)
 	}
-	return d >= 0
+	for t0 := lo; t0 < hi; t0 += encodeDimBlock {
+		t1 := min(t0+encodeDimBlock, hi)
+		w, b := e.tile(t0, t1, wBuf, &bBuf)
+		word := (t0 - lo) / 64
+		r := 0
+		for ; r+4 <= len(xs); r += 4 {
+			e.encodeBits4(w, b, xs[r], xs[r+1], xs[r+2], xs[r+3],
+				dst[r].Words[word:], dst[r+1].Words[word:], dst[r+2].Words[word:], dst[r+3].Words[word:])
+		}
+		for ; r < len(xs); r++ {
+			e.encodeBitsRow(w, b, xs[r], dst[r].Words[word:])
+		}
+	}
 }
 
-// encodeBits4 is the four-row register-blocked core of the sign-bit
-// encoder: one shared sweep of the projection rows feeds four independent
-// dot-product chains, each component's sign is read off its phase, and
-// completed 64-bit words are stored directly into the destinations.
+// encodeBits4 is the four-row register-blocked body of the sign-bit
+// kernel: one sweep of a tile's rows feeds four independent dot-product
+// chains, each component's sign is read off its phase, and word c of
+// dr receives the signs of tile components 64c..64c+63 of row r.
 //
 //hd:hotpath
-func (e *Encoder) encodeBits4(x0, x1, x2, x3 []float64, lo, hi int, d0, d1, d2, d3 *hdc.BitVector) {
+func (e *Encoder) encodeBits4(w, b, x0, x1, x2, x3 []float64, d0, d1, d2, d3 []uint64) {
 	in := e.InDim
 	g := e.Gamma
 	x0, x1, x2, x3 = x0[:in], x1[:in], x2[:in], x3[:in]
 	if e.Kind == Nonlinear {
 		// The hot configuration gets a fully inlined body: the sign of
-		// cos(d+b)*sin(d) is the XNOR of the two factors' phase signs.
-		for jStart := lo; jStart < hi; jStart += 64 {
-			jEnd := jStart + 64
-			if jEnd > hi {
-				jEnd = hi
-			}
+		// cos(p+b)*sin(p) is the XNOR of the two factors' phase signs.
+		for jStart := 0; jStart < len(b); jStart += 64 {
+			jEnd := min(jStart+64, len(b))
 			var w0, w1, w2, w3 uint64
 			for j := jStart; j < jEnd; j++ {
-				row := e.w[j*in : j*in+in]
+				row := w[j*in : j*in+in]
 				var s0, s1, s2, s3 float64
 				for k, wv := range row {
 					s0 += wv * x0[k]
@@ -492,45 +499,39 @@ func (e *Encoder) encodeBits4(x0, x1, x2, x3 []float64, lo, hi int, d0, d1, d2, 
 					s2 += wv * x2[k]
 					s3 += wv * x3[k]
 				}
-				bj := e.b[j]
+				bj := b[j]
 				bit := uint64(1) << uint(j-jStart)
-				d := s0 * g
-				fc := phaseFrac(d + bj)
-				if (phaseFrac(d) > 0.5) == (fc > 0.25 && fc < 0.75) {
+				p := s0 * g
+				fc := phaseFrac(p + bj)
+				if (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75) {
 					w0 |= bit
 				}
-				d = s1 * g
-				fc = phaseFrac(d + bj)
-				if (phaseFrac(d) > 0.5) == (fc > 0.25 && fc < 0.75) {
+				p = s1 * g
+				fc = phaseFrac(p + bj)
+				if (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75) {
 					w1 |= bit
 				}
-				d = s2 * g
-				fc = phaseFrac(d + bj)
-				if (phaseFrac(d) > 0.5) == (fc > 0.25 && fc < 0.75) {
+				p = s2 * g
+				fc = phaseFrac(p + bj)
+				if (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75) {
 					w2 |= bit
 				}
-				d = s3 * g
-				fc = phaseFrac(d + bj)
-				if (phaseFrac(d) > 0.5) == (fc > 0.25 && fc < 0.75) {
+				p = s3 * g
+				fc = phaseFrac(p + bj)
+				if (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75) {
 					w3 |= bit
 				}
 			}
-			wIdx := (jStart - lo) / 64
-			d0.Words[wIdx] = w0
-			d1.Words[wIdx] = w1
-			d2.Words[wIdx] = w2
-			d3.Words[wIdx] = w3
+			c := jStart / 64
+			d0[c], d1[c], d2[c], d3[c] = w0, w1, w2, w3
 		}
 		return
 	}
-	for jStart := lo; jStart < hi; jStart += 64 {
-		jEnd := jStart + 64
-		if jEnd > hi {
-			jEnd = hi
-		}
+	for jStart := 0; jStart < len(b); jStart += 64 {
+		jEnd := min(jStart+64, len(b))
 		var w0, w1, w2, w3 uint64
 		for j := jStart; j < jEnd; j++ {
-			row := e.w[j*in : j*in+in]
+			row := w[j*in : j*in+in]
 			var s0, s1, s2, s3 float64
 			for k, wv := range row {
 				s0 += wv * x0[k]
@@ -538,41 +539,57 @@ func (e *Encoder) encodeBits4(x0, x1, x2, x3 []float64, lo, hi int, d0, d1, d2, 
 				s2 += wv * x2[k]
 				s3 += wv * x3[k]
 			}
-			bj := e.b[j]
+			bj := b[j]
 			bit := uint64(1) << uint(j-jStart)
-			if bitSign(e.Kind, s0*g, bj) {
+			if e.signBit(s0*g, bj) {
 				w0 |= bit
 			}
-			if bitSign(e.Kind, s1*g, bj) {
+			if e.signBit(s1*g, bj) {
 				w1 |= bit
 			}
-			if bitSign(e.Kind, s2*g, bj) {
+			if e.signBit(s2*g, bj) {
 				w2 |= bit
 			}
-			if bitSign(e.Kind, s3*g, bj) {
+			if e.signBit(s3*g, bj) {
 				w3 |= bit
 			}
 		}
-		wIdx := (jStart - lo) / 64
-		d0.Words[wIdx] = w0
-		d1.Words[wIdx] = w1
-		d2.Words[wIdx] = w2
-		d3.Words[wIdx] = w3
+		c := jStart / 64
+		d0[c], d1[c], d2[c], d3[c] = w0, w1, w2, w3
+	}
+}
+
+// encodeBitsRow is the one-row body of the sign-bit kernel — the batch
+// remainder and the whole single-row path — storing word c of d from
+// tile components 64c..64c+63.
+//
+//hd:hotpath
+func (e *Encoder) encodeBitsRow(w, b, x []float64, d []uint64) {
+	in := e.InDim
+	g := e.Gamma
+	x = x[:in]
+	for jStart := 0; jStart < len(b); jStart += 64 {
+		jEnd := min(jStart+64, len(b))
+		var word uint64
+		for j := jStart; j < jEnd; j++ {
+			if e.signBit(dot(w[j*in:j*in+in], x)*g, b[j]) {
+				word |= 1 << uint(j-jStart)
+			}
+		}
+		d[jStart/64] = word
 	}
 }
 
 // ProjectionMatrix returns a copy of the OutDim x InDim projection weights;
-// the random-matrix experiments inspect encoder spectra through it. On a
-// rematerialized (ProjSeeded) encoder the matrix is not resident: the rows
-// are generated on demand from the counter streams, which is O(OutDim x
-// InDim) work and allocation — identical bits to what a ProjSeededStored
-// encoder of the same seed holds, but deliberately not cached so the
+// the random-matrix experiments inspect encoder spectra through it. A
+// seeded encoder generates its rows on demand from the counter streams —
+// O(OutDim x InDim) work and allocation, deliberately not cached so the
 // encoder keeps its O(1) state.
 func (e *Encoder) ProjectionMatrix() []float64 {
-	if e.Proj == ProjSeeded {
-		return e.materializeRows(0, e.OutDim)
+	if e.w != nil {
+		return append([]float64(nil), e.w...)
 	}
-	out := make([]float64, len(e.w))
-	copy(out, e.w)
+	out := make([]float64, e.OutDim*e.InDim)
+	e.materializeRowsInto(0, e.OutDim, out)
 	return out
 }

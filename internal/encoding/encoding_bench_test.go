@@ -56,12 +56,12 @@ func BenchmarkEncodeBatchParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeBatchRemat measures the rematerializing encoder on the
-// same batch workload as BenchmarkEncodeBatchParallel: projection tiles
-// are regenerated from the seeded counter streams inside the kernel
-// instead of being read from a stored matrix.
+// BenchmarkEncodeBatchRemat measures the seeded encoder on the same batch
+// workload as BenchmarkEncodeBatchParallel: projection tiles are
+// regenerated from the counter streams inside the kernel instead of being
+// read from a stored matrix.
 func BenchmarkEncodeBatchRemat(b *testing.B) {
-	e, err := NewSeeded(36, 10000, Nonlinear, 1, ProjSeeded)
+	e, err := NewSeeded(36, 10000, Nonlinear, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func benchEncodeBits(b *testing.B, e *Encoder) {
 // sign-only batch encoders (the packed-binary backend's query path) with
 // the projection stored vs rematerialized.
 func BenchmarkEncodeBitsStored(b *testing.B) {
-	e, err := NewSeeded(36, 10000, Nonlinear, 1, ProjSeededStored)
+	e, err := New(36, 10000, Nonlinear, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func BenchmarkEncodeBitsStored(b *testing.B) {
 }
 
 func BenchmarkEncodeBitsRemat(b *testing.B) {
-	e, err := NewSeeded(36, 10000, Nonlinear, 1, ProjSeeded)
+	e, err := NewSeeded(36, 10000, Nonlinear, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

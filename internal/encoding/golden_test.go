@@ -48,7 +48,7 @@ func goldenEncoder(t *testing.T, proj Projection, in, out int, kind Kind) *Encod
 	t.Helper()
 	e, err := New(in, out, kind, 42)
 	if proj == ProjSeeded {
-		e, err = NewSeeded(in, out, kind, 42, ProjSeeded)
+		e, err = NewSeeded(in, out, kind, 42)
 	}
 	if err != nil {
 		t.Fatal(err)

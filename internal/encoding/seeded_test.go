@@ -22,151 +22,154 @@ func seededTestRows(seed int64, n, features int) [][]float64 {
 	return xs
 }
 
-// seededPair builds the materialized and rematerialized seeded encoders
-// for one geometry/seed.
-func seededPair(t *testing.T, inDim, outDim int, kind Kind, seed int64) (stored, remat *Encoder) {
-	t.Helper()
-	stored, err := NewSeeded(inDim, outDim, kind, seed, ProjSeededStored)
-	if err != nil {
-		t.Fatal(err)
+// seededReference computes component j of x's projection and its phase
+// the slow way, sharing no kernel code: an index-order dot against row j
+// of the on-demand ProjectionMatrix m, scaled by Gamma.
+func seededReference(e *Encoder, m, x []float64, j int) (p, b float64) {
+	var s float64
+	for k, xv := range x {
+		s += m[j*e.InDim+k] * xv
 	}
-	remat, err = NewSeeded(inDim, outDim, kind, seed, ProjSeeded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stored, remat
+	return s * e.Gamma, e.phaseAt(j)
 }
 
-// TestSeededModesBitIdenticalFloat is the tentpole's core contract: the
-// rematerialized encoder must produce IEEE-bit-identical float encodings
-// to the materialized encoder of the same seed, through both the scalar
-// and the blocked batch kernels. Geometry deliberately includes feature
-// widths that are not multiples of 64 (partial sign words) and output
-// dims that are not multiples of the dim block.
+// TestSeededModesBitIdenticalFloat is the seeded encoder's core contract:
+// the blocked batch kernel and the single-row path, regenerating their
+// projection tiles in flight, must produce IEEE-bit-identical float
+// encodings to a reference built from ProjectionMatrix(). Geometry
+// deliberately includes feature widths that are not multiples of 64
+// (partial sign words) and output dims that are not multiples of the dim
+// block.
 func TestSeededModesBitIdenticalFloat(t *testing.T) {
 	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
 		for _, geom := range []struct{ in, out int }{{36, 1000}, {7, 130}, {64, 512}, {100, 333}} {
-			stored, remat := seededPair(t, geom.in, geom.out, kind, 42)
-			xs := seededTestRows(7, 37, geom.in) // odd row count exercises the scalar tail
-
-			flatS := make([]float64, len(xs)*geom.out)
-			flatR := make([]float64, len(xs)*geom.out)
-			if err := stored.EncodeBatchInto(xs, flatS, geom.out, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := remat.EncodeBatchInto(xs, flatR, geom.out, 0); err != nil {
-				t.Fatal(err)
-			}
-			for i := range flatS {
-				if math.Float64bits(flatS[i]) != math.Float64bits(flatR[i]) {
-					t.Fatalf("kind=%v in=%d out=%d: batch encodings differ at flat index %d: stored=%v remat=%v",
-						kind, geom.in, geom.out, i, flatS[i], flatR[i])
-				}
-			}
-
-			// Scalar path must agree with itself and with the batch path.
-			hS, err := stored.Encode(xs[0])
+			e, err := NewSeeded(geom.in, geom.out, kind, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hR, err := remat.Encode(xs[0])
+			m := e.ProjectionMatrix()
+			xs := seededTestRows(7, 37, geom.in) // odd row count exercises the one-row body
+			flat := make([]float64, len(xs)*geom.out)
+			if err := e.EncodeBatchInto(xs, flat, geom.out, 0); err != nil {
+				t.Fatal(err)
+			}
+			single, err := e.Encode(xs[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j := range hS {
-				if math.Float64bits(hS[j]) != math.Float64bits(hR[j]) {
-					t.Fatalf("kind=%v: scalar encodings differ at %d", kind, j)
-				}
-				if math.Float64bits(hR[j]) != math.Float64bits(flatR[j]) {
-					t.Fatalf("kind=%v: remat scalar and batch disagree at %d", kind, j)
-				}
-			}
-		}
-	}
-}
-
-// TestSeededModesBitIdenticalBits pins the sign-bit kernels: packed bit
-// encodings from the two seeded modes must match word for word, on both
-// the scalar and the 4-row blocked paths, including sub-ranges that model
-// BoostHD's per-learner segments.
-func TestSeededModesBitIdenticalBits(t *testing.T) {
-	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
-		stored, remat := seededPair(t, 36, 1000, kind, 99)
-		xs := seededTestRows(13, 9, 36)
-		for _, rng := range []struct{ lo, hi int }{{0, 1000}, {0, 500}, {500, 1000}, {100, 163}} {
-			width := rng.hi - rng.lo
-			mk := func() []*hdc.BitVector {
-				out := make([]*hdc.BitVector, len(xs))
-				for i := range out {
-					out[i] = hdc.NewBitVector(width)
-				}
-				return out
-			}
-			bs, br := mk(), mk()
-			if err := stored.EncodeBitsRangeBatch(xs, rng.lo, rng.hi, bs); err != nil {
-				t.Fatal(err)
-			}
-			if err := remat.EncodeBitsRangeBatch(xs, rng.lo, rng.hi, br); err != nil {
-				t.Fatal(err)
-			}
-			for i := range bs {
-				for w := range bs[i].Words {
-					if bs[i].Words[w] != br[i].Words[w] {
-						t.Fatalf("kind=%v range=[%d,%d): row %d word %d differs: stored=%x remat=%x",
-							kind, rng.lo, rng.hi, i, w, bs[i].Words[w], br[i].Words[w])
+			for i, x := range xs {
+				for j := 0; j < geom.out; j++ {
+					p, b := seededReference(e, m, x, j)
+					want := p
+					switch kind {
+					case Nonlinear:
+						want = 0.5*math.Sin(2*p+b) - 0.5*math.Sin(b)
+					case RFF:
+						want = math.Cos(p + b)
+					}
+					if got := flat[i*geom.out+j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("kind=%v in=%d out=%d: row %d comp %d: batch %v, reference %v",
+							kind, geom.in, geom.out, i, j, got, want)
+					}
+					if i == 0 && math.Float64bits(single[j]) != math.Float64bits(want) {
+						t.Fatalf("kind=%v in=%d out=%d: comp %d: single-row %v, reference %v",
+							kind, geom.in, geom.out, j, single[j], want)
 					}
 				}
 			}
-			// Scalar kernel agrees with the blocked kernel.
-			one := hdc.NewBitVector(width)
-			if err := remat.EncodeBitsRange(xs[0], rng.lo, rng.hi, one); err != nil {
+		}
+	}
+}
+
+// TestSeededModesBitIdenticalBits pins the seeded sign-bit kernel against
+// the same reference: packed bits from the 4-row blocked body, the one-row
+// body and the single-row entry point must all match, including
+// sub-ranges that model BoostHD's per-learner segments.
+func TestSeededModesBitIdenticalBits(t *testing.T) {
+	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
+		e, err := NewSeeded(36, 1000, kind, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := e.ProjectionMatrix()
+		xs := seededTestRows(13, 9, 36)
+		for _, rng := range []struct{ lo, hi int }{{0, 1000}, {0, 500}, {500, 1000}, {100, 163}} {
+			width := rng.hi - rng.lo
+			batch := make([]*hdc.BitVector, len(xs))
+			for i := range batch {
+				batch[i] = hdc.NewBitVector(width)
+			}
+			if err := e.EncodeBitsRangeBatch(xs, rng.lo, rng.hi, batch); err != nil {
 				t.Fatal(err)
 			}
-			for w := range one.Words {
-				if one.Words[w] != br[0].Words[w] {
-					t.Fatalf("kind=%v: remat scalar bits disagree with batch at word %d", kind, w)
+			one := hdc.NewBitVector(width)
+			if err := e.EncodeBitsRange(xs[0], rng.lo, rng.hi, one); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range xs {
+				for j := rng.lo; j < rng.hi; j++ {
+					want := e.signBit(seededReference(e, m, x, j))
+					if batch[i].Get(j-rng.lo) != want {
+						t.Fatalf("kind=%v range=[%d,%d): row %d comp %d: batch bit differs from reference",
+							kind, rng.lo, rng.hi, i, j)
+					}
+					if i == 0 && one.Get(j-rng.lo) != want {
+						t.Fatalf("kind=%v range=[%d,%d): comp %d: single-row bit differs from reference",
+							kind, rng.lo, rng.hi, j)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestProjectionMatrixOnDemand: a rematerialized encoder materializes its
-// projection rows on demand, matching the stored-matrix encoder of the
-// same seed exactly, without retaining the matrix afterwards.
+// TestProjectionMatrixOnDemand: a seeded encoder materializes its +-1
+// projection rows on demand, identically on every call, without holding
+// the matrix afterwards.
 func TestProjectionMatrixOnDemand(t *testing.T) {
-	stored, remat := seededPair(t, 36, 400, Nonlinear, 7)
-	ms, mr := stored.ProjectionMatrix(), remat.ProjectionMatrix()
-	if len(ms) != 400*36 || len(mr) != len(ms) {
-		t.Fatalf("projection sizes: stored=%d remat=%d want %d", len(ms), len(mr), 400*36)
+	e, err := NewSeeded(36, 400, Nonlinear, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range ms {
-		if math.Float64bits(ms[i]) != math.Float64bits(mr[i]) {
-			t.Fatalf("projection matrices differ at %d: %v vs %v", i, ms[i], mr[i])
-		}
-		if ms[i] != 1 && ms[i] != -1 {
-			t.Fatalf("seeded projection weight %d is %v, want +/-1", i, ms[i])
+	stored, err := New(36, 400, Nonlinear, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := e.ProjectionMatrix()
+	if len(m) != 400*36 {
+		t.Fatalf("projection size %d, want %d", len(m), 400*36)
+	}
+	for i, v := range m {
+		if v != 1 && v != -1 {
+			t.Fatalf("seeded projection weight %d is %v, want +/-1", i, v)
 		}
 	}
 	// On-demand generation must not inflate the encoder's resident state.
-	if remat.StateBytes() >= stored.StateBytes() {
-		t.Fatalf("remat state %d >= stored state %d", remat.StateBytes(), stored.StateBytes())
+	if e.StateBytes() >= stored.StateBytes() {
+		t.Fatalf("seeded state %d >= stored state %d", e.StateBytes(), stored.StateBytes())
 	}
-	mr2 := remat.ProjectionMatrix()
-	for i := range mr {
-		if mr[i] != mr2[i] {
+	m2 := e.ProjectionMatrix()
+	for i := range m {
+		if math.Float64bits(m[i]) != math.Float64bits(m2[i]) {
 			t.Fatalf("repeated materialization unstable at %d", i)
 		}
 	}
 }
 
-// TestSeededStateShrink pins the acceptance criterion that drives the
-// whole tentpole: at paper scale the rematerialized encoder's state is at
-// least 100x smaller than the stored projection.
+// TestSeededStateShrink pins the property the seeded mode exists for: at
+// paper scale its state is at least 100x smaller than a stored
+// projection's.
 func TestSeededStateShrink(t *testing.T) {
-	stored, remat := seededPair(t, 36, 10000, Nonlinear, 1)
-	if ratio := float64(stored.StateBytes()) / float64(remat.StateBytes()); ratio < 100 {
-		t.Fatalf("state shrink %.1fx < 100x (stored=%d remat=%d)", ratio, stored.StateBytes(), remat.StateBytes())
+	stored, err := New(36, 10000, Nonlinear, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := NewSeeded(36, 10000, Nonlinear, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(stored.StateBytes()) / float64(seeded.StateBytes()); ratio < 100 {
+		t.Fatalf("state shrink %.1fx < 100x (stored=%d seeded=%d)", ratio, stored.StateBytes(), seeded.StateBytes())
 	}
 }
 
@@ -174,15 +177,15 @@ func TestSeededStateShrink(t *testing.T) {
 // seeds give equal spaces — the determinism contract checkpointing relies
 // on.
 func TestSeededSeedSensitivity(t *testing.T) {
-	a, err := NewSeeded(12, 256, Nonlinear, 5, ProjSeeded)
+	a, err := NewSeeded(12, 256, Nonlinear, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSeeded(12, 256, Nonlinear, 5, ProjSeeded)
+	b, err := NewSeeded(12, 256, Nonlinear, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewSeeded(12, 256, Nonlinear, 6, ProjSeeded)
+	c, err := NewSeeded(12, 256, Nonlinear, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,25 +210,24 @@ func TestSeededSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestNewSeededRejectsLegacyMode: the legacy stored mode is built by
-// NewWithGamma only; NewSeeded must refuse it loudly.
+// TestNewSeededRejectsLegacyMode: seeded construction validates its
+// inputs, and ParseProjection accepts exactly the two mode names — the
+// retired seeded-stored mode and the old aliases fail loudly.
 func TestNewSeededRejectsLegacyMode(t *testing.T) {
-	if _, err := NewSeeded(10, 100, Nonlinear, 1, ProjStored); err == nil {
-		t.Fatal("NewSeeded accepted ProjStored")
-	}
-	if _, err := NewSeededWithGamma(10, 100, Nonlinear, -1, 1, ProjSeeded); err == nil {
+	if _, err := NewSeededWithGamma(10, 100, Nonlinear, -1, 1); err == nil {
 		t.Fatal("NewSeeded accepted negative gamma")
 	}
-	if _, err := ParseProjection("bogus"); err == nil {
-		t.Fatal("ParseProjection accepted bogus mode")
+	if _, err := NewSeeded(0, 100, Nonlinear, 1); err == nil {
+		t.Fatal("NewSeeded accepted zero input width")
 	}
-	for _, tc := range []struct {
-		s    string
-		want Projection
-	}{{"", ProjStored}, {"stored", ProjStored}, {"seeded-stored", ProjSeededStored}, {"seeded", ProjSeeded}, {"remat", ProjSeeded}} {
-		got, err := ParseProjection(tc.s)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseProjection(%q) = %v, %v; want %v", tc.s, got, err, tc.want)
+	for _, s := range []string{"", "bogus", "legacy", "seeded-stored", "seeded_stored", "remat", "rematerialized"} {
+		if _, err := ParseProjection(s); err == nil {
+			t.Fatalf("ParseProjection accepted %q", s)
+		}
+	}
+	for _, p := range []Projection{ProjStored, ProjSeeded} {
+		if got, err := ParseProjection(p.String()); err != nil || got != p {
+			t.Fatalf("ParseProjection(%q) = %v, %v; want %v", p.String(), got, err, p)
 		}
 	}
 }

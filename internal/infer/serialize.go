@@ -100,11 +100,6 @@ func LoadBinary(r io.Reader) (*BinaryModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("infer: load binary: %w", err)
 	}
-	if v == 0 {
-		// Binary snapshots postdate the header format: nothing headerless
-		// to fall back to.
-		return nil, fmt.Errorf("infer: load binary: not a binary snapshot checkpoint")
-	}
 	var bw binaryWire
 	if err := gob.NewDecoder(body).Decode(&bw); err != nil {
 		return nil, fmt.Errorf("infer: load binary: %w", err)

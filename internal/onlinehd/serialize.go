@@ -14,8 +14,7 @@ import (
 // modelWire is the gob wire format of a trained OnlineHD model. The
 // encoder is reconstructed from its configuration (it is deterministic in
 // the seed), so only the learned class hypervectors travel. On disk the
-// gob stream is framed by a wire.MagicOnlineHD + version header; blobs
-// written before the header existed load through the legacy path.
+// gob stream is framed by a wire.MagicOnlineHD + version header.
 type modelWire struct {
 	Cfg   Config
 	InDim int

@@ -135,8 +135,8 @@ func TestSaveDuringMutationRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLegacyHeaderlessLoad decodes a v0 blob written before the magic
-// header existed.
+// TestLegacyHeaderlessLoad: a v0 blob written before the magic header
+// existed is rejected loudly instead of decoded.
 func TestLegacyHeaderlessLoad(t *testing.T) {
 	X, y := blobs(60, 8)
 	cfg := DefaultConfig(192, 3)
@@ -150,19 +150,8 @@ func TestLegacyHeaderlessLoad(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("legacy blob rejected: %v", err)
-	}
-	want, _ := m.PredictBatch(X)
-	got, err := loaded.PredictBatch(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatal("legacy-loaded model predicts differently")
-		}
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "missing BHDO header") {
+		t.Fatalf("headerless blob: err %v, want a missing-header rejection", err)
 	}
 }
 

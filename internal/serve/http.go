@@ -166,7 +166,7 @@ type HandlerConfig struct {
 	// view, and GET /tenants exposes the registry stats. Tenant
 	// predictions ride the micro-batcher pinned to their resolved view,
 	// so same-tenant (and base-passthrough) traffic coalesces into fused
-	// engine batch calls; tenant /predict_batch goes straight to the
+	// engine batch calls; tenant /predict_batch runs one batch call on the
 	// tenant engine — the caller already batched.
 	Tenants *TenantRegistry
 	// TenantTrainer routes tenant-scoped /observe and /retrain to
@@ -416,13 +416,7 @@ func (h *handler) predictBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var labels []int
-	var err error
-	if eng != nil {
-		labels, err = eng.PredictBatch(req.Rows)
-	} else {
-		labels, err = h.s.PredictBatch(req.Rows)
-	}
+	labels, err := h.s.PredictBatchOn(eng, req.Rows)
 	if err != nil {
 		httpError(w, predictStatus(err), err)
 		return

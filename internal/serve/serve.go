@@ -85,7 +85,7 @@ type result struct {
 
 // Stats is a point-in-time snapshot of serving counters.
 type Stats struct {
-	Served     uint64  // predictions completed through the batcher
+	Served     uint64  // predictions completed: batcher rows plus PredictBatchOn rows
 	Batches    uint64  // engine batch calls issued
 	MeanBatch  float64 // Served / Batches
 	Swaps      uint64  // hot-swaps performed
@@ -101,9 +101,8 @@ type Stats struct {
 	// for the rematerialized projection. A swap to a differently encoded
 	// model shows up here.
 	EncoderStateBytes int
-	// Projection names the serving encoder's projection mode (stored,
-	// seeded-stored, seeded), the axis the paper's memory/latency
-	// trade-off sweeps.
+	// Projection names the serving encoder's projection mode (stored or
+	// seeded), the axis the paper's memory/latency trade-off sweeps.
 	Projection string
 	// StragglerFires counts batches flushed because the MaxWait
 	// straggler timer expired before the batch filled.
@@ -303,17 +302,28 @@ func (s *Server) PredictOnSpan(eng *infer.Engine, x []float64, sp *obs.Span) (in
 	return res.label, res.err
 }
 
-// PredictBatch classifies an already-batched request directly on the
-// current engine, bypassing the coalescing queue — the caller has done
-// the batching.
+// PredictBatch classifies an already-batched request on the current
+// serving engine (see PredictBatchOn).
 func (s *Server) PredictBatch(X [][]float64) ([]int, error) {
+	return s.PredictBatchOn(nil, X)
+}
+
+// PredictBatchOn classifies an already-batched request directly on a
+// pinned engine view — a tenant's composed engine — bypassing the
+// coalescing queue: the caller has done the batching. A nil eng means
+// the current serving engine, as in PredictOn. Base and tenant batches
+// alike count toward Served and Batches and feed the batch, encode and
+// score histograms.
+func (s *Server) PredictBatchOn(eng *infer.Engine, X [][]float64) ([]int, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, ErrClosed
 	}
 	s.mu.RUnlock()
-	eng := s.engine.Load()
+	if eng == nil {
+		eng = s.engine.Load()
+	}
 	o := s.obs.Load()
 	if o == nil {
 		preds, err := eng.PredictBatch(X)

@@ -623,6 +623,35 @@ func (f *fakeTenantTrainer) RetrainTenant(tenant string) (RetrainReport, error) 
 	return RetrainReport{Swapped: true, Mode: "tenant-delta"}, nil
 }
 
+// TestTenantPredictBatchCounted: a tenant /predict_batch runs through the
+// server's batch entry point like a base batch, so its rows count toward
+// Served and its engine call toward Batches, and a closed server refuses
+// it.
+func TestTenantPredictBatchCounted(t *testing.T) {
+	s, reg, m, X := newTenantFixture(t)
+	if err := reg.Install("ward-7", testDelta(t, m, []int{1, 2}, 31)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(s, HandlerConfig{Tenants: reg}))
+	defer ts.Close()
+	raw, err := json.Marshal(map[string]any{"rows": X[:4]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if resp := postRaw(t, ts.URL+"/t/ward-7/predict_batch", raw); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/t/ward-7/predict_batch: %d", resp.StatusCode)
+	}
+	after := s.Stats()
+	if served, batches := after.Served-before.Served, after.Batches-before.Batches; served != 4 || batches != 1 {
+		t.Fatalf("tenant batch counted %d rows in %d batches, want 4 in 1", served, batches)
+	}
+	s.Close()
+	if resp := postRaw(t, ts.URL+"/t/ward-7/predict_batch", raw); resp.StatusCode == http.StatusOK {
+		t.Fatal("closed server answered a tenant predict_batch")
+	}
+}
+
 // TestTenantHTTP drives the tenant routes end to end: path and header
 // forms, conflicts, validation, stats, and the per-tenant observe and
 // retrain dispatch.

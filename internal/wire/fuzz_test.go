@@ -271,6 +271,12 @@ func TestSeededFrameRejection(t *testing.T) {
 	if err := boosthd.CheckProjectionWire(wire.Version, encoding.ProjSeeded); err != nil {
 		t.Fatalf("current seeded mode rejected: %v", err)
 	}
+	// Mode 1 was the retired seeded-stored mode; its checkpoints are
+	// rejected by name rather than as an unknown future mode.
+	if err := boosthd.CheckProjectionWire(wire.Version, 1); err == nil ||
+		!strings.Contains(err.Error(), "seeded-stored") {
+		t.Fatalf("retired seeded-stored mode: %v", err)
+	}
 	if err := boosthd.CheckProjectionWire(wire.Version1, encoding.ProjStored); err != nil {
 		t.Fatalf("legacy stored mode rejected: %v", err)
 	}

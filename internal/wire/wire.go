@@ -6,14 +6,11 @@
 // revision fail loudly instead of mis-decoding.
 //
 // Every magic is four bytes and shares the "BHD" prefix; the byte after
-// the magic is the format version. Blobs written before the header
-// existed start with a gob length varint, which never collides with the
-// prefix, so ReadHeader recognizes them and hands back a legacy (v0)
-// reader that decodes the original headerless stream.
+// the magic is the format version. A stream without the prefix — such as
+// a headerless gob blob from before the framing existed — is rejected.
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 )
@@ -41,11 +38,10 @@ const (
 )
 
 // prefix is shared by every magic; a stream starting with it but not
-// matching the expected magic is some other checkpoint type, never a
-// legacy gob blob.
+// matching the expected magic is some other checkpoint type.
 const prefix = "BHD"
 
-// Header versions. Version 0 is reserved for legacy headerless blobs.
+// Header versions; 0 is never valid.
 const (
 	// Version1 is the original framed format: stored-matrix encoder
 	// configurations only.
@@ -98,20 +94,15 @@ func WriteHeaderVersion(w io.Writer, magic string, version byte) error {
 // ReadHeader consumes the framing header from r, verifying it matches
 // the expected magic at a supported version, and returns the version
 // together with the reader positioned at the gob payload. A stream that
-// does not start with the shared magic prefix is treated as a legacy
-// headerless blob: version 0 is returned and the body reader replays the
-// consumed bytes before the rest of r.
+// does not start with a complete header is rejected.
 func ReadHeader(r io.Reader, magic string) (version byte, body io.Reader, err error) {
 	head := make([]byte, headerLen)
 	n, err := io.ReadFull(r, head)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return 0, nil, fmt.Errorf("wire: read header: %w", err)
 	}
-	head = head[:n]
 	if n < headerLen || string(head[:3]) != prefix {
-		// Not a framed checkpoint: replay what was consumed and let the
-		// caller's legacy gob decoder judge it.
-		return 0, io.MultiReader(bytes.NewReader(head), r), nil
+		return 0, nil, fmt.Errorf("wire: missing %s header: not a %s checkpoint", magic, describe(magic))
 	}
 	if got := string(head[:4]); got != magic {
 		return 0, nil, fmt.Errorf("wire: checkpoint type %s, want %s (%s)",

@@ -62,19 +62,14 @@ func TestHeaderFutureVersionRejected(t *testing.T) {
 	}
 }
 
+// TestHeaderLegacyPassthrough: headerless blobs (pre-framing gob streams,
+// arbitrary bytes, a truncated header) no longer pass through to a legacy
+// decoder; ReadHeader rejects them naming the missing header.
 func TestHeaderLegacyPassthrough(t *testing.T) {
-	// Headerless blobs (gob streams, arbitrary bytes) must replay intact.
-	for _, legacy := range []string{"", "ab", "\x40gob-ish stream bytes"} {
-		v, body, err := ReadHeader(strings.NewReader(legacy), MagicEnsemble)
-		if err != nil {
-			t.Fatalf("legacy %q: %v", legacy, err)
-		}
-		if v != 0 {
-			t.Fatalf("legacy %q: version %d, want 0", legacy, v)
-		}
-		rest, _ := io.ReadAll(body)
-		if string(rest) != legacy {
-			t.Fatalf("legacy %q replayed as %q", legacy, rest)
+	for _, legacy := range []string{"", "ab", "BHDE", "\x40gob-ish stream bytes"} {
+		_, _, err := ReadHeader(strings.NewReader(legacy), MagicEnsemble)
+		if err == nil || !strings.Contains(err.Error(), "missing BHDE header") {
+			t.Fatalf("headerless %q: err %v, want a missing-header rejection", legacy, err)
 		}
 	}
 }
