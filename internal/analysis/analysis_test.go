@@ -146,25 +146,31 @@ var benchKernels = map[string][]struct{ dir, fn string }{
 	},
 	"internal/encoding.BenchmarkEncodeBatchParallel": {
 		{"internal/encoding", "encodeRows"},
-		{"internal/encoding", "encode4"},
+		{"internal/encoding", "dots4"},
+		{"internal/encoding", "activate"},
 	},
 	"internal/encoding.BenchmarkEncodeBatchRemat": {
 		{"internal/encoding", "encodeRows"},
-		{"internal/encoding", "encode4"},
-		{"internal/encoding", "materializeRowsInto"},
+		{"internal/encoding", "buildTables"},
+		{"internal/encoding", "indexTile"},
+		{"internal/encoding", "sumTables"},
+		{"internal/encoding", "activate"},
 	},
 	"internal/encoding.BenchmarkEncodeBitsRemat": {
 		{"internal/encoding", "encodeBitsRows"},
-		{"internal/encoding", "encodeBits4"},
-		{"internal/encoding", "materializeRowsInto"},
+		{"internal/encoding", "buildTables"},
+		{"internal/encoding", "indexTile"},
+		{"internal/encoding", "sumTables"},
+		{"internal/encoding", "signWords"},
 	},
 	"internal/encoding.BenchmarkEncodeBitsStored": {
 		{"internal/encoding", "encodeBitsRows"},
-		{"internal/encoding", "encodeBits4"},
+		{"internal/encoding", "dots4"},
+		{"internal/encoding", "signWords"},
 	},
-	"internal/encoding.BenchmarkEncodeLinear":    {{"internal/encoding", "encodeRows"}, {"internal/encoding", "encodeRow"}},
-	"internal/encoding.BenchmarkEncodeNonlinear": {{"internal/encoding", "encodeRows"}, {"internal/encoding", "encodeRow"}},
-	"internal/encoding.BenchmarkEncodeRFF":       {{"internal/encoding", "encodeRows"}, {"internal/encoding", "encodeRow"}},
+	"internal/encoding.BenchmarkEncodeLinear":    {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},
+	"internal/encoding.BenchmarkEncodeNonlinear": {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},
+	"internal/encoding.BenchmarkEncodeRFF":       {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},
 	"internal/encoding.BenchmarkIDLevelEncode":   {{"internal/encoding", "quantize"}},
 	"internal/infer.BenchmarkPredictBatchBinary": {{"internal/infer", "predictBits4"}},
 	"internal/infer.BenchmarkPredictBatchFloat":  {{"internal/boosthd", "classifyEncoded"}},

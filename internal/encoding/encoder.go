@@ -11,10 +11,11 @@
 // Every entry point, single-row or batch, runs one of two blocked
 // kernels: a float kernel, and a sign-only kernel for the packed-binary
 // backend that skips the trigonometric evaluation entirely. Both sweep
-// the projection in tiles of rows — views of a stored matrix, or rows
-// regenerated from a seeded counter stream (see Projection) — and write
-// into caller-owned buffers, so a batch is one cache-friendly GEMM-style
-// loop rather than independent row encodes.
+// the projection in tiles of 256 components and write into caller-owned
+// buffers. Only the projection step depends on the mode (see
+// Projection): a GEMM over a stored matrix, or table lookups indexed by
+// sign words regenerated from a seeded counter stream. The activation
+// and sign steps after it are shared.
 package encoding
 
 import (
@@ -136,17 +137,37 @@ func newEncoder(inDim, outDim int, kind Kind, gamma float64) (*Encoder, error) {
 	return &Encoder{InDim: inDim, OutDim: outDim, Kind: kind, Gamma: gamma}, nil
 }
 
-// checkRow validates one feature row.
-func (e *Encoder) checkRow(x []float64) error {
-	if len(x) != e.InDim {
-		return fmt.Errorf("encoding: feature length %d != InDim %d", len(x), e.InDim)
+// MaxFeature bounds the magnitude of an encodable feature value. Within
+// it a projection stays finite at any practical feature width, so
+// phases, sign bits and class memory never meet an infinity or a NaN;
+// no standardized feature comes anywhere near it.
+const MaxFeature = 1e150
+
+// CheckFeatures rejects a row holding a NaN, an infinity or a value
+// beyond ±MaxFeature. Serving and training call it at admission, so a
+// bad row fails alone instead of failing the micro-batch it would have
+// joined; every encoder entry point checks again.
+func CheckFeatures(x []float64) error {
+	for k, v := range x {
+		if !(math.Abs(v) <= MaxFeature) {
+			return fmt.Errorf("encoding: feature %d is %v, outside [-%g, %g]", k, v, MaxFeature, MaxFeature)
+		}
 	}
 	return nil
 }
 
+// checkRow validates one feature row: its width and, through
+// CheckFeatures, its values.
+func (e *Encoder) checkRow(x []float64) error {
+	if len(x) != e.InDim {
+		return fmt.Errorf("encoding: feature length %d != InDim %d", len(x), e.InDim)
+	}
+	return CheckFeatures(x)
+}
+
 // EncodeInto maps one feature vector into hyperspace, writing the result
-// into dst (length OutDim). A stored encoder allocates nothing; a seeded
-// one regenerates its rows into a pooled tile.
+// into dst (length OutDim). It allocates nothing once warm: a seeded
+// encoder's lookup scratch comes from a pool.
 func (e *Encoder) EncodeInto(x []float64, dst []float64) error {
 	if err := e.checkRow(x); err != nil {
 		return err
@@ -176,10 +197,10 @@ func (e *Encoder) Encode(x []float64) (hdc.Vector, error) {
 const BatchRowBlock = 32
 
 // Batch tiling parameters: each worker encodes BatchRowBlock rows at a
-// time, sweeping the projection in dimBlock-row tiles so a tile is loaded
-// once per row block instead of once per row. At typical feature widths a
-// tile is tens of kilobytes — cache resident — which turns the batch
-// projection into a blocked GEMM-style loop.
+// time, sweeping the projection in dimBlock-component tiles so a tile is
+// fetched once per row block instead of once per row: tens of kilobytes
+// of a stored matrix, a GEMM-style loop, or one set of regenerated sign
+// words for a seeded encoder's table lookups.
 const (
 	encodeRowBlock = BatchRowBlock
 	encodeDimBlock = 256
@@ -232,22 +253,23 @@ func (e *Encoder) EncodeBatch(xs [][]float64) ([]hdc.Vector, error) {
 	return out, nil
 }
 
-// tile fetches projection rows [j0,j1), row-major, and their phases:
-// views of a stored encoder's matrix, or the rows and phases a seeded
-// encoder regenerates from its counter streams into wBuf and bBuf. It is
-// the one place the kernels see the projection mode; every loop after it
-// is shared.
+// tile fetches what the kernels need of projection rows [j0,j1): their
+// phases — a view of a stored encoder's, or regenerated from the phase
+// stream into bBuf — and, on a stored encoder, a row-major view of the
+// rows themselves. A seeded encoder returns w == nil and instead splits
+// the rows' sign words into lk's per-group byte indexes, generating each
+// sign word once for every row of the block.
 //
 //hd:hotpath
-func (e *Encoder) tile(j0, j1 int, wBuf []float64, bBuf *[encodeDimBlock]float64) (w, b []float64) {
+func (e *Encoder) tile(j0, j1 int, lk *lookup, bBuf *[encodeDimBlock]float64) (w, b []float64) {
 	if e.w != nil {
 		return e.w[j0*e.InDim : j1*e.InDim], e.b[j0:j1]
 	}
-	e.materializeRowsInto(j0, j1, wBuf)
 	for j := j0; j < j1; j++ {
 		bBuf[j-j0] = e.phaseAt(j)
 	}
-	return wBuf[:(j1-j0)*e.InDim], bBuf[:j1-j0]
+	lk.indexTile(e, j0, j1)
+	return nil, bBuf[:j1-j0]
 }
 
 // halfSinTile returns 0.5*sin(b) for the phases b of the tile starting at
@@ -265,65 +287,43 @@ func (e *Encoder) halfSinTile(j0 int, b []float64, buf *[encodeDimBlock]float64)
 	return buf[:len(b)]
 }
 
-// dot is <w, x> accumulated in feature index order: the per-component
-// dot of the one-row kernel bodies.
+// project writes the raw projections <w_j, x> of the tile's n components
+// for rows xs[i:i+r], r = min(4, len(xs)-i), into acc[0:r][:n] and
+// returns r. It is the kernels' one mode-specific step: a stored encoder
+// runs the four-row register-blocked GEMM body (dots4) or the one-row dot
+// over the tile rows w; a seeded encoder (w == nil) sums table lookups.
 //
 //hd:hotpath
-func dot(w, x []float64) float64 {
-	x = x[:len(w)]
-	var s float64
-	for k, wv := range w {
-		s += wv * x[k]
+func (e *Encoder) project(w []float64, lk *lookup, xs [][]float64, i, n int, acc *[4][encodeDimBlock]float64) int {
+	r := min(4, len(xs)-i)
+	switch {
+	case w == nil:
+		for k := 0; k < r; k++ {
+			lk.sumTables(i+k, acc[k][:n])
+		}
+	case r == 4:
+		e.dots4(w, xs[i], xs[i+1], xs[i+2], xs[i+3], acc, n)
+	default:
+		for k := 0; k < r; k++ {
+			e.dots(w, xs[i+k], acc[k][:n])
+		}
 	}
-	return s
+	return r
 }
 
-// encodeRows is the blocked float kernel behind every float entry point:
-// row i of xs is encoded into out[i*stride+offset : i*stride+offset+OutDim].
-// Dimension tiles run outer; each tile is fetched once and swept by
-// encode4 over four-row groups and by encodeRow over the remainder.
+// dots4 is the stored projection's four-row GEMM body: each tile row is
+// loaded once and fed to four independent accumulator chains, which
+// hides the floating-point add latency that serializes a lone dot
+// product. Every row still accumulates in feature index order, so the
+// results are bit-identical to dots.
 //
 //hd:hotpath
-func (e *Encoder) encodeRows(xs [][]float64, out []float64, stride, offset int) {
-	var bBuf, hsbBuf [encodeDimBlock]float64
-	var wBuf []float64
-	if e.w == nil {
-		wBuf = getTile(encodeDimBlock * e.InDim)
-		defer putTile(wBuf)
-	}
-	for j0 := 0; j0 < e.OutDim; j0 += encodeDimBlock {
-		j1 := min(j0+encodeDimBlock, e.OutDim)
-		w, b := e.tile(j0, j1, wBuf, &bBuf)
-		var hsb []float64
-		if e.Kind == Nonlinear {
-			hsb = e.halfSinTile(j0, b, &hsbBuf)
-		}
-		i := 0
-		for ; i+4 <= len(xs); i += 4 {
-			d := out[i*stride+offset+j0:]
-			e.encode4(w, b, hsb, xs[i], xs[i+1], xs[i+2], xs[i+3], d, d[stride:], d[2*stride:], d[3*stride:])
-		}
-		for ; i < len(xs); i++ {
-			e.encodeRow(w, b, hsb, xs[i], out[i*stride+offset+j0:])
-		}
-	}
-}
-
-// encode4 encodes one tile of components for four rows, writing component
-// j0+t of row r into dr[t]. Each tile row is loaded once and fed to four
-// independent accumulator chains — the register-blocking step of the
-// batch GEMM — which hides the floating-point add latency that serializes
-// a lone dot product. Every row still accumulates in index order, so
-// results are bit-identical to encodeRow.
-//
-//hd:hotpath
-func (e *Encoder) encode4(w, b, hsb, x0, x1, x2, x3, d0, d1, d2, d3 []float64) {
+func (e *Encoder) dots4(w, x0, x1, x2, x3 []float64, acc *[4][encodeDimBlock]float64, n int) {
 	in := e.InDim
-	g := e.Gamma
 	// Pin every row to exactly InDim elements so the compiler can drop the
 	// bounds checks inside the accumulation loop.
 	x0, x1, x2, x3 = x0[:in], x1[:in], x2[:in], x3[:in]
-	for t, bt := range b {
+	for t := 0; t < n; t++ {
 		row := w[t*in : t*in+in]
 		var s0, s1, s2, s3 float64
 		for k, wv := range row {
@@ -332,45 +332,82 @@ func (e *Encoder) encode4(w, b, hsb, x0, x1, x2, x3, d0, d1, d2, d3 []float64) {
 			s2 += wv * x2[k]
 			s3 += wv * x3[k]
 		}
-		switch e.Kind {
-		case Nonlinear:
-			h := hsb[t]
-			d0[t] = 0.5*math.Sin(2*(s0*g)+bt) - h
-			d1[t] = 0.5*math.Sin(2*(s1*g)+bt) - h
-			d2[t] = 0.5*math.Sin(2*(s2*g)+bt) - h
-			d3[t] = 0.5*math.Sin(2*(s3*g)+bt) - h
-		case RFF:
-			d0[t] = math.Cos(s0*g + bt)
-			d1[t] = math.Cos(s1*g + bt)
-			d2[t] = math.Cos(s2*g + bt)
-			d3[t] = math.Cos(s3*g + bt)
-		default:
-			d0[t] = s0 * g
-			d1[t] = s1 * g
-			d2[t] = s2 * g
-			d3[t] = s3 * g
+		acc[0][t], acc[1][t], acc[2][t], acc[3][t] = s0, s1, s2, s3
+	}
+}
+
+// dots is the stored projection's one-row body — the batch remainder and
+// the whole single-row path: acc[t] = <w_t, x> accumulated in feature
+// index order.
+//
+//hd:hotpath
+func (e *Encoder) dots(w, x, acc []float64) {
+	in := e.InDim
+	x = x[:in]
+	for t := range acc {
+		var s float64
+		for k, wv := range w[t*in : t*in+in] {
+			s += wv * x[k]
+		}
+		acc[t] = s
+	}
+}
+
+// activate applies the activation to one row's tile of raw projections
+// s with phases b, writing component j0+t into d[t]: the float kernel's
+// last step, shared by both projection modes.
+//
+//hd:hotpath
+func (e *Encoder) activate(s, b, hsb, d []float64) {
+	g := e.Gamma
+	s, d = s[:len(b)], d[:len(b)]
+	switch e.Kind {
+	case Nonlinear:
+		hsb = hsb[:len(b)]
+		for t, bt := range b {
+			d[t] = 0.5*math.Sin(2*(s[t]*g)+bt) - hsb[t]
+		}
+	case RFF:
+		for t, bt := range b {
+			d[t] = math.Cos(s[t]*g + bt)
+		}
+	default:
+		for t := range b {
+			d[t] = s[t] * g
 		}
 	}
 }
 
-// encodeRow encodes one tile of components for one row — the batch
-// remainder and the whole single-row path — writing component j0+t into
-// d[t].
+// encodeRows is the blocked float kernel behind every float entry point:
+// row i of xs is encoded into out[i*stride+offset : i*stride+offset+OutDim].
+// Rows run in blocks (all of xs on a stored encoder, a lookup block on a
+// seeded one), dimension tiles inside a block; each tile is fetched once
+// and swept four rows at a time.
 //
 //hd:hotpath
-func (e *Encoder) encodeRow(w, b, hsb, x, d []float64) {
-	in := e.InDim
-	g := e.Gamma
-	x = x[:in]
-	for t, bt := range b {
-		s := dot(w[t*in:t*in+in], x)
-		switch e.Kind {
-		case Nonlinear:
-			d[t] = 0.5*math.Sin(2*(s*g)+bt) - hsb[t]
-		case RFF:
-			d[t] = math.Cos(s*g + bt)
-		default:
-			d[t] = s * g
+func (e *Encoder) encodeRows(xs [][]float64, out []float64, stride, offset int) {
+	var bBuf, hsbBuf [encodeDimBlock]float64
+	var acc [4][encodeDimBlock]float64
+	lk, step := e.getLookup(len(xs))
+	if lk != nil {
+		defer putLookup(lk)
+	}
+	for r0 := 0; r0 < len(xs); r0 += step {
+		blk := xs[r0:min(r0+step, len(xs))]
+		if lk != nil {
+			lk.buildTables(blk)
+		}
+		for j0 := 0; j0 < e.OutDim; j0 += encodeDimBlock {
+			w, b := e.tile(j0, min(j0+encodeDimBlock, e.OutDim), lk, &bBuf)
+			var hsb []float64
+			if e.Kind == Nonlinear {
+				hsb = e.halfSinTile(j0, b, &hsbBuf)
+			}
+			for i := 0; i < len(blk); i += 4 {
+				for k := range e.project(w, lk, blk, i, len(b), &acc) {
+					e.activate(acc[k][:len(b)], b, hsb, out[(r0+i+k)*stride+offset+j0:])
+				}
+			}
 		}
 	}
 }
@@ -387,22 +424,76 @@ func phaseFrac(t float64) float64 {
 	return f - math.Floor(f)
 }
 
-// signBit reports the sign of one encoding component from its projection
-// p = Gamma * <w_j, x> and phase b, read off the phase quadrants: RFF is
-// the sign of cos(p+b), Nonlinear the product of the signs of cos(p+b)
-// and sin(p), Linear the raw projection sign.
+// phaseSign returns the sign bit, 1 for >= 0, of cos(p+b)*sin(p) from the
+// phase fractions f of p and fc of p+b: positive when the two factors'
+// signs agree, cos(p+b) being negative for fc strictly between the
+// quarter and three-quarter turns and sin(p) past the half turn. It is
+// the comparison form (f > 0.5) == (fc > 0.25 && fc < 0.75) without a
+// branch: for finite a and b the rounded difference b-a carries the sign
+// of the exact one and is zero only when a == b, so its IEEE sign bit is
+// set exactly when a > b. f = 0 drops the sin factor, giving the sign of
+// cos(p+b) alone.
 //
 //hd:hotpath
-func (e *Encoder) signBit(p, b float64) bool {
+func phaseSign(f, fc float64) uint64 {
+	sinNeg := math.Float64bits(0.5 - f)
+	cosNeg := math.Float64bits(0.25-fc) & math.Float64bits(fc-0.75)
+	return 1 ^ (sinNeg^cosNeg)>>63
+}
+
+// linearSign is the sign bit of p, 1 for p >= 0. Adding +0 folds -0 into
+// +0, so -0 reads as >= 0.
+//
+//hd:hotpath
+func linearSign(p float64) uint64 {
+	return 1 ^ math.Float64bits(p+0)>>63
+}
+
+// signBit returns the sign bit of one encoding component — 1 when the
+// component is >= 0 — from its projection p = Gamma * <w_j, x> and phase
+// b, read off the phase quadrants: the sign of cos(p+b) for RFF, times
+// the sign of sin(p) for Nonlinear, and the raw projection sign for
+// Linear. p must be finite, which the encoder's input check guarantees.
+func (e *Encoder) signBit(p, b float64) uint64 {
 	switch e.Kind {
 	case Nonlinear:
-		fc := phaseFrac(p + b)
-		return (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75)
+		return phaseSign(phaseFrac(p), phaseFrac(p+b))
 	case RFF:
-		fc := phaseFrac(p + b)
-		return !(fc > 0.25 && fc < 0.75)
+		return phaseSign(0, phaseFrac(p+b))
 	default:
-		return p >= 0
+		return linearSign(p)
+	}
+}
+
+// signWords packs the sign bits of one row's tile of raw projections s
+// with phases b into d, word c holding components 64c..64c+63 as signBit
+// defines them: the sign-bit kernel's last step, shared by both
+// projection modes. The kind switch sits outside the component loops so
+// the per-component sign inlines.
+//
+//hd:hotpath
+func (e *Encoder) signWords(s, b []float64, d []uint64) {
+	g := e.Gamma
+	s = s[:len(b)]
+	for c := 0; c*64 < len(b); c++ {
+		lo, hi := c*64, min(c*64+64, len(b))
+		var word uint64
+		switch e.Kind {
+		case Nonlinear:
+			for j := lo; j < hi; j++ {
+				p := s[j] * g
+				word |= phaseSign(phaseFrac(p), phaseFrac(p+b[j])) << uint(j-lo)
+			}
+		case RFF:
+			for j := lo; j < hi; j++ {
+				word |= phaseSign(0, phaseFrac(s[j]*g+b[j])) << uint(j-lo)
+			}
+		default:
+			for j := lo; j < hi; j++ {
+				word |= linearSign(s[j]*g) << uint(j-lo)
+			}
+		}
+		d[c] = word
 	}
 }
 
@@ -418,7 +509,7 @@ func (e *Encoder) EncodeBitsRange(x []float64, lo, hi int, dst *hdc.BitVector) e
 
 // EncodeBitsRangeBatch encodes components [lo,hi) of every row of xs into
 // dst: bit k of dst[r] is the sign bit of component lo+k of row r's
-// encoding. Rows are register-blocked four at a time like the float
+// encoding. Rows run through the same blocked projection as the float
 // kernel, and bits are assembled in registers and flushed a whole 64-bit
 // word at a time.
 func (e *Encoder) EncodeBitsRangeBatch(xs [][]float64, lo, hi int, dst []*hdc.BitVector) error {
@@ -446,137 +537,31 @@ func (e *Encoder) EncodeBitsRangeBatch(xs [][]float64, lo, hi int, dst []*hdc.Bi
 }
 
 // encodeBitsRows is the blocked sign-bit kernel behind every bit entry
-// point. Tiles of [lo,hi) run outer; each is fetched once and swept by
-// encodeBits4 over four-row groups and by encodeBitsRow over the
-// remainder. Tiles span whole 64-bit words, so each body stores complete
-// words.
+// point: encodeRows' loop over [lo,hi) with signWords as the last step.
+// Tiles span whole 64-bit words, so each row stores complete words.
 //
 //hd:hotpath
 func (e *Encoder) encodeBitsRows(xs [][]float64, lo, hi int, dst []*hdc.BitVector) {
 	var bBuf [encodeDimBlock]float64
-	var wBuf []float64
-	if e.w == nil {
-		wBuf = getTile(encodeDimBlock * e.InDim)
-		defer putTile(wBuf)
+	var acc [4][encodeDimBlock]float64
+	lk, step := e.getLookup(len(xs))
+	if lk != nil {
+		defer putLookup(lk)
 	}
-	for t0 := lo; t0 < hi; t0 += encodeDimBlock {
-		t1 := min(t0+encodeDimBlock, hi)
-		w, b := e.tile(t0, t1, wBuf, &bBuf)
-		word := (t0 - lo) / 64
-		r := 0
-		for ; r+4 <= len(xs); r += 4 {
-			e.encodeBits4(w, b, xs[r], xs[r+1], xs[r+2], xs[r+3],
-				dst[r].Words[word:], dst[r+1].Words[word:], dst[r+2].Words[word:], dst[r+3].Words[word:])
+	for r0 := 0; r0 < len(xs); r0 += step {
+		blk := xs[r0:min(r0+step, len(xs))]
+		if lk != nil {
+			lk.buildTables(blk)
 		}
-		for ; r < len(xs); r++ {
-			e.encodeBitsRow(w, b, xs[r], dst[r].Words[word:])
-		}
-	}
-}
-
-// encodeBits4 is the four-row register-blocked body of the sign-bit
-// kernel: one sweep of a tile's rows feeds four independent dot-product
-// chains, each component's sign is read off its phase, and word c of
-// dr receives the signs of tile components 64c..64c+63 of row r.
-//
-//hd:hotpath
-func (e *Encoder) encodeBits4(w, b, x0, x1, x2, x3 []float64, d0, d1, d2, d3 []uint64) {
-	in := e.InDim
-	g := e.Gamma
-	x0, x1, x2, x3 = x0[:in], x1[:in], x2[:in], x3[:in]
-	if e.Kind == Nonlinear {
-		// The hot configuration gets a fully inlined body: the sign of
-		// cos(p+b)*sin(p) is the XNOR of the two factors' phase signs.
-		for jStart := 0; jStart < len(b); jStart += 64 {
-			jEnd := min(jStart+64, len(b))
-			var w0, w1, w2, w3 uint64
-			for j := jStart; j < jEnd; j++ {
-				row := w[j*in : j*in+in]
-				var s0, s1, s2, s3 float64
-				for k, wv := range row {
-					s0 += wv * x0[k]
-					s1 += wv * x1[k]
-					s2 += wv * x2[k]
-					s3 += wv * x3[k]
-				}
-				bj := b[j]
-				bit := uint64(1) << uint(j-jStart)
-				p := s0 * g
-				fc := phaseFrac(p + bj)
-				if (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75) {
-					w0 |= bit
-				}
-				p = s1 * g
-				fc = phaseFrac(p + bj)
-				if (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75) {
-					w1 |= bit
-				}
-				p = s2 * g
-				fc = phaseFrac(p + bj)
-				if (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75) {
-					w2 |= bit
-				}
-				p = s3 * g
-				fc = phaseFrac(p + bj)
-				if (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75) {
-					w3 |= bit
+		for t0 := lo; t0 < hi; t0 += encodeDimBlock {
+			w, b := e.tile(t0, min(t0+encodeDimBlock, hi), lk, &bBuf)
+			word := (t0 - lo) / 64
+			for i := 0; i < len(blk); i += 4 {
+				for k := range e.project(w, lk, blk, i, len(b), &acc) {
+					e.signWords(acc[k][:len(b)], b, dst[r0+i+k].Words[word:])
 				}
 			}
-			c := jStart / 64
-			d0[c], d1[c], d2[c], d3[c] = w0, w1, w2, w3
 		}
-		return
-	}
-	for jStart := 0; jStart < len(b); jStart += 64 {
-		jEnd := min(jStart+64, len(b))
-		var w0, w1, w2, w3 uint64
-		for j := jStart; j < jEnd; j++ {
-			row := w[j*in : j*in+in]
-			var s0, s1, s2, s3 float64
-			for k, wv := range row {
-				s0 += wv * x0[k]
-				s1 += wv * x1[k]
-				s2 += wv * x2[k]
-				s3 += wv * x3[k]
-			}
-			bj := b[j]
-			bit := uint64(1) << uint(j-jStart)
-			if e.signBit(s0*g, bj) {
-				w0 |= bit
-			}
-			if e.signBit(s1*g, bj) {
-				w1 |= bit
-			}
-			if e.signBit(s2*g, bj) {
-				w2 |= bit
-			}
-			if e.signBit(s3*g, bj) {
-				w3 |= bit
-			}
-		}
-		c := jStart / 64
-		d0[c], d1[c], d2[c], d3[c] = w0, w1, w2, w3
-	}
-}
-
-// encodeBitsRow is the one-row body of the sign-bit kernel — the batch
-// remainder and the whole single-row path — storing word c of d from
-// tile components 64c..64c+63.
-//
-//hd:hotpath
-func (e *Encoder) encodeBitsRow(w, b, x []float64, d []uint64) {
-	in := e.InDim
-	g := e.Gamma
-	x = x[:in]
-	for jStart := 0; jStart < len(b); jStart += 64 {
-		jEnd := min(jStart+64, len(b))
-		var word uint64
-		for j := jStart; j < jEnd; j++ {
-			if e.signBit(dot(w[j*in:j*in+in], x)*g, b[j]) {
-				word |= 1 << uint(j-jStart)
-			}
-		}
-		d[jStart/64] = word
 	}
 }
 
@@ -590,6 +575,13 @@ func (e *Encoder) ProjectionMatrix() []float64 {
 		return append([]float64(nil), e.w...)
 	}
 	out := make([]float64, e.OutDim*e.InDim)
-	e.materializeRowsInto(0, e.OutDim, out)
+	for j := 0; j < e.OutDim; j++ {
+		for k := 0; k < e.InDim; k++ {
+			out[j*e.InDim+k] = -1
+			if e.signWord(j, k/64)>>(k%64)&1 == 1 {
+				out[j*e.InDim+k] = 1
+			}
+		}
+	}
 	return out
 }

@@ -135,3 +135,29 @@ func BenchmarkIDLevelEncode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodeBitsRow measures one row through ten seeded 36x1000
+// sub-encoders — the sign-bit encode of a lone /predict on the packed
+// binary backend at Dtotal=10000 with ten learners. It is not pinned in
+// BENCH_baseline.json.
+func BenchmarkEncodeBitsRow(b *testing.B) {
+	encs := make([]*Encoder, 10)
+	dst := make([]*hdc.BitVector, len(encs))
+	for i := range encs {
+		e, err := NewSeeded(36, 1000, Nonlinear, int64(1+i*7717))
+		if err != nil {
+			b.Fatal(err)
+		}
+		encs[i], dst[i] = e, hdc.NewBitVector(e.OutDim)
+	}
+	x := benchInput(36)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, e := range encs {
+			if err := e.EncodeBitsRange(x, 0, e.OutDim, dst[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

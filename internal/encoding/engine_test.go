@@ -208,3 +208,115 @@ func TestEncodeBitsRangeBatchMatchesPerRow(t *testing.T) {
 		}
 	}
 }
+
+// signByComparison is the comparison form of the component sign that the
+// branch-free phaseSign and linearSign replace.
+func signByComparison(kind Kind, p, b float64) bool {
+	switch kind {
+	case Nonlinear:
+		fc := phaseFrac(p + b)
+		return (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75)
+	case RFF:
+		fc := phaseFrac(p + b)
+		return !(fc > 0.25 && fc < 0.75)
+	}
+	return p >= 0
+}
+
+// onFraction walks x outward ulp by ulp from start and collects every
+// value whose phase fraction under frac is exactly q.
+func onFraction(start, q float64, frac func(float64) float64) []float64 {
+	var out []float64
+	up, down := start, start
+	for i := 0; i < 256; i++ {
+		for _, v := range []float64{up, down} {
+			if frac(v) == q {
+				out = append(out, v)
+			}
+		}
+		up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+	}
+	return out
+}
+
+// TestSignBitMatchesComparison pins the branch-free sign against the
+// comparison form it replaced, for every kind: random projections over
+// twelve decades and random phases, projections and phases that put a
+// phase fraction exactly on a quadrant boundary, and the fraction grid
+// around every boundary fed to phaseSign directly.
+func TestSignBitMatchesComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type pb struct{ p, b float64 }
+	var cases []pb
+	for i := 0; i < 20000; i++ {
+		cases = append(cases, pb{rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-4)), rng.Float64() * 2 * math.Pi})
+	}
+	boundary := 0
+	for k := -3; k <= 3; k++ {
+		for _, q := range []float64{0, 0.25, 0.5, 0.75} {
+			ps := onFraction((float64(k)+q)/invTwoPi, q, phaseFrac)
+			b := rng.Float64() * 2 * math.Pi
+			for _, p := range ps {
+				cases = append(cases, pb{p, b}, pb{math.Nextafter(p, 1e300), b}, pb{math.Nextafter(p, -1e300), b})
+				// A phase that lands p+b itself on the boundary.
+				for _, b := range onFraction((float64(k+1)+q)/invTwoPi-p, q, func(b float64) float64 { return phaseFrac(p + b) }) {
+					cases = append(cases, pb{p, b})
+				}
+			}
+			boundary += len(ps)
+		}
+	}
+	if boundary == 0 {
+		t.Fatal("found no projection on a quadrant boundary")
+	}
+	t.Logf("%d cases, %d projections exactly on a quadrant boundary", len(cases), boundary)
+	cases = append(cases, pb{0, 0}, pb{math.Copysign(0, -1), 1}, pb{5e-324, 2}, pb{-5e-324, 2}, pb{1e300, 3}, pb{-1e300, 3})
+	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
+		e := &Encoder{Kind: kind}
+		for _, c := range cases {
+			if got, want := e.signBit(c.p, c.b) == 1, signByComparison(kind, c.p, c.b); got != want {
+				t.Fatalf("kind=%v p=%v b=%v: branch-free sign %v, comparison %v", kind, c.p, c.b, got, want)
+			}
+		}
+	}
+	var grid []float64
+	for _, q := range []float64{0, 0.25, 0.5, 0.75} {
+		grid = append(grid, q, math.Nextafter(q, 1), math.Nextafter(q, -1))
+	}
+	grid = append(grid, 0.1, 0.4, 0.6, 0.9, math.Nextafter(1, 0))
+	for _, f := range grid {
+		for _, fc := range grid {
+			want := (f > 0.5) == (fc > 0.25 && fc < 0.75)
+			if got := phaseSign(f, fc) == 1; got != want {
+				t.Fatalf("phaseSign(%v, %v) = %v, comparison %v", f, fc, got, want)
+			}
+		}
+	}
+}
+
+// TestEncoderRejectsOverflowingFeatures: CheckFeatures bounds feature
+// values at ±MaxFeature, and every encoder entry point refuses a row
+// beyond it instead of encoding infinities into NaN.
+func TestEncoderRejectsOverflowingFeatures(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1.0000001e150} {
+		if CheckFeatures([]float64{0, v}) == nil {
+			t.Fatalf("CheckFeatures accepted %v", v)
+		}
+	}
+	if err := CheckFeatures([]float64{MaxFeature, -MaxFeature, 0}); err != nil {
+		t.Fatalf("CheckFeatures rejected the bound itself: %v", err)
+	}
+	for _, proj := range []Projection{ProjStored, ProjSeeded} {
+		e := goldenEncoder(t, proj, 3, 64, Nonlinear)
+		bad := []float64{1, 1e308, 2}
+		if _, err := e.Encode(bad); err == nil {
+			t.Fatalf("%v: Encode accepted a 1e308 feature", proj)
+		}
+		if err := e.EncodeBatchInto([][]float64{{0, 0, 0}, bad}, make([]float64, 128), 64, 0); err == nil {
+			t.Fatalf("%v: EncodeBatchInto accepted a 1e308 feature", proj)
+		}
+		if err := e.EncodeBitsRange(bad, 0, 64, hdc.NewBitVector(64)); err == nil {
+			t.Fatalf("%v: EncodeBitsRange accepted a 1e308 feature", proj)
+		}
+	}
+}

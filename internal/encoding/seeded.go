@@ -6,23 +6,6 @@ import (
 	"sync"
 )
 
-// tilePool recycles the +-1 projection tiles a seeded encoder's kernels
-// regenerate rows into. Small serving batches would otherwise allocate a
-// tile per (learner, call) — tens of kilobytes each — and spend more in
-// the allocator than in the tile regeneration itself.
-var tilePool sync.Pool
-
-func getTile(n int) []float64 {
-	if v := tilePool.Get(); v != nil {
-		if t := v.([]float64); cap(t) >= n {
-			return t[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func putTile(t []float64) { tilePool.Put(t) }
-
 // Projection selects where an encoder's random projection lives.
 //
 // A stored encoder (ProjStored) materializes an OutDim x InDim float64
@@ -153,33 +136,117 @@ func (e *Encoder) phaseAt(j int) float64 {
 	return twoPi * toUnit(counterRand(e.bBase, uint64(j)))
 }
 
-// materializeRowsInto generates rows [lo,hi) of the seeded projection as
-// +1/-1 float64 values into out (row-major, len >= (hi-lo)*InDim). The
-// kernels call it once per (dimension tile, row block) — blocked
-// rematerialization: the regeneration is O(tile) against O(tile x rows)
-// of dot-product work. A +-1.0 multiply-add produces exactly the IEEE
-// bits of a sign-flipped add, so the regenerated tile needs no kernel of
-// its own.
+// lookup is the seeded kernels' scratch. For a block of rows it holds
+// ⌈InDim/8⌉ tables of 256 signed partial sums per row: entry b of table
+// g is the index-order sum over features 8g..8g+7 of +x_k where bit k-8g
+// of b is set and -x_k where it is clear. For the current tile it holds
+// every component's sign words split into per-group byte indexes, so a
+// component's projection is ⌈InDim/8⌉ table lookups, summed in group
+// order, instead of InDim multiply-adds. That order defines the seeded
+// encoder's projection.
+type lookup struct {
+	groups int
+	tabs   []float64 // [row][group][256]
+	idx    []uint8   // [group][encodeDimBlock], eight groups per sign word
+}
+
+// lookupBytes bounds a lookup block's tables, so they stay cache
+// resident: a block holds as many rows as fit (16 at InDim=36), capped
+// at encodeRowBlock and never sized by the request.
+const lookupBytes = 160 << 10
+
+// lookupPool recycles lookup scratch across kernel calls: a single-row
+// call would otherwise allocate its tables and indexes every time.
+var lookupPool sync.Pool
+
+// getLookup returns nil and n on a stored encoder, whose kernels sweep
+// all n rows per tile. On a seeded encoder it returns pooled lookup
+// scratch and the rows per lookup block, sized for n rows at most.
+func (e *Encoder) getLookup(n int) (*lookup, int) {
+	if e.w != nil {
+		return nil, n
+	}
+	groups := (e.InDim + 7) / 8
+	rows := max(min(lookupBytes/(groups*256*8), encodeRowBlock, n), 1)
+	lk, _ := lookupPool.Get().(*lookup)
+	if lk == nil {
+		lk = new(lookup)
+	}
+	lk.groups = groups
+	if cap(lk.tabs) < rows*groups*256 {
+		lk.tabs = make([]float64, rows*groups*256)
+	}
+	if cap(lk.idx) < 8*e.wpr*encodeDimBlock {
+		lk.idx = make([]uint8, 8*e.wpr*encodeDimBlock)
+	}
+	lk.tabs, lk.idx = lk.tabs[:rows*groups*256], lk.idx[:8*e.wpr*encodeDimBlock]
+	return lk, rows
+}
+
+func putLookup(lk *lookup) { lookupPool.Put(lk) }
+
+// buildTables fills the tables of rows xs, at most one lookup block. Each
+// table doubles feature by feature: after feature k, entries b < 2^(k+1)
+// hold the signed sums over the group's first k+1 features, each
+// accumulated in index order.
 //
 //hd:hotpath
-func (e *Encoder) materializeRowsInto(lo, hi int, out []float64) {
-	const one = 0x3FF0000000000000 // math.Float64bits(1.0)
-	for j := lo; j < hi; j++ {
-		row := out[(j-lo)*e.InDim : (j-lo+1)*e.InDim]
-		for t := 0; t < e.wpr; t++ {
-			bits := e.signWord(j, t)
-			kEnd := t*64 + 64
-			if kEnd > e.InDim {
-				kEnd = e.InDim
+func (lk *lookup) buildTables(xs [][]float64) {
+	for r, x := range xs {
+		for g := 0; g < lk.groups; g++ {
+			tab := (*[256]float64)(lk.tabs[(r*lk.groups+g)*256:])
+			grp := x[8*g : min(8*g+8, len(x))]
+			tab[0], tab[1] = -grp[0], grp[0]
+			n := 2
+			for _, v := range grp[1:] {
+				lo, hi := tab[:n], tab[n:2*n]
+				for b, s := range lo {
+					lo[b], hi[b] = s-v, s+v
+				}
+				n *= 2
 			}
-			// Branchless: a set bit selects +1.0, a clear bit flips the
-			// IEEE sign to -1.0. Against 50/50-random sign bits the
-			// obvious if/else mispredicts half the time and dominates
-			// the regeneration cost.
-			for k := t * 64; k < kEnd; k++ {
-				row[k] = math.Float64frombits(one | (bits&1^1)<<63)
-				bits >>= 1
-			}
+		}
+	}
+}
+
+// indexTile generates the sign words of tile components [j0,j1) once for
+// every row of the block and splits each into its per-group byte
+// indexes: idx[g*encodeDimBlock+t], byte g%8 of word g/8 of component
+// j0+t with its bits past InDim cleared, indexes table g. A word always
+// fills eight index rows; those past the last group are never read.
+//
+//hd:hotpath
+func (lk *lookup) indexTile(e *Encoder, j0, j1 int) {
+	n := j1 - j0
+	for w := 0; w < e.wpr; w++ {
+		mask := ^uint64(0)
+		if rem := e.InDim - 64*w; rem < 64 {
+			mask = 1<<uint(rem) - 1
+		}
+		ix := lk.idx[8*w*encodeDimBlock:]
+		i0, i1, i2, i3 := ix[:n], ix[encodeDimBlock:][:n], ix[2*encodeDimBlock:][:n], ix[3*encodeDimBlock:][:n]
+		i4, i5, i6, i7 := ix[4*encodeDimBlock:][:n], ix[5*encodeDimBlock:][:n], ix[6*encodeDimBlock:][:n], ix[7*encodeDimBlock:][:n]
+		for t := range i0 {
+			bits := e.signWord(j0+t, w) & mask
+			i0[t], i1[t], i2[t], i3[t] = uint8(bits), uint8(bits>>8), uint8(bits>>16), uint8(bits>>24)
+			i4[t], i5[t], i6[t], i7[t] = uint8(bits>>32), uint8(bits>>40), uint8(bits>>48), uint8(bits>>56)
+		}
+	}
+}
+
+// sumTables writes row r's projections of the current tile's
+// components into acc: acc[t] = sum over groups g, in order, of
+// tab_g[idx_g[t]]. Group-major, so components are independent and no
+// add chain serializes the loop.
+//
+//hd:hotpath
+func (lk *lookup) sumTables(r int, acc []float64) {
+	clear(acc)
+	for g := 0; g < lk.groups; g++ {
+		tab := (*[256]float64)(lk.tabs[(r*lk.groups+g)*256:])
+		ix := lk.idx[g*encodeDimBlock:][:len(acc)]
+		for t, i := range ix {
+			acc[t] += tab[i]
 		}
 	}
 }

@@ -23,9 +23,24 @@ func seededTestRows(seed int64, n, features int) [][]float64 {
 }
 
 // seededReference computes component j of x's projection and its phase
-// the slow way, sharing no kernel code: an index-order dot against row j
-// of the on-demand ProjectionMatrix m, scaled by Gamma.
+// the slow way, sharing no kernel code: the table-order sum against row j
+// of the on-demand ProjectionMatrix m — each 8-feature group summed in
+// index order, the group sums added in group order — scaled by Gamma.
 func seededReference(e *Encoder, m, x []float64, j int) (p, b float64) {
+	var s float64
+	for g := 0; g < len(x); g += 8 {
+		var part float64
+		for k := g; k < min(g+8, len(x)); k++ {
+			part += m[j*e.InDim+k] * x[k]
+		}
+		s += part
+	}
+	return s * e.Gamma, e.phaseAt(j)
+}
+
+// indexOrderReference is the seeded projection as it was defined before
+// the lookup kernels: one dot in feature index order.
+func indexOrderReference(e *Encoder, m, x []float64, j int) (p, b float64) {
 	var s float64
 	for k, xv := range x {
 		s += m[j*e.InDim+k] * xv
@@ -33,10 +48,22 @@ func seededReference(e *Encoder, m, x []float64, j int) (p, b float64) {
 	return s * e.Gamma, e.phaseAt(j)
 }
 
+// activation is the float encoding of projection p under phase b.
+func activation(kind Kind, p, b float64) float64 {
+	switch kind {
+	case Nonlinear:
+		return 0.5*math.Sin(2*p+b) - 0.5*math.Sin(b)
+	case RFF:
+		return math.Cos(p + b)
+	}
+	return p
+}
+
 // TestSeededModesBitIdenticalFloat is the seeded encoder's core contract:
 // the blocked batch kernel and the single-row path, regenerating their
-// projection tiles in flight, must produce IEEE-bit-identical float
-// encodings to a reference built from ProjectionMatrix(). Geometry
+// sign words in flight and summing table lookups, must produce
+// IEEE-bit-identical float encodings to the table-order reference built
+// from ProjectionMatrix(). Geometry
 // deliberately includes feature widths that are not multiples of 64
 // (partial sign words) and output dims that are not multiples of the dim
 // block.
@@ -60,13 +87,7 @@ func TestSeededModesBitIdenticalFloat(t *testing.T) {
 			for i, x := range xs {
 				for j := 0; j < geom.out; j++ {
 					p, b := seededReference(e, m, x, j)
-					want := p
-					switch kind {
-					case Nonlinear:
-						want = 0.5*math.Sin(2*p+b) - 0.5*math.Sin(b)
-					case RFF:
-						want = math.Cos(p + b)
-					}
+					want := activation(kind, p, b)
 					if got := flat[i*geom.out+j]; math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("kind=%v in=%d out=%d: row %d comp %d: batch %v, reference %v",
 							kind, geom.in, geom.out, i, j, got, want)
@@ -108,7 +129,7 @@ func TestSeededModesBitIdenticalBits(t *testing.T) {
 			}
 			for i, x := range xs {
 				for j := rng.lo; j < rng.hi; j++ {
-					want := e.signBit(seededReference(e, m, x, j))
+					want := e.signBit(seededReference(e, m, x, j)) == 1
 					if batch[i].Get(j-rng.lo) != want {
 						t.Fatalf("kind=%v range=[%d,%d): row %d comp %d: batch bit differs from reference",
 							kind, rng.lo, rng.hi, i, j)
@@ -229,5 +250,126 @@ func TestNewSeededRejectsLegacyMode(t *testing.T) {
 		if got, err := ParseProjection(p.String()); err != nil || got != p {
 			t.Fatalf("ParseProjection(%q) = %v, %v; want %v", p.String(), got, err, p)
 		}
+	}
+}
+
+// TestSeededLookupMatchesIndexOrderDot bounds what the table order moved:
+// on the golden rows of every golden geometry and kind, the lookup
+// kernels' float encodings stay within 1e-12 of the index-order dot the
+// seeded encoder was defined by before, and not one sign bit differs.
+func TestSeededLookupMatchesIndexOrderDot(t *testing.T) {
+	var flips, comps int
+	var drift float64
+	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
+		for _, geom := range []struct{ in, out int }{{36, 1000}, {7, 130}, {64, 512}, {100, 333}} {
+			e, err := NewSeeded(geom.in, geom.out, kind, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := e.ProjectionMatrix()
+			xs := seededTestRows(7, 37, geom.in)
+			flat := make([]float64, len(xs)*geom.out)
+			if err := e.EncodeBatchInto(xs, flat, geom.out, 0); err != nil {
+				t.Fatal(err)
+			}
+			bits := make([]*hdc.BitVector, len(xs))
+			for i := range bits {
+				bits[i] = hdc.NewBitVector(geom.out)
+			}
+			if err := e.EncodeBitsRangeBatch(xs, 0, geom.out, bits); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range xs {
+				for j := 0; j < geom.out; j++ {
+					p, b := indexOrderReference(e, m, x, j)
+					d := math.Abs(flat[i*geom.out+j] - activation(kind, p, b))
+					if !(d <= 1e-12) {
+						t.Fatalf("kind=%v in=%d out=%d: row %d comp %d drifted %g from the index-order dot",
+							kind, geom.in, geom.out, i, j, d)
+					}
+					drift = max(drift, d)
+					if bits[i].Get(j) != (e.signBit(p, b) == 1) {
+						flips++
+					}
+					comps++
+				}
+			}
+		}
+	}
+	if flips != 0 {
+		t.Fatalf("%d of %d sign bits differ from the index-order definition", flips, comps)
+	}
+	t.Logf("%d components: 0 sign flips, max float drift %.3g", comps, drift)
+}
+
+// TestSeededBatchMatchesSingleRow: for every batch size from 1 to 9 —
+// one-row calls, partial four-row groups and more rows than one group —
+// the seeded batch kernels' float encodings and sign bits are
+// bit-identical to the single-row entry points, on a one-word and a
+// two-word feature width and an unaligned bit range.
+func TestSeededBatchMatchesSingleRow(t *testing.T) {
+	for _, geom := range []struct{ in, out int }{{36, 1000}, {100, 333}} {
+		e, err := NewSeeded(geom.in, geom.out, Nonlinear, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := 35, geom.out-9
+		for n := 1; n <= 9; n++ {
+			xs := seededTestRows(int64(n), n, geom.in)
+			flat := make([]float64, n*geom.out)
+			if err := e.EncodeBatchInto(xs, flat, geom.out, 0); err != nil {
+				t.Fatal(err)
+			}
+			bits := make([]*hdc.BitVector, n)
+			for i := range bits {
+				bits[i] = hdc.NewBitVector(hi - lo)
+			}
+			if err := e.EncodeBitsRangeBatch(xs, lo, hi, bits); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range xs {
+				one, err := e.Encode(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range one {
+					if math.Float64bits(v) != math.Float64bits(flat[i*geom.out+j]) {
+						t.Fatalf("in=%d rows=%d: row %d comp %d: batch %v, single %v", geom.in, n, i, j, flat[i*geom.out+j], v)
+					}
+				}
+				ob := hdc.NewBitVector(hi - lo)
+				if err := e.EncodeBitsRange(x, lo, hi, ob); err != nil {
+					t.Fatal(err)
+				}
+				for w, word := range ob.Words {
+					if word != bits[i].Words[w] {
+						t.Fatalf("in=%d rows=%d: row %d bit word %d: batch %#x, single %#x", geom.in, n, i, w, bits[i].Words[w], word)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeededEncodeZeroAlloc: once its lookup scratch is pooled, a
+// single-row seeded encode allocates nothing, float or sign bits.
+func TestSeededEncodeZeroAlloc(t *testing.T) {
+	e, err := NewSeeded(36, 1000, Nonlinear, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := seededTestRows(1, 1, 36)[0]
+	dst := make([]float64, e.OutDim)
+	bits := hdc.NewBitVector(e.OutDim)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.EncodeInto(x, dst); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.EncodeBitsRange(x, 0, e.OutDim, bits); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm single-row seeded encode allocates %v times", allocs)
 	}
 }
