@@ -405,17 +405,6 @@ func (h *handler) predictBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	want := h.s.Engine().InputDim()
-	if eng != nil {
-		want = eng.InputDim()
-	}
-	for i, row := range req.Rows {
-		if len(row) != want {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: row %d has %d features, model expects %d", ErrBadInput, i, len(row), want))
-			return
-		}
-	}
 	labels, err := h.s.PredictBatchOn(eng, req.Rows)
 	if err != nil {
 		httpError(w, predictStatus(err), err)

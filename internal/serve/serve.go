@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"boosthd/internal/encoding"
 	"boosthd/internal/infer"
 	"boosthd/internal/obs"
 )
@@ -154,10 +155,24 @@ type Server struct {
 // ErrClosed is returned by predictions issued after Close.
 var ErrClosed = fmt.Errorf("serve: server closed")
 
-// ErrBadInput wraps request-validation failures (wrong feature width),
-// so transports can answer them as client errors instead of server
-// faults.
+// ErrBadInput wraps request-validation failures (wrong feature width,
+// non-finite or overflowing feature values), so transports can answer
+// them as client errors instead of server faults.
 var ErrBadInput = fmt.Errorf("serve: bad input")
+
+// CheckRow validates one feature row at admission: its width against
+// want, and its values against encoding.CheckFeatures. Failures wrap
+// ErrBadInput. Predictions and observations check every row before it
+// joins a micro-batch or touches class memory, so a bad row fails alone.
+func CheckRow(x []float64, want int) error {
+	if len(x) != want {
+		return fmt.Errorf("%w: %d features, model expects %d", ErrBadInput, len(x), want)
+	}
+	if err := encoding.CheckFeatures(x); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	return nil
+}
 
 // ErrBusy is returned by a Trainer.Retrain that found another retrain
 // already in flight; the transport answers 409 instead of parking an
@@ -280,8 +295,8 @@ func (s *Server) PredictOnSpan(eng *infer.Engine, x []float64, sp *obs.Span) (in
 	if dimEng == nil {
 		dimEng = s.engine.Load()
 	}
-	if want := dimEng.InputDim(); len(x) != want {
-		return 0, fmt.Errorf("%w: feature length %d, model expects %d", ErrBadInput, len(x), want)
+	if err := CheckRow(x, dimEng.InputDim()); err != nil {
+		return 0, err
 	}
 	req := &request{x: x, eng: eng, done: make(chan result, 1), span: sp}
 	o := s.obs.Load()
@@ -311,19 +326,25 @@ func (s *Server) PredictBatch(X [][]float64) ([]int, error) {
 // PredictBatchOn classifies an already-batched request directly on a
 // pinned engine view — a tenant's composed engine — bypassing the
 // coalescing queue: the caller has done the batching. A nil eng means
-// the current serving engine, as in PredictOn. Base and tenant batches
-// alike count toward Served and Batches and feed the batch, encode and
-// score histograms.
+// the current serving engine, as in PredictOn. Every row is checked
+// (CheckRow) before any is encoded. Base and tenant batches alike count
+// toward Served and Batches and feed the batch, encode and score
+// histograms.
 func (s *Server) PredictBatchOn(eng *infer.Engine, X [][]float64) ([]int, error) {
+	if eng == nil {
+		eng = s.engine.Load()
+	}
+	for i, row := range X {
+		if err := CheckRow(row, eng.InputDim()); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
+		}
+	}
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, ErrClosed
 	}
 	s.mu.RUnlock()
-	if eng == nil {
-		eng = s.engine.Load()
-	}
 	o := s.obs.Load()
 	if o == nil {
 		preds, err := eng.PredictBatch(X)

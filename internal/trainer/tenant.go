@@ -159,8 +159,8 @@ func (t *TenantTrainer) ObserveTenant(tenant string, x []float64, label int) err
 	if label < 0 || label >= m.Cfg.Classes {
 		return fmt.Errorf("%w: label %d outside [0,%d)", serve.ErrBadInput, label, m.Cfg.Classes)
 	}
-	if len(x) != m.InputDim() {
-		return fmt.Errorf("%w: %d features, model expects %d", serve.ErrBadInput, len(x), m.InputDim())
+	if err := serve.CheckRow(x, m.InputDim()); err != nil {
+		return err
 	}
 	t.stream(tenant, m.Cfg.Classes).buf.Add(x, label)
 	t.observed.Add(1)
@@ -181,8 +181,8 @@ func (t *TenantTrainer) ObserveTenantBatch(tenant string, X [][]float64, y []int
 		if y[i] < 0 || y[i] >= m.Cfg.Classes {
 			return fmt.Errorf("%w: row %d label %d outside [0,%d)", serve.ErrBadInput, i, y[i], m.Cfg.Classes)
 		}
-		if len(row) != m.InputDim() {
-			return fmt.Errorf("%w: row %d has %d features, model expects %d", serve.ErrBadInput, i, len(row), m.InputDim())
+		if err := serve.CheckRow(row, m.InputDim()); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}
 	ts := t.stream(tenant, m.Cfg.Classes)

@@ -43,8 +43,9 @@ func feed(t *testing.T, tt *TenantTrainer, tenant string, X [][]float64, y []int
 	}
 }
 
-// TestTenantObserveValidation: bad tenant IDs, labels, and feature
-// widths are client errors wrapping serve.ErrBadInput; nothing buffers.
+// TestTenantObserveValidation: bad tenant IDs, labels, feature widths
+// and overflowing feature values are client errors wrapping
+// serve.ErrBadInput; nothing buffers.
 func TestTenantObserveValidation(t *testing.T) {
 	_, _, tt, X, y := tenantFixture(t, TenantConfig{})
 	if err := tt.ObserveTenant("../etc", X[0], y[0]); !errors.Is(err, serve.ErrBadInput) {
@@ -55,6 +56,14 @@ func TestTenantObserveValidation(t *testing.T) {
 	}
 	if err := tt.ObserveTenant("w1", X[0][:3], y[0]); !errors.Is(err, serve.ErrBadInput) {
 		t.Fatalf("bad width: %v", err)
+	}
+	overflow := append([]float64(nil), X[0]...)
+	overflow[0] = 1e308
+	if err := tt.ObserveTenant("w1", overflow, y[0]); !errors.Is(err, serve.ErrBadInput) {
+		t.Fatalf("overflowing feature: %v", err)
+	}
+	if err := tt.ObserveTenantBatch("w1", [][]float64{X[0], overflow}, y[:2]); !errors.Is(err, serve.ErrBadInput) {
+		t.Fatalf("overflowing batch feature: %v", err)
 	}
 	// Batch all-or-nothing: one bad row buffers nothing.
 	if err := tt.ObserveTenantBatch("w1", X[:3], []int{0, 99, 1}); !errors.Is(err, serve.ErrBadInput) {

@@ -180,15 +180,16 @@ func (t *Trainer) Model() *boosthd.Model {
 
 // Observe ingests one labeled sample: it is buffered for future
 // retrains and, unless disabled, applied to the live model as an
-// incremental OnlineHD step under the learners' write locks. Validation
-// failures wrap serve.ErrBadInput so the HTTP layer answers 400.
+// incremental OnlineHD step under the learners' write locks. The label
+// and the row (serve.CheckRow) are validated first; failures wrap
+// serve.ErrBadInput so the HTTP layer answers 400.
 func (t *Trainer) Observe(x []float64, label int) error {
 	m := t.Model()
 	if label < 0 || label >= m.Cfg.Classes {
 		return fmt.Errorf("%w: label %d outside [0,%d)", serve.ErrBadInput, label, m.Cfg.Classes)
 	}
-	if len(x) != m.InputDim() {
-		return fmt.Errorf("%w: %d features, model expects %d", serve.ErrBadInput, len(x), m.InputDim())
+	if err := serve.CheckRow(x, m.InputDim()); err != nil {
+		return err
 	}
 	return t.ingest(m, x, label)
 }
@@ -211,11 +212,10 @@ func (t *Trainer) ingest(m *boosthd.Model, x []float64, label int) error {
 	return nil
 }
 
-// ObserveBatch ingests a labeled batch all-or-nothing: every row's
-// width and label are validated before any sample is buffered or
-// applied to the live model, so a rejected batch leaves the stream
-// state untouched and the client can retry it wholesale without
-// double-ingesting the prefix.
+// ObserveBatch ingests a labeled batch all-or-nothing: every row and
+// label is validated before any sample is buffered or applied to the
+// live model, so a rejected batch leaves the stream state untouched and
+// the client can retry it wholesale without double-ingesting the prefix.
 func (t *Trainer) ObserveBatch(X [][]float64, y []int) error {
 	if len(X) != len(y) {
 		return fmt.Errorf("%w: %d rows with %d labels", serve.ErrBadInput, len(X), len(y))
@@ -225,8 +225,8 @@ func (t *Trainer) ObserveBatch(X [][]float64, y []int) error {
 		if y[i] < 0 || y[i] >= m.Cfg.Classes {
 			return fmt.Errorf("%w: row %d label %d outside [0,%d)", serve.ErrBadInput, i, y[i], m.Cfg.Classes)
 		}
-		if len(row) != m.InputDim() {
-			return fmt.Errorf("%w: row %d has %d features, model expects %d", serve.ErrBadInput, i, len(row), m.InputDim())
+		if err := serve.CheckRow(row, m.InputDim()); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}
 	for i := range X {

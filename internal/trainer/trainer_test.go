@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"boosthd/internal/boosthd"
+	"boosthd/internal/hdc"
 	"boosthd/internal/infer"
 	"boosthd/internal/serve"
 )
@@ -560,5 +562,101 @@ func TestBackgroundLoop(t *testing.T) {
 	tr.Stop() // idempotent
 	if tr.Status().Retrains == 0 {
 		t.Fatal("background loop never retrained")
+	}
+}
+
+// TestOverflowingFeaturesRejectedOverHTTP: a row carrying a 1e308
+// feature — finite, but enough to overflow a projection — is refused
+// with 400 at admission by /predict, /predict_batch and /observe (single
+// and batch). Nothing is observed, the model version does not move,
+// class memory stays finite, and valid requests sent concurrently, which
+// the batcher may coalesce with the rejected ones, still get their
+// labels.
+func TestOverflowingFeaturesRejectedOverHTTP(t *testing.T) {
+	m, X, _ := fixture(t, 240, 4)
+	eng := infer.NewEngine(m)
+	want, err := eng.PredictBatch(X[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.NewServer(eng, serve.Config{MaxBatch: 8, MaxWait: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr, err := New(srv, Config{BufferCap: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.NewHandler(srv, serve.HandlerConfig{Trainer: tr}))
+	defer ts.Close()
+	post := func(path string, body any) (int, []byte) {
+		raw, _ := json.Marshal(body)
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			return 0, []byte(err.Error())
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.Bytes()
+	}
+
+	bad := append([]float64(nil), X[0]...)
+	bad[3] = 1e308
+	version := srv.ModelVersion()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(want); i += 4 {
+				code, body := post("/predict", map[string]any{"features": X[i]})
+				var got struct{ Label int }
+				if code != http.StatusOK || json.Unmarshal(body, &got) != nil || got.Label != want[i] {
+					errs <- fmt.Errorf("valid row %d: %d %s, want label %d", i, code, body, want[i])
+				}
+			}
+		}(c)
+	}
+	for _, r := range []struct {
+		path string
+		body any
+	}{
+		{"/predict", map[string]any{"features": bad}},
+		{"/predict_batch", map[string]any{"rows": [][]float64{X[1], bad}}},
+		{"/observe", map[string]any{"features": bad, "label": 0}},
+		{"/observe", map[string]any{"rows": [][]float64{X[1], bad}, "labels": []int{0, 1}}},
+	} {
+		for k := 0; k < 4; k++ {
+			if code, body := post(r.path, r.body); code != http.StatusBadRequest {
+				t.Errorf("%s with a 1e308 feature: %d %s, want 400", r.path, code, body)
+			}
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	if got := srv.ModelVersion(); got != version {
+		t.Fatalf("model version %d after rejected requests, want %d", got, version)
+	}
+	if st := tr.Status(); st.Observed != 0 {
+		t.Fatalf("%d samples observed from rejected requests", st.Observed)
+	}
+	for i, l := range m.Learners {
+		l.ReadClass(func(class []hdc.Vector, _ uint64) {
+			for c, cv := range class {
+				for k, v := range cv {
+					if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+						t.Fatalf("learner %d class %d component %d is %v", i, c, k, v)
+					}
+				}
+			}
+		})
 	}
 }
