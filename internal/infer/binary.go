@@ -322,9 +322,28 @@ func (bm *BinaryModel) Bits() int {
 // NewQueryBits allocates the per-segment query buffers PredictBits
 // scores; reuse them across rows for allocation-free inference.
 func (bm *BinaryModel) NewQueryBits() []*hdc.BitVector {
-	out := make([]*hdc.BitVector, len(bm.segDims))
-	for i, d := range bm.segDims {
-		out[i] = hdc.NewBitVector(d)
+	return bm.newQueryBlock(1)[0]
+}
+
+// newQueryBlock allocates per-segment query buffers for n rows out of
+// four allocations, whatever n and the segment count.
+func (bm *BinaryModel) newQueryBlock(n int) [][]*hdc.BitVector {
+	segs, words := len(bm.segDims), 0
+	for _, d := range bm.segDims {
+		words += (d + 63) / 64
+	}
+	slab := make([]uint64, n*words)
+	vecs := make([]hdc.BitVector, n*segs)
+	ptrs := make([]*hdc.BitVector, n*segs)
+	out := make([][]*hdc.BitVector, n)
+	for r := range out {
+		for i, d := range bm.segDims {
+			w := (d + 63) / 64
+			vecs[r*segs+i] = hdc.BitVector{N: d, Words: slab[:w:w]}
+			ptrs[r*segs+i] = &vecs[r*segs+i]
+			slab = slab[w:]
+		}
+		out[r] = ptrs[r*segs : (r+1)*segs : (r+1)*segs]
 	}
 	return out
 }
@@ -592,23 +611,18 @@ func (bm *BinaryModel) PredictBatchStaged(X [][]float64, stages *obs.StageTimes)
 	workers := par.Workers(blocks)
 	type scratch struct {
 		q           [][]*hdc.BitVector // [row in block][segment]
-		agg, scores [][]float64        // [4][classes] blocked-kernel scratch
+		agg, scores [4][]float64       // [4][classes] blocked-kernel scratch
 	}
 	scratches := make([]*scratch, workers)
 	err := par.ForEachWorker(blocks, func(w, blk int) error {
 		sc := scratches[w]
 		if sc == nil {
-			sc = &scratch{
-				q:      make([][]*hdc.BitVector, predictBatchRows),
-				agg:    make([][]float64, 4),
-				scores: make([][]float64, 4),
-			}
-			for r := range sc.q {
-				sc.q[r] = bm.NewQueryBits()
-			}
+			// Sized to the rows a block encodes: a lone /predict pays for
+			// one row of query bits, not a full block.
+			sc = &scratch{q: bm.newQueryBlock(min(predictBatchRows, len(X)))}
+			slab := make([]float64, 8*classes)
 			for r := 0; r < 4; r++ {
-				sc.agg[r] = make([]float64, classes)
-				sc.scores[r] = make([]float64, classes)
+				sc.agg[r], sc.scores[r] = slab[2*r*classes:(2*r+1)*classes], slab[(2*r+1)*classes:(2*r+2)*classes]
 			}
 			scratches[w] = sc
 		}
@@ -632,7 +646,7 @@ func (bm *BinaryModel) PredictBatchStaged(X [][]float64, stages *obs.StageTimes)
 		i := lo
 		for ; i+4 <= hi; i += 4 {
 			bm.predictBits4(qz, sc.q[i-lo], sc.q[i-lo+1], sc.q[i-lo+2], sc.q[i-lo+3],
-				sc.agg, sc.scores, out[i:i+4])
+				sc.agg[:], sc.scores[:], out[i:i+4])
 		}
 		for ; i < hi; i++ {
 			out[i] = bm.predictBits(qz, sc.q[i-lo], sc.agg[0], sc.scores[0])
@@ -842,10 +856,7 @@ func (bm *BinaryModel) EvaluateLearners(X [][]float64, y []int) ([]float64, erro
 	classes := bm.model.Cfg.Classes
 	right := make([]int, len(qz.class))
 	scores := make([]float64, classes)
-	q := make([][]*hdc.BitVector, predictBatchRows)
-	for r := range q {
-		q[r] = bm.NewQueryBits()
-	}
+	q := bm.newQueryBlock(min(predictBatchRows, len(X)))
 	for lo := 0; lo < len(X); lo += predictBatchRows {
 		hi := lo + predictBatchRows
 		if hi > len(X) {
