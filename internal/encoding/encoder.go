@@ -430,9 +430,9 @@ func phaseFrac(t float64) float64 {
 // quarter and three-quarter turns and sin(p) past the half turn. It is
 // the comparison form (f > 0.5) == (fc > 0.25 && fc < 0.75) without a
 // branch: for finite a and b the rounded difference b-a carries the sign
-// of the exact one and is zero only when a == b, so its IEEE sign bit is
-// set exactly when a > b. f = 0 drops the sin factor, giving the sign of
-// cos(p+b) alone.
+// of the exact one and is +0 when a == b (the bounds are nonzero, so
+// never -0), so its IEEE sign bit is set exactly when a > b. f = 0 drops
+// the sin factor, giving the sign of cos(p+b) alone.
 //
 //hd:hotpath
 func phaseSign(f, fc float64) uint64 {
@@ -449,27 +449,15 @@ func linearSign(p float64) uint64 {
 	return 1 ^ math.Float64bits(p+0)>>63
 }
 
-// signBit returns the sign bit of one encoding component — 1 when the
-// component is >= 0 — from its projection p = Gamma * <w_j, x> and phase
-// b, read off the phase quadrants: the sign of cos(p+b) for RFF, times
-// the sign of sin(p) for Nonlinear, and the raw projection sign for
-// Linear. p must be finite, which the encoder's input check guarantees.
-func (e *Encoder) signBit(p, b float64) uint64 {
-	switch e.Kind {
-	case Nonlinear:
-		return phaseSign(phaseFrac(p), phaseFrac(p+b))
-	case RFF:
-		return phaseSign(0, phaseFrac(p+b))
-	default:
-		return linearSign(p)
-	}
-}
-
 // signWords packs the sign bits of one row's tile of raw projections s
-// with phases b into d, word c holding components 64c..64c+63 as signBit
-// defines them: the sign-bit kernel's last step, shared by both
-// projection modes. The kind switch sits outside the component loops so
-// the per-component sign inlines.
+// with phases b into d, word c holding components 64c..64c+63: bit j is
+// 1 when component j of the encoding is >= 0, read off the phase
+// quadrants of p = Gamma*s[j] and b[j] — the sign of cos(p+b) for RFF,
+// times the sign of sin(p) for Nonlinear, and the sign of p for Linear.
+// It is the sign-bit kernel's last step, shared by both projection
+// modes, and p must be finite, which the encoder's input check
+// guarantees. The kind switch sits outside the component loops so the
+// per-component sign inlines.
 //
 //hd:hotpath
 func (e *Encoder) signWords(s, b []float64, d []uint64) {

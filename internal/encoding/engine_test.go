@@ -209,6 +209,19 @@ func TestEncodeBitsRangeBatchMatchesPerRow(t *testing.T) {
 	}
 }
 
+// signBit is the sign bit signWords packs for one component with
+// projection p and phase b: the reference the bit tests compare against.
+func (e *Encoder) signBit(p, b float64) uint64 {
+	switch e.Kind {
+	case Nonlinear:
+		return phaseSign(phaseFrac(p), phaseFrac(p+b))
+	case RFF:
+		return phaseSign(0, phaseFrac(p+b))
+	default:
+		return linearSign(p)
+	}
+}
+
 // signByComparison is the comparison form of the component sign that the
 // branch-free phaseSign and linearSign replace.
 func signByComparison(kind Kind, p, b float64) bool {

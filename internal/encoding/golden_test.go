@@ -16,9 +16,8 @@ import (
 // the float batch encodings, the single-row float encodings, and the
 // packed sign bits of a full range and an unaligned sub-range, batch and
 // scalar, of 37 rows. A kernel change must leave every digest unchanged.
-// The seeded digests other than 7x130 (one lookup group, so the same
-// summation order as a plain dot) were regenerated when the table order
-// became the seeded projection's definition.
+// seeded/*/7x130 has a single lookup group, so its digest also pins the
+// plain index-order dot.
 var goldenDigests = map[string]uint64{
 	"stored/nonlinear/36x1000": 0x756ef197276a46bd,
 	"stored/nonlinear/7x130":   0xacccc7e559de5839,

@@ -182,9 +182,9 @@ func throughput(n, iters int, fn func() error) (float64, error) {
 }
 
 // RunInferSweep sweeps the serving stack across HDC dimension, encoder
-// projection mode (stored Gaussian matrix, materialized counter-based
-// matrix, rematerialized in-kernel generation), serving backend, and
-// batch size. The first table characterizes the encoder modes: resident
+// projection mode (stored Gaussian matrix, or the seeded projection
+// evaluated in-kernel by sign-pattern table lookups), serving backend,
+// and batch size. The first table characterizes the encoder modes: resident
 // encoder state, checkpoint sizes, and raw encode throughput — the
 // rematerialized mode must hold its own against the stored matrix while
 // carrying orders of magnitude less state. The second table reports
@@ -355,7 +355,7 @@ func RunInferSweep(opt Options) (*Table, *Table, error) {
 		encT.AddNote("seeded vs stored at D=%d: %.2fx encode throughput, %.0fx smaller encoder state",
 			maxD, sd.encodeKRows/st.encodeKRows, float64(st.stateBytes)/float64(sd.stateBytes))
 	}
-	predT.AddNote("both projections run the same blocked kernels; they differ numerically because stored draws a math/rand Gaussian matrix and seeded a splitmix64 Rademacher one")
-	predT.AddNote("seeded regenerates projection tiles per encode call, so its throughput converges to stored as the batch amortizes the tile; single-digit batches pay the regeneration tax")
+	predT.AddNote("both projections run the same blocked kernels except the projection step: a GEMM over the stored math/rand Gaussian matrix, or table lookups over splitmix64 Rademacher signs")
+	predT.AddNote("seeded regenerates its sign words and phases on every encode call, once per row block, and sums ceil(F/8) table lookups per component where stored does F multiply-adds")
 	return encT, predT, nil
 }

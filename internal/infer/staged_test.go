@@ -3,8 +3,6 @@ package infer
 import (
 	"testing"
 
-	"boosthd/internal/boosthd"
-	"boosthd/internal/encoding"
 	"boosthd/internal/obs"
 )
 
@@ -41,38 +39,5 @@ func TestPredictBatchStaged(t *testing.T) {
 		if _, err := e.PredictBatchStaged(X[:3], nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestPredictBatchOneRowAllocs pins the lone-caller cost of the packed
-// binary path: a one-row PredictBatch on a seeded ten-learner model
-// sizes its query scratch to that row instead of a full 32-row block.
-func TestPredictBatchOneRowAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race, so the encoder's lookup scratch reallocates")
-	}
-	m, X, y := fixture(t, 1000, 10)
-	cfg := m.Cfg
-	cfg.Projection = encoding.ProjSeeded
-	seeded, err := boosthd.Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := Quantize(seeded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := X[:1]
-	if _, err := bm.PredictBatch(row); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := bm.PredictBatch(row); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("one-row binary PredictBatch: %v allocs", allocs)
-	if allocs > 16 {
-		t.Fatalf("one-row binary PredictBatch allocates %v times, want <= 16", allocs)
 	}
 }
