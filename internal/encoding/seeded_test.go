@@ -63,13 +63,14 @@ func activation(kind Kind, p, b float64) float64 {
 // the blocked batch kernel and the single-row path, regenerating their
 // sign words in flight and summing table lookups, must produce
 // IEEE-bit-identical float encodings to the table-order reference built
-// from ProjectionMatrix(). Geometry
-// deliberately includes feature widths that are not multiples of 64
-// (partial sign words) and output dims that are not multiples of the dim
+// from ProjectionMatrix(). Geometry deliberately includes feature widths
+// that are not multiples of 64 (partial sign words) or of 8 (partial
+// lookup groups, down to a single feature), widths spanning two and
+// three sign words, and output dims that are not multiples of the dim
 // block.
 func TestSeededModesBitIdenticalFloat(t *testing.T) {
 	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
-		for _, geom := range []struct{ in, out int }{{36, 1000}, {7, 130}, {64, 512}, {100, 333}} {
+		for _, geom := range []struct{ in, out int }{{36, 1000}, {7, 130}, {64, 512}, {100, 333}, {1, 40}, {9, 70}, {65, 200}, {129, 130}} {
 			e, err := NewSeeded(geom.in, geom.out, kind, 42)
 			if err != nil {
 				t.Fatal(err)
