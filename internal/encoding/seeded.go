@@ -188,7 +188,8 @@ func putLookup(lk *lookup) { lookupPool.Put(lk) }
 // buildTables fills the tables of rows xs, at most one lookup block. Each
 // table doubles feature by feature: after feature k, entries b < 2^(k+1)
 // hold the signed sums over the group's first k+1 features, each
-// accumulated in index order.
+// accumulated in index order. Starting from ±x rather than 0 + ±x can
+// only turn a +0 entry into -0, which sumTables' +0 start absorbs.
 //
 //hd:hotpath
 func (lk *lookup) buildTables(xs [][]float64) {
