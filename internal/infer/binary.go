@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,28 +59,45 @@ type quantization struct {
 
 // packLearner lays learner i's sign and mask planes out in the contiguous
 // class-major block the blocked scoring kernels sweep, and re-aliases the
-// learner's BitVectors into it. Every snapshot constructor funnels
-// through this after (re)building a learner's planes; reuse paths copy
-// the previous snapshot's block pointer instead.
+// learner's BitVectors into it. Paths that rewrite planes word by word
+// (fault injection, word repair, snapshot loads) funnel through this;
+// quantizeLearner writes straight into a fresh block, and reuse paths
+// copy the previous snapshot's block pointer instead.
 func (qz *quantization) packLearner(i int) {
+	sign, mask := qz.class[i], qz.mask[i]
+	if len(sign) == 0 {
+		qz.allocLearner(i, 0, 0)
+		return
+	}
+	qz.allocLearner(i, len(sign), sign[0].N)
+	for c := range sign {
+		copy(qz.class[i][c].Words, sign[c].Words)
+		copy(qz.mask[i][c].Words, mask[c].Words)
+	}
+}
+
+// allocLearner gives learner i a zeroed class-major block of classes
+// sign and mask planes of n bits each, and points its BitVectors at it.
+func (qz *quantization) allocLearner(i, classes, n int) {
 	if len(qz.planes) < len(qz.class) {
 		// Snapshots built piecewise (tests, partial constructors) may not
 		// have sized the plane table yet.
 		qz.planes = append(qz.planes, make([][]uint64, len(qz.class)-len(qz.planes))...)
 	}
-	if len(qz.class[i]) == 0 {
+	qz.class[i] = make([]*hdc.BitVector, classes)
+	qz.mask[i] = make([]*hdc.BitVector, classes)
+	if classes == 0 {
 		qz.planes[i] = nil
 		return
 	}
-	w := len(qz.class[i][0].Words)
-	packed := make([]uint64, 2*w*len(qz.class[i]))
-	for c := range qz.class[i] {
-		sign := packed[c*2*w : c*2*w+w : c*2*w+w]
-		mask := packed[c*2*w+w : (c+1)*2*w : (c+1)*2*w]
-		copy(sign, qz.class[i][c].Words)
-		copy(mask, qz.mask[i][c].Words)
-		qz.class[i][c] = &hdc.BitVector{N: qz.class[i][c].N, Words: sign}
-		qz.mask[i][c] = &hdc.BitVector{N: qz.mask[i][c].N, Words: mask}
+	w := (n + 63) / 64
+	packed := make([]uint64, 2*w*classes)
+	hdrs := make([]hdc.BitVector, 2*classes)
+	for c := 0; c < classes; c++ {
+		hdrs[2*c] = hdc.BitVector{N: n, Words: packed[c*2*w : c*2*w+w : c*2*w+w]}
+		hdrs[2*c+1] = hdc.BitVector{N: n, Words: packed[c*2*w+w : (c+1)*2*w : (c+1)*2*w]}
+		qz.class[i][c] = &hdrs[2*c]
+		qz.mask[i][c] = &hdrs[2*c+1]
 	}
 	qz.planes[i] = packed
 }
@@ -118,51 +134,122 @@ type BinaryModel struct {
 	snap atomic.Pointer[quantization] // current snapshot; never nil
 }
 
-// quantizeLearner thresholds one learner's class vectors into sign and
-// mask planes of the snapshot under construction. The mask is selected by
-// rank, not by value comparison: exactly the top len-floor(QuantizeDrop*len)
-// components by magnitude are kept, boundary ties broken toward the lowest
-// index, so tied or constant vectors never over-drop past the intended
-// fraction.
+// quantizeLearner thresholds one learner's class vectors straight into a
+// fresh class-major plane block of the snapshot under construction: the
+// sign plane keeps component >= 0, and the mask is selected by rank, not
+// by value comparison: exactly the top len-floor(QuantizeDrop*len)
+// components by magnitude are kept, boundary ties broken toward the
+// lowest index, so tied or constant vectors never over-drop past the
+// intended fraction.
 func (qz *quantization) quantizeLearner(i int, class []hdc.Vector) {
-	qz.class[i] = make([]*hdc.BitVector, len(class))
-	qz.mask[i] = make([]*hdc.BitVector, len(class))
 	qz.maskOnes[i] = make([]float64, len(class))
-	abs := make([]float64, 0)
-	sorted := make([]float64, 0)
+	if len(class) == 0 {
+		qz.allocLearner(i, 0, 0)
+		return
+	}
+	n := len(class[0])
+	qz.allocLearner(i, len(class), n)
+	keep := n - int(QuantizeDrop*float64(n))
+	scratch := make([]uint64, n)
 	for c, cv := range class {
-		qz.class[i][c] = hdc.FromVector(cv)
-		abs = abs[:0]
-		for _, v := range cv {
-			abs = append(abs, math.Abs(v))
-		}
-		keep := len(abs) - int(QuantizeDrop*float64(len(abs)))
-		sorted = append(sorted[:0], abs...)
-		sort.Float64s(sorted)
+		sign, mask := qz.class[i][c].Words, qz.mask[i][c].Words
 		// Strictly-above-threshold components number fewer than keep;
 		// components tied with the threshold fill the remaining quota.
-		thr := sorted[len(sorted)-keep]
-		mask := hdc.NewBitVector(len(cv))
+		thr := maskThreshold(cv, keep, scratch)
 		ones := 0
-		for j, a := range abs {
-			if a > thr {
-				mask.Set(j, true)
-				ones++
+		for w := range sign {
+			// Branch-free bit assembly: signs and the mask split are
+			// data-dependent coin flips a branch would mispredict.
+			var sw, mw uint64
+			for j, x := range cv[w*64 : min(w*64+64, n)] {
+				var s, m uint64
+				if x >= 0 {
+					s = 1
+				}
+				if math.Abs(x) > thr {
+					m = 1
+				}
+				sw |= s << uint(j)
+				mw |= m << uint(j)
 			}
+			sign[w], mask[w] = sw, mw
+			ones += bits.OnesCount64(mw)
 		}
-		for j, a := range abs {
+		for j, x := range cv {
 			if ones == keep {
 				break
 			}
-			if a == thr {
-				mask.Set(j, true)
+			if math.Abs(x) == thr {
+				mask[j>>6] |= uint64(1) << (uint(j) & 63)
 				ones++
 			}
 		}
-		qz.mask[i][c] = mask
 		qz.maskOnes[i][c] = float64(ones)
 	}
-	qz.packLearner(i)
+}
+
+// maskThreshold returns the magnitude a confidence mask keeping keep of
+// v's components is cut at: |v| sorted ascending in sort.Float64s order
+// (NaN before every number), the element at len(v)-keep. It selects that
+// one order statistic in linear time instead of sorting: the magnitude
+// bits of non-NaN floats order exactly as the floats do, so a radix
+// select over them finds it. scratch must hold len(v) words and is
+// overwritten.
+func maskThreshold(v []float64, keep int, scratch []uint64) float64 {
+	const inf = 0x7ff0000000000000 // +Inf; every larger magnitude is NaN
+	a := scratch[:0]
+	for _, x := range v {
+		if b := math.Float64bits(x) &^ (1 << 63); b <= inf {
+			a = append(a, b)
+		}
+	}
+	// NaNs take the first len(v)-len(a) sorted slots.
+	rank := len(a) - keep
+	if rank < 0 {
+		// The cut falls among the NaNs. No magnitude compares above or
+		// equal to NaN, so the mask comes out empty, as it does when the
+		// sorted slice is indexed.
+		return math.NaN()
+	}
+	return math.Float64frombits(selectBits(a, rank))
+}
+
+// selectBits returns the k-th smallest (0-based) of a, permuting a: an
+// MSD radix select. Each round histograms the eight bits just below the
+// candidates' common prefix and keeps the bucket holding rank k, so the
+// prefix grows by at least eight bits a round and no input costs more
+// than eight passes.
+func selectBits(a []uint64, k int) uint64 {
+	var hist [256]int
+	or, and := uint64(0), ^uint64(0)
+	for _, x := range a {
+		or |= x
+		and &= x
+	}
+	for or != and {
+		shift := uint(max(0, 63-bits.LeadingZeros64(or^and)-7))
+		hist = [256]int{}
+		for _, x := range a {
+			hist[x>>shift&0xff]++
+		}
+		d := 0
+		for k >= hist[d] {
+			k -= hist[d]
+			d++
+		}
+		or, and = 0, ^uint64(0)
+		m := 0
+		for _, x := range a {
+			if x>>shift&0xff == uint64(d) {
+				a[m] = x
+				m++
+				or |= x
+				and &= x
+			}
+		}
+		a = a[:m]
+	}
+	return a[0]
 }
 
 // snapshot thresholds the model's current class memory. Each learner is

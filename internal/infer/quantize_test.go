@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"boosthd/internal/boosthd"
@@ -93,6 +96,161 @@ func TestQuantizeGoldenDigest(t *testing.T) {
 		}
 		if got, want := quantDigest(bm), goldenQuantDigests[name]; got != want {
 			t.Errorf("%s: quantized planes digest %#016x, want %#016x", name, got, want)
+		}
+	}
+}
+
+// referencePlanes is the sort-based thresholding quantizeLearner
+// replaced: sort a copy of the magnitudes with sort.Float64s, cut at
+// sorted[len-keep], set the mask above the cut, then fill the quota
+// with ties in index order.
+func referencePlanes(cv []float64) (sign, mask []uint64, ones int, thr float64) {
+	abs := make([]float64, len(cv))
+	for j, v := range cv {
+		abs[j] = math.Abs(v)
+	}
+	keep := len(abs) - int(QuantizeDrop*float64(len(abs)))
+	sorted := append([]float64(nil), abs...)
+	sort.Float64s(sorted)
+	thr = sorted[len(sorted)-keep]
+	sign = hdc.FromVector(cv).Words
+	m := hdc.NewBitVector(len(cv))
+	for j, a := range abs {
+		if a > thr {
+			m.Set(j, true)
+			ones++
+		}
+	}
+	for j, a := range abs {
+		if ones == keep {
+			break
+		}
+		if a == thr {
+			m.Set(j, true)
+			ones++
+		}
+	}
+	return sign, m.Words, ones, thr
+}
+
+// sameThreshold compares thresholds bit for bit, with any NaN equal to
+// any other (no comparison can tell NaN payloads apart).
+func sameThreshold(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// adversarialVectors returns vectors of length n built to break a
+// selection: constant, few-valued with ties straddling every rank,
+// sorted either way, organ-pipe, and draws from a palette of zeros,
+// infinities, NaN, subnormals and extremes.
+func adversarialVectors(rng *rand.Rand, n int) [][]float64 {
+	palette := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -2, math.Inf(1), math.Inf(-1),
+		math.NaN(), 5e-324, -math.MaxFloat64, 1e-300}
+	var out [][]float64
+	add := func(f func(j int) float64) {
+		v := make([]float64, n)
+		for j := range v {
+			v[j] = f(j)
+		}
+		out = append(out, v)
+	}
+	add(func(int) float64 { return 0.75 })
+	add(func(j int) float64 { return 0.75 * float64(1-2*(j%2)) })
+	add(func(int) float64 { return 0 })
+	add(func(int) float64 { return math.NaN() })
+	add(func(int) float64 { return math.Inf(-1) })
+	add(func(j int) float64 { return float64(j) })
+	add(func(j int) float64 { return -float64(n - j) })
+	add(func(j int) float64 { return float64(min(j, n-1-j)) })
+	add(func(j int) float64 { return float64(j%3) - 1 })
+	add(func(j int) float64 { return float64(j % 4) })
+	for _, k := range []int{1, 2, 3, 5, len(palette)} {
+		for r := 0; r < 4; r++ {
+			add(func(int) float64 { return palette[rng.Intn(k)] })
+			add(func(int) float64 {
+				if rng.Intn(4) == 0 {
+					return palette[rng.Intn(k)]
+				}
+				return rng.NormFloat64()
+			})
+		}
+	}
+	return out
+}
+
+// TestMaskThresholdMatchesSort is the property the selection rests on:
+// for adversarial vectors of lengths 1-9, 13, 64 and 1000, and every
+// mask size from one component to all of them (keep == len included),
+// the selected threshold is the sort.Float64s reference bit for bit, and
+// the planes quantizeLearner builds are the reference planes.
+func TestMaskThresholdMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64, 1000}
+	for _, n := range lengths {
+		scratch := make([]uint64, n)
+		for vi, cv := range adversarialVectors(rng, n) {
+			abs := make([]float64, n)
+			for j, v := range cv {
+				abs[j] = math.Abs(v)
+			}
+			sorted := append([]float64(nil), abs...)
+			sort.Float64s(sorted)
+			keeps := []int{1, n, n - int(QuantizeDrop*float64(n)), 1 + rng.Intn(n)}
+			if n <= 13 {
+				keeps = keeps[:0]
+				for k := 1; k <= n; k++ {
+					keeps = append(keeps, k)
+				}
+			}
+			for _, keep := range keeps {
+				if got, want := maskThreshold(cv, keep, scratch), sorted[n-keep]; !sameThreshold(got, want) {
+					t.Fatalf("len %d vector %d keep %d: threshold %v, sort reference %v", n, vi, keep, got, want)
+				}
+			}
+
+			qz := &quantization{
+				class:    make([][]*hdc.BitVector, 1),
+				mask:     make([][]*hdc.BitVector, 1),
+				maskOnes: make([][]float64, 1),
+			}
+			qz.quantizeLearner(0, []hdc.Vector{cv})
+			sign, mask, ones, _ := referencePlanes(cv)
+			if !slices.Equal(qz.class[0][0].Words, sign) || !slices.Equal(qz.mask[0][0].Words, mask) ||
+				qz.maskOnes[0][0] != float64(ones) {
+				t.Fatalf("len %d vector %d: planes differ from the sort reference", n, vi)
+			}
+			if !slices.Equal(qz.planes[0], append(append([]uint64(nil), sign...), mask...)) {
+				t.Fatalf("len %d vector %d: packed block does not hold the sign then mask words", n, vi)
+			}
+		}
+	}
+}
+
+// TestSelectBitsEveryRank drives the radix select through every rank of
+// the magnitude bits of adversarial vectors, from one word to lengths
+// that take several rounds.
+func TestSelectBitsEveryRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 2, 7, 40, 257} {
+		for vi, v := range adversarialVectors(rng, n) {
+			var keys []uint64
+			for _, x := range v {
+				if !math.IsNaN(x) {
+					keys = append(keys, math.Float64bits(math.Abs(x)))
+				}
+			}
+			sorted := slices.Clone(keys)
+			slices.Sort(sorted)
+			work := make([]uint64, len(keys))
+			for k := range keys {
+				copy(work, keys)
+				if got := selectBits(work, k); got != sorted[k] {
+					t.Fatalf("len %d vector %d rank %d: got %#x, want %#x", n, vi, k, got, sorted[k])
+				}
+			}
 		}
 	}
 }
