@@ -171,10 +171,12 @@ type deltaWire struct {
 	Base    uint64 // fingerprint of the base model the delta was trained against
 	Tenant  string
 	Classes int
-	Indexes []int          // overridden learner indexes, ascending
-	Dims    []int          // overridden learners' segment widths, parallel to Indexes
-	Class   [][]hdc.Vector // overridden learners' class memory, parallel to Indexes
-	Alphas  []float64      // tenant alphas; nil inherits the base's
+	Indexes []int // overridden learner indexes, ascending
+	Dims    []int // overridden learners' segment widths, parallel to Indexes
+	// Class is the Version1 class-memory layout, parallel to Indexes;
+	// nil when Packed carries the memory.
+	Class  [][]hdc.Vector
+	Alphas []float64 // tenant alphas; nil inherits the base's
 	// Epoch fences journal patches to the full record they extend: a
 	// compaction rewrite stamps a fresh epoch, so patches appended before
 	// the rewrite (and orphaned by a crash between the record rename and
@@ -182,18 +184,24 @@ type deltaWire struct {
 	// newer memory with older. Old records decode it as zero — gob drops
 	// unknown fields in both directions, so the field is wire-compatible.
 	Epoch uint64
+	// Packed is the VersionPacked class-memory layout, the one
+	// ensembleWire.Packed uses: every overridden learner's class vectors
+	// as float64 bits little-endian, in Indexes order then class order,
+	// Dims[k] components each. At most one of Class and Packed is
+	// populated; an alphas-only patch carries neither.
+	Packed []byte
 }
 
 // encodeDeltaWire snapshots the learners named by indexes (a subset of
 // d's overrides for a journal patch, all of them for a full record) into
-// a wire payload. Each class memory is deep-copied under its learner's
-// read lock, so a save overlapping a concurrent refit records a
-// consistent snapshot; the gob encode runs after every lock is released.
+// a wire payload. Each class memory is packed under its learner's read
+// lock, so a save overlapping a concurrent refit records a consistent
+// snapshot; the gob encode runs after every lock is released.
 func encodeDeltaWire(tenant string, d *Delta, indexes []int, baseFP, epoch uint64) (*deltaWire, error) {
 	dw := &deltaWire{Base: baseFP, Tenant: tenant, Epoch: epoch,
 		Indexes: append([]int(nil), indexes...)}
 	dw.Dims = make([]int, len(dw.Indexes))
-	dw.Class = make([][]hdc.Vector, len(dw.Indexes))
+	size := 0
 	prev := -1
 	for k, i := range dw.Indexes {
 		if i <= prev {
@@ -206,18 +214,28 @@ func encodeDeltaWire(tenant string, d *Delta, indexes []int, baseFP, epoch uint6
 		}
 		dw.Dims[k] = l.Dim
 		dw.Classes = l.Classes
-		l.ReadClass(func(class []hdc.Vector, _ uint64) {
-			cp := make([]hdc.Vector, len(class))
-			for c, cv := range class {
-				cp[c] = cv.Clone()
-			}
-			dw.Class[k] = cp
+		size += 8 * l.Dim * l.Classes
+	}
+	if size > 0 {
+		dw.Packed = make([]byte, 0, size)
+	}
+	for _, i := range dw.Indexes {
+		d.Learners[i].ReadClass(func(class []hdc.Vector, _ uint64) {
+			dw.Packed = appendPacked(dw.Packed, class)
 		})
 	}
 	if d.Alphas != nil {
 		dw.Alphas = append([]float64(nil), d.Alphas...)
 	}
 	return dw, nil
+}
+
+// writeDeltaWire frames and encodes one record or patch.
+func writeDeltaWire(w io.Writer, magic string, dw *deltaWire) error {
+	if err := wire.WriteHeaderVersion(w, magic, wire.VersionPacked); err != nil {
+		return err
+	}
+	return gob.NewEncoder(w).Encode(dw)
 }
 
 // SaveDelta writes a full tenant delta record to w, framed under the
@@ -229,6 +247,9 @@ func SaveDelta(w io.Writer, tenant string, d *Delta, baseFP uint64) error {
 
 // SaveDeltaStamped is SaveDelta carrying an explicit epoch — the value
 // journal patches extending this record must echo to be replayed.
+// Records are written at wire.VersionPacked; builds from before the
+// packed layout reject them loudly (they find no class memory), so a
+// rollback needs the records rewritten.
 func SaveDeltaStamped(w io.Writer, tenant string, d *Delta, baseFP, epoch uint64) error {
 	if d == nil {
 		return fmt.Errorf("boosthd: save delta: nil delta")
@@ -237,10 +258,7 @@ func SaveDeltaStamped(w io.Writer, tenant string, d *Delta, baseFP, epoch uint64
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteHeaderVersion(w, wire.MagicTenant, wire.Version1); err != nil {
-		return fmt.Errorf("boosthd: save delta: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(dw); err != nil {
+	if err := writeDeltaWire(w, wire.MagicTenant, dw); err != nil {
 		return fmt.Errorf("boosthd: save delta: %w", err)
 	}
 	return nil
@@ -263,10 +281,7 @@ func SaveDeltaPatch(w io.Writer, tenant string, d *Delta, indexes []int, baseFP,
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteHeaderVersion(w, wire.MagicTenantJournal, wire.Version1); err != nil {
-		return fmt.Errorf("boosthd: save delta patch: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(dw); err != nil {
+	if err := writeDeltaWire(w, wire.MagicTenantJournal, dw); err != nil {
 		return fmt.Errorf("boosthd: save delta patch: %w", err)
 	}
 	return nil
@@ -278,24 +293,40 @@ func SaveDeltaPatch(w io.Writer, tenant string, d *Delta, indexes []int, baseFP,
 // (loudly, with counters) instead of failing the tenant's requests.
 var ErrBaseMismatch = errors.New("boosthd: delta trained against a different base model")
 
+// readDeltaWire consumes one framed record or patch under magic and
+// decodes its payload.
+func readDeltaWire(r io.Reader, magic string) (*deltaWire, byte, error) {
+	v, body, err := wire.ReadHeader(r, magic)
+	if err != nil {
+		return nil, 0, err
+	}
+	var dw deltaWire
+	if err := gob.NewDecoder(body).Decode(&dw); err != nil {
+		return nil, 0, err
+	}
+	return &dw, v, nil
+}
+
 // decodeDeltaWire validates a decoded wire payload against base and
 // rebuilds the Delta it names. Validation is identical for full records
-// and journal patches: the fingerprint must match, indexes must be
-// strictly ascending base learner indexes, and every override must match
-// its base learner's geometry.
-func decodeDeltaWire(dw *deltaWire, base *Model, baseFP uint64) (*Delta, error) {
+// and journal patches, in either class-memory layout: the fingerprint
+// must match, indexes must be strictly ascending base learner indexes,
+// and every override must match its base learner's geometry. All of it,
+// and the packed block's length, is checked before any class memory is
+// allocated; the decoded vectors are then adopted, not copied. As in
+// Load, a packed block framed below VersionPacked, or a payload carrying
+// both layouts, is rejected: no conforming writer produces either.
+func decodeDeltaWire(dw *deltaWire, version byte, base *Model, baseFP uint64) (*Delta, error) {
 	if dw.Base != baseFP {
 		return nil, fmt.Errorf("boosthd: load delta: record for base %016x, serving base is %016x: %w",
 			dw.Base, baseFP, ErrBaseMismatch)
 	}
-	if len(dw.Dims) != len(dw.Indexes) || len(dw.Class) != len(dw.Indexes) {
-		return nil, fmt.Errorf("boosthd: load delta: %d indexes, %d dims, %d class blocks",
-			len(dw.Indexes), len(dw.Dims), len(dw.Class))
+	if len(dw.Dims) != len(dw.Indexes) {
+		return nil, fmt.Errorf("boosthd: load delta: %d indexes, %d dims", len(dw.Indexes), len(dw.Dims))
 	}
 	if dw.Alphas != nil && len(dw.Alphas) != len(base.Learners) {
 		return nil, fmt.Errorf("boosthd: load delta: %d alphas for %d learners", len(dw.Alphas), len(base.Learners))
 	}
-	d := &Delta{Learners: make(map[int]*onlinehd.HVClassifier, len(dw.Indexes))}
 	prev := -1
 	for k, i := range dw.Indexes {
 		if i <= prev || i >= len(base.Learners) {
@@ -308,15 +339,32 @@ func decodeDeltaWire(dw *deltaWire, base *Model, baseFP uint64) (*Delta, error) 
 			return nil, fmt.Errorf("boosthd: load delta: learner %d is %dx%d, base is %dx%d",
 				i, dw.Dims[k], dw.Classes, bl.Dim, bl.Classes)
 		}
-		if len(dw.Class[k]) != bl.Classes {
+	}
+	class := dw.Class
+	if dw.Packed != nil {
+		if version < wire.VersionPacked {
+			return nil, fmt.Errorf("boosthd: load delta: packed class block framed at header version %d (need >= %d)",
+				version, wire.VersionPacked)
+		}
+		if dw.Class != nil {
+			return nil, fmt.Errorf("boosthd: load delta: record carries both packed and per-vector class memory")
+		}
+		var err error
+		if class, err = unpackClass(dw.Packed, dw.Dims, dw.Classes); err != nil {
+			return nil, fmt.Errorf("boosthd: load delta: %w", err)
+		}
+	}
+	if len(class) != len(dw.Indexes) {
+		return nil, fmt.Errorf("boosthd: load delta: %d indexes, %d class blocks", len(dw.Indexes), len(class))
+	}
+	d := &Delta{Learners: make(map[int]*onlinehd.HVClassifier, len(dw.Indexes))}
+	for k, i := range dw.Indexes {
+		if len(class[k]) != dw.Classes {
 			return nil, fmt.Errorf("boosthd: load delta: learner %d carries %d class vectors, want %d",
-				i, len(dw.Class[k]), bl.Classes)
+				i, len(class[k]), dw.Classes)
 		}
-		hv, err := onlinehd.NewHVClassifier(bl.Dim, bl.Classes, base.Cfg.LR)
+		hv, err := onlinehd.NewHVClassifierFrom(dw.Dims[k], class[k], base.Cfg.LR)
 		if err != nil {
-			return nil, fmt.Errorf("boosthd: load delta: learner %d: %w", i, err)
-		}
-		if err := hv.SetClass(dw.Class[k]); err != nil {
 			return nil, fmt.Errorf("boosthd: load delta: learner %d: %w", i, err)
 		}
 		d.Learners[i] = hv
@@ -339,17 +387,14 @@ func LoadDelta(r io.Reader, base *Model, baseFP uint64) (string, *Delta, error) 
 
 // LoadDeltaStamped is LoadDelta returning the record's epoch as well —
 // the fence value journal patches extending the record must carry.
-// Records written before epochs existed decode as epoch zero.
+// Records written before epochs existed decode as epoch zero; records of
+// either class-memory layout load to the same bits.
 func LoadDeltaStamped(r io.Reader, base *Model, baseFP uint64) (string, *Delta, uint64, error) {
-	_, body, err := wire.ReadHeader(r, wire.MagicTenant)
+	dw, v, err := readDeltaWire(r, wire.MagicTenant)
 	if err != nil {
 		return "", nil, 0, fmt.Errorf("boosthd: load delta: %w", err)
 	}
-	var dw deltaWire
-	if err := gob.NewDecoder(body).Decode(&dw); err != nil {
-		return "", nil, 0, fmt.Errorf("boosthd: load delta: %w", err)
-	}
-	d, err := decodeDeltaWire(&dw, base, baseFP)
+	d, err := decodeDeltaWire(dw, v, base, baseFP)
 	if err != nil {
 		return "", nil, 0, err
 	}
@@ -363,18 +408,14 @@ func LoadDeltaStamped(r io.Reader, base *Model, baseFP uint64) (string, *Delta, 
 // false and every other return is zero. Patches from the current epoch
 // are validated as strictly as full records; their failures are loud.
 func LoadDeltaPatch(r io.Reader, base *Model, baseFP, wantEpoch uint64) (tenant string, d *Delta, matched bool, err error) {
-	_, body, err := wire.ReadHeader(r, wire.MagicTenantJournal)
+	dw, v, err := readDeltaWire(r, wire.MagicTenantJournal)
 	if err != nil {
-		return "", nil, false, fmt.Errorf("boosthd: load delta patch: %w", err)
-	}
-	var dw deltaWire
-	if err := gob.NewDecoder(body).Decode(&dw); err != nil {
 		return "", nil, false, fmt.Errorf("boosthd: load delta patch: %w", err)
 	}
 	if dw.Epoch != wantEpoch {
 		return "", nil, false, nil
 	}
-	d, err = decodeDeltaWire(&dw, base, baseFP)
+	d, err = decodeDeltaWire(dw, v, base, baseFP)
 	if err != nil {
 		return "", nil, false, err
 	}

@@ -74,80 +74,75 @@ type ensembleWire struct {
 	Packed []byte
 }
 
-// packClass flattens the per-learner class memories into the Packed
-// layout; unpackClass reverses it against the expected geometry.
-func packClass(class [][]hdc.Vector) []byte {
-	n := 0
-	for _, lc := range class {
-		for _, cv := range lc {
-			n += 8 * len(cv)
+// appendPacked appends one learner's class memory to dst in the Packed
+// layout; unpackClass reverses a whole block against the expected
+// per-learner widths, checking the block length before it allocates.
+func appendPacked(dst []byte, class []hdc.Vector) []byte {
+	for _, cv := range class {
+		for _, x := range cv {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 		}
 	}
-	out := make([]byte, n)
-	off := 0
-	for _, lc := range class {
-		for _, cv := range lc {
-			for _, x := range cv {
-				binary.LittleEndian.PutUint64(out[off:], math.Float64bits(x))
-				off += 8
-			}
-		}
-	}
-	return out
+	return dst
 }
 
-func unpackClass(packed []byte, segs []segment, classes int) ([][]hdc.Vector, error) {
+// unpackClass allocates each learner's class memory as one block, so
+// every class vector is allocated once.
+func unpackClass(packed []byte, dims []int, classes int) ([][]hdc.Vector, error) {
 	n := 0
-	for _, s := range segs {
-		n += 8 * classes * (s.hi - s.lo)
+	for _, dim := range dims {
+		n += 8 * classes * dim
 	}
 	if len(packed) != n {
 		return nil, fmt.Errorf("packed class block is %d bytes, geometry needs %d", len(packed), n)
 	}
-	class := make([][]hdc.Vector, len(segs))
+	class := make([][]hdc.Vector, len(dims))
 	off := 0
-	for i, s := range segs {
-		dim := s.hi - s.lo
+	for i, dim := range dims {
+		block := make([]float64, classes*dim)
+		for j := range block {
+			block[j] = math.Float64frombits(binary.LittleEndian.Uint64(packed[off:]))
+			off += 8
+		}
 		class[i] = make([]hdc.Vector, classes)
 		for c := range class[i] {
-			cv := make(hdc.Vector, dim)
-			for j := range cv {
-				cv[j] = math.Float64frombits(binary.LittleEndian.Uint64(packed[off:]))
-				off += 8
-			}
-			class[i][c] = cv
+			class[i][c] = block[c*dim : (c+1)*dim : (c+1)*dim]
 		}
 	}
 	return class, nil
 }
 
 // Save serializes the ensemble to w in framed gob format. Each learner's
-// class hypervectors are deep-copied under that learner's read lock, so a
-// save that overlaps Fit or InjectClassFaults on other goroutines records
-// a consistent per-learner snapshot — never a torn vector, and never an
-// aliased one that later mutation could reach. The slow gob encode runs
-// after every lock is released.
+// class hypervectors are copied (or packed) under that learner's read
+// lock, so a save that overlaps Fit or InjectClassFaults on other
+// goroutines records a consistent per-learner snapshot — never a torn
+// vector, and never an aliased one that later mutation could reach. The
+// slow gob encode runs after every lock is released.
 func (m *Model) Save(w io.Writer) error {
 	ew := ensembleWire{
 		Cfg:    m.Cfg,
 		InDim:  m.inputDim,
 		Gamma:  m.gamma,
 		Alphas: append([]float64(nil), m.Alphas...),
-		Class:  make([][]hdc.Vector, len(m.Learners)),
+	}
+	ver := wireVersionFor(m.Cfg)
+	if ver >= wire.VersionPacked {
+		ew.Packed = make([]byte, 0, 8*m.Cfg.TotalDim*m.Cfg.Classes)
+	} else {
+		ew.Class = make([][]hdc.Vector, len(m.Learners))
 	}
 	for i, l := range m.Learners {
 		l.ReadClass(func(class []hdc.Vector, _ uint64) {
+			if ew.Packed != nil {
+				ew.Packed = appendPacked(ew.Packed, class)
+				return
+			}
 			cp := make([]hdc.Vector, len(class))
 			for c, cv := range class {
 				cp[c] = cv.Clone()
 			}
 			ew.Class[i] = cp
 		})
-	}
-	ver := wireVersionFor(m.Cfg)
-	if ver >= wire.VersionPacked {
-		ew.Packed = packClass(ew.Class)
-		ew.Class = nil
 	}
 	if err := wire.WriteHeaderVersion(w, wire.MagicEnsemble, ver); err != nil {
 		return fmt.Errorf("boosthd: save: %w", err)
@@ -224,7 +219,12 @@ func Load(r io.Reader) (*Model, error) {
 		if ew.Class != nil {
 			return nil, fmt.Errorf("boosthd: load: checkpoint carries both packed and per-vector class memory")
 		}
-		class, err := unpackClass(ew.Packed, partition(cfg.TotalDim, cfg.NumLearners), cfg.Classes)
+		segs := partition(cfg.TotalDim, cfg.NumLearners)
+		dims := make([]int, len(segs))
+		for i, s := range segs {
+			dims[i] = s.hi - s.lo
+		}
+		class, err := unpackClass(ew.Packed, dims, cfg.Classes)
 		if err != nil {
 			return nil, fmt.Errorf("boosthd: load: %w", err)
 		}

@@ -53,11 +53,8 @@ func (s synthDeltaStore) Load(tenant string, base *boosthd.Model, baseFP uint64)
 				v[j] += 0.05 * rng.NormFloat64()
 			}
 		}
-		hv, err := onlinehd.NewHVClassifier(bl.Dim, bl.Classes, base.Cfg.LR)
+		hv, err := onlinehd.NewHVClassifierFrom(bl.Dim, class, base.Cfg.LR)
 		if err != nil {
-			return nil, err
-		}
-		if err := hv.SetClass(class); err != nil {
 			return nil, err
 		}
 		d.Learners[i] = hv

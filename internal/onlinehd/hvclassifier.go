@@ -48,20 +48,44 @@ type HVClassifier struct {
 
 // NewHVClassifier allocates a zeroed classifier.
 func NewHVClassifier(dim, classes int, lr float64) (*HVClassifier, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("onlinehd: invalid dimension %d", dim)
-	}
-	if classes < 2 {
-		return nil, fmt.Errorf("onlinehd: need >= 2 classes, got %d", classes)
-	}
-	if lr <= 0 {
-		return nil, fmt.Errorf("onlinehd: learning rate must be positive, got %v", lr)
+	if err := checkShape(dim, classes, lr); err != nil {
+		return nil, err
 	}
 	c := &HVClassifier{Dim: dim, Classes: classes, LR: lr, Class: make([]hdc.Vector, classes)}
 	for i := range c.Class {
 		c.Class[i] = hdc.NewVector(dim)
 	}
 	return c, nil
+}
+
+// NewHVClassifierFrom builds a classifier around class, one vector of
+// length dim per class, taking ownership of the vectors rather than
+// copying them, so a loader that decoded them fresh allocates each class
+// vector once. The caller must neither keep nor write class afterwards.
+func NewHVClassifierFrom(dim int, class []hdc.Vector, lr float64) (*HVClassifier, error) {
+	if err := checkShape(dim, len(class), lr); err != nil {
+		return nil, err
+	}
+	for i, cv := range class {
+		if len(cv) != dim {
+			return nil, fmt.Errorf("onlinehd: class %d has dim %d, want %d", i, len(cv), dim)
+		}
+	}
+	return &HVClassifier{Dim: dim, Classes: len(class), LR: lr, Class: class}, nil
+}
+
+// checkShape validates a classifier's geometry and learning rate.
+func checkShape(dim, classes int, lr float64) error {
+	if dim <= 0 {
+		return fmt.Errorf("onlinehd: invalid dimension %d", dim)
+	}
+	if classes < 2 {
+		return fmt.Errorf("onlinehd: need >= 2 classes, got %d", classes)
+	}
+	if lr <= 0 {
+		return fmt.Errorf("onlinehd: learning rate must be positive, got %v", lr)
+	}
+	return nil
 }
 
 // Invalidate marks the class vectors as mutated, discarding the cached
