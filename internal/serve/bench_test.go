@@ -188,3 +188,36 @@ func BenchmarkServeEngineBatchSizes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTenantColdLoad prices one tenant cache miss end to end at
+// paper scale (D=10000, NL=10, 2-learner deltas): the store read and
+// decode, the binary view build with its re-quantized overrides, and the
+// scrub signature the registry takes of every cold-loaded delta. Record
+// reads hit the page cache, as they do for a hot store.
+func BenchmarkTenantColdLoad(b *testing.B) {
+	benchSetup(b)
+	eng := benchEng["binary"]
+	m := eng.Model()
+	fp := m.Fingerprint()
+	store := NewFileDeltaStore(b.TempDir())
+	ids := make([]string, 32)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("cold-%02d", i)
+		d := testDelta(b, m, []int{i % len(m.Learners), (i + 3) % len(m.Learners)}, int64(i))
+		if err := store.Save(ids[i], d, fp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := store.Load(ids[i%len(ids)], m, fp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.WithDelta(d); err != nil {
+			b.Fatal(err)
+		}
+		signDelta(d)
+	}
+}
