@@ -3,9 +3,11 @@ package reliability
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"time"
+
+	"boosthd/internal/wire"
 )
 
 // persistedLearner is one ledger row's durable slice: the fault history
@@ -84,36 +86,12 @@ func (mo *Monitor) SaveState(path string) error {
 	if err != nil {
 		return fmt.Errorf("reliability: save state: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".reliability_state-*.json")
+	err = wire.WriteFileAtomic(path, ".reliability_state-*.json", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("reliability: save state: %w", err)
-	}
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("reliability: save state: %w", err)
-	}
-	// The rename is durable only once the directory entry is.
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("reliability: save state: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("reliability: save state: sync %s: %w", dir, err)
 	}
 	return nil
 }

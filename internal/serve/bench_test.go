@@ -221,3 +221,39 @@ func BenchmarkTenantColdLoad(b *testing.B) {
 		signDelta(d)
 	}
 }
+
+// BenchmarkDeltaStoreSave prices FileDeltaStore.Save for a 2-learner
+// delta at D=10000, NL=10 on both of its paths: a full-record rewrite
+// (temp file, fsync, rename, directory fsync, which every first save and
+// every compaction takes) and a one-learner journal append (a single
+// unsynced write).
+func BenchmarkDeltaStoreSave(b *testing.B) {
+	benchSetup(b)
+	m := benchEng["binary"].Model()
+	fp := m.Fingerprint()
+	d0 := testDelta(b, m, []int{1, 4}, 1)
+	d1 := refit(b, m, d0, 4, 2)
+	for _, tc := range []struct {
+		name      string
+		threshold int
+	}{{"rewrite", 1}, {"append", 1 << 30}} {
+		b.Run(tc.name, func(b *testing.B) {
+			store := NewFileDeltaStore(b.TempDir())
+			store.SetCompactThreshold(tc.threshold)
+			if err := store.Save("t1", d0, fp); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := d1
+				if i%2 == 1 {
+					d = d0
+				}
+				if err := store.Save("t1", d, fp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

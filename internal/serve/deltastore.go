@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"boosthd/internal/boosthd"
 	"boosthd/internal/hdc"
 	"boosthd/internal/onlinehd"
+	"boosthd/internal/wire"
 )
 
 // ErrNoDelta is returned by a DeltaStore whose tenant has no persisted
@@ -65,7 +67,8 @@ const DefaultCompactThreshold = 8
 // are validated by the registry before they reach the store, so the
 // name can never traverse out of the root.
 //
-// Crash safety: full records are written temp+rename (a crashed rewrite
+// Crash safety: full records are written temp+rename, with the temp file
+// synced before the rename and the directory after it (a crashed rewrite
 // leaves the previous record intact); each journal patch is appended in
 // a single write and carries the epoch of the record it extends, so a
 // torn tail is dropped at replay and patches orphaned by a crash between
@@ -304,25 +307,15 @@ func (fs *FileDeltaStore) Save(tenant string, d *boosthd.Delta, baseFP uint64) e
 	return nil
 }
 
-// rewriteLocked writes a fresh full record (temp + rename) at a new
-// epoch and truncates the journal. Called with rec.mu held.
+// rewriteLocked writes a fresh full record at a new epoch, durably (temp
+// file synced, renamed into place, directory synced), then truncates the
+// journal. Called with rec.mu held.
 func (fs *FileDeltaStore) rewriteLocked(rec *tenantRecord, tenant string, d *boosthd.Delta, baseFP uint64, sigs map[int]uint64, asig uint64) error {
 	epoch := uint64(time.Now().UnixNano())
-	tmp, err := os.CreateTemp(fs.dir, tenant+".*.tmp")
+	err := wire.WriteFileAtomic(fs.path(tenant), tenant+".*.tmp", func(w io.Writer) error {
+		return boosthd.SaveDeltaStamped(w, tenant, d, baseFP, epoch)
+	})
 	if err != nil {
-		return fmt.Errorf("serve: tenant %s: %w", tenant, err)
-	}
-	if err := boosthd.SaveDeltaStamped(tmp, tenant, d, baseFP, epoch); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: tenant %s: %w", tenant, err)
-	}
-	if err := os.Rename(tmp.Name(), fs.path(tenant)); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("serve: tenant %s: %w", tenant, err)
 	}
 	// Best-effort: entries left behind by a crash right here are fenced
