@@ -2,12 +2,16 @@ package boosthd
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"boosthd/internal/encoding"
 	"boosthd/internal/hdc"
 	"boosthd/internal/onlinehd"
+	"boosthd/internal/wire"
 )
 
 // deltaFor builds a delta overriding the given learners with classifiers
@@ -457,5 +461,168 @@ func TestDeltaMemoryBytes(t *testing.T) {
 	idx := d.Indexes()
 	if len(idx) != 2 || idx[0] != 0 || idx[1] != 2 {
 		t.Fatalf("Indexes = %v", idx)
+	}
+}
+
+// frameDeltaWire frames dw under magic at an explicit header version —
+// the test's stand-in for writers this build no longer has (the
+// Version1 per-vector layout) and for malformed ones.
+func frameDeltaWire(t *testing.T, magic string, version byte, dw *deltaWire) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := wire.WriteHeaderVersion(&buf, magic, version); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&buf).Encode(dw); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// v1Wire rewrites a packed payload into the Version1 layout: the same
+// class memory as per-vector gob slices.
+func v1Wire(t *testing.T, dw *deltaWire) *deltaWire {
+	t.Helper()
+	class, err := unpackClass(dw.Packed, dw.Dims, dw.Classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := *dw
+	v1.Packed, v1.Class = nil, class
+	return &v1
+}
+
+// sameDeltaBits reports whether two deltas override the same learners
+// with bit-identical class memory and carry bit-identical alphas.
+func sameDeltaBits(a, b *Delta) bool {
+	if len(a.Learners) != len(b.Learners) || len(a.Alphas) != len(b.Alphas) {
+		return false
+	}
+	for i, la := range a.Learners {
+		lb, ok := b.Learners[i]
+		if !ok || la.Dim != lb.Dim || la.Classes != lb.Classes {
+			return false
+		}
+		var ca []hdc.Vector
+		la.ReadClass(func(class []hdc.Vector, _ uint64) { ca = class })
+		same := true
+		lb.ReadClass(func(class []hdc.Vector, _ uint64) {
+			for c, cv := range class {
+				for j, x := range cv {
+					same = same && math.Float64bits(x) == math.Float64bits(ca[c][j])
+				}
+			}
+		})
+		if !same {
+			return false
+		}
+	}
+	for i, x := range a.Alphas {
+		if math.Float64bits(x) != math.Float64bits(b.Alphas[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDeltaRecordLayouts pins the two class-memory layouts of BHDT
+// records and BHDJ patches: records and patches are written packed at
+// VersionPacked, Version1 payloads load to the same delta bits, and the
+// loader rejects what no conforming writer produces — a packed block
+// under a Version1 frame, both layouts at once, a block whose length
+// disagrees with Dims, and Dims that disagree with the base.
+func TestDeltaRecordLayouts(t *testing.T) {
+	X, y := blobs(60, 0.3, 51)
+	cfg := DefaultConfig(300, 4, 3)
+	cfg.Epochs = 2
+	m, err := Train(X, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := m.Fingerprint()
+	d := deltaFor(t, m, []int{1, 3}, X, y)
+	d.Alphas = append([]float64(nil), m.Alphas...)
+	d.Alphas[0] = 0.75
+
+	var rec, patch bytes.Buffer
+	if err := SaveDeltaStamped(&rec, "w", d, fp, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveDeltaPatch(&patch, "w", d, []int{3}, fp, 9); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{"record": rec.Bytes(), "patch": patch.Bytes()} {
+		if b[4] != wire.VersionPacked {
+			t.Fatalf("%s framed at version %d, want %d", name, b[4], wire.VersionPacked)
+		}
+	}
+	loadRec := func(b []byte) (*Delta, error) {
+		_, got, epoch, err := LoadDeltaStamped(bytes.NewReader(b), m, fp)
+		if err == nil && epoch != 9 {
+			t.Fatalf("record epoch %d, want 9", epoch)
+		}
+		return got, err
+	}
+	loadPatch := func(b []byte) (*Delta, error) {
+		_, got, matched, err := LoadDeltaPatch(bytes.NewReader(b), m, fp, 9)
+		if err == nil && !matched {
+			t.Fatal("patch at the record's epoch skipped")
+		}
+		return got, err
+	}
+	want := &Delta{Learners: map[int]*onlinehd.HVClassifier{3: d.Learners[3]}, Alphas: d.Alphas}
+
+	for _, tc := range []struct {
+		name  string
+		magic string
+		blob  []byte
+		load  func([]byte) (*Delta, error)
+		want  *Delta
+	}{
+		{"record", wire.MagicTenant, rec.Bytes(), loadRec, d},
+		{"patch", wire.MagicTenantJournal, patch.Bytes(), loadPatch, want},
+	} {
+		packed, err := tc.load(tc.blob)
+		if err != nil {
+			t.Fatalf("%s: packed load: %v", tc.name, err)
+		}
+		if !sameDeltaBits(packed, tc.want) {
+			t.Fatalf("%s: packed load differs from the saved delta", tc.name)
+		}
+		dw, _, err := readDeltaWire(bytes.NewReader(tc.blob), tc.magic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := tc.load(frameDeltaWire(t, tc.magic, wire.Version1, v1Wire(t, dw)))
+		if err != nil {
+			t.Fatalf("%s: Version1 load: %v", tc.name, err)
+		}
+		if !sameDeltaBits(old, packed) {
+			t.Fatalf("%s: Version1 and packed layouts load to different bits", tc.name)
+		}
+
+		both := v1Wire(t, dw)
+		both.Packed = dw.Packed
+		short := *dw
+		short.Packed = dw.Packed[:len(dw.Packed)-8]
+		wide := *dw
+		wide.Dims = append([]int(nil), dw.Dims...)
+		wide.Dims[0]++
+		for _, bad := range []struct {
+			name    string
+			version byte
+			dw      *deltaWire
+			msg     string
+		}{
+			{"packed under Version1", wire.Version1, dw, "framed at header version"},
+			{"both layouts", wire.VersionPacked, both, "both packed and per-vector"},
+			{"short block", wire.VersionPacked, &short, "geometry needs"},
+			{"dims off the base", wire.VersionPacked, &wide, "base is"},
+		} {
+			_, err := tc.load(frameDeltaWire(t, tc.magic, bad.version, bad.dw))
+			if err == nil || !strings.Contains(err.Error(), bad.msg) {
+				t.Fatalf("%s, %s: got %v, want an error naming %q", tc.name, bad.name, err, bad.msg)
+			}
+		}
 	}
 }
