@@ -294,14 +294,20 @@ func SaveDeltaPatch(w io.Writer, tenant string, d *Delta, indexes []int, baseFP,
 var ErrBaseMismatch = errors.New("boosthd: delta trained against a different base model")
 
 // readDeltaWire consumes one framed record or patch under magic and
-// decodes its payload.
+// decodes its payload, after wire.CheckPayload has checked that its gob
+// framing fits the bytes there are: a load never allocates more than the
+// blob accounts for.
 func readDeltaWire(r io.Reader, magic string) (*deltaWire, byte, error) {
 	v, body, err := wire.ReadHeader(r, magic)
 	if err != nil {
 		return nil, 0, err
 	}
+	payload, err := wire.CheckPayload(body)
+	if err != nil {
+		return nil, 0, err
+	}
 	var dw deltaWire
-	if err := gob.NewDecoder(body).Decode(&dw); err != nil {
+	if err := gob.NewDecoder(payload).Decode(&dw); err != nil {
 		return nil, 0, err
 	}
 	return &dw, v, nil

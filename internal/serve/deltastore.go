@@ -186,15 +186,14 @@ func (fs *FileDeltaStore) Load(tenant string, base *boosthd.Model, baseFP uint64
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 
-	f, err := os.Open(fs.path(tenant))
+	b, err := os.ReadFile(fs.path(tenant))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, ErrNoDelta
 		}
 		return nil, fmt.Errorf("serve: tenant %s: %w", tenant, err)
 	}
-	stored, d, epoch, err := boosthd.LoadDeltaStamped(f, base, baseFP)
-	f.Close()
+	stored, d, epoch, err := boosthd.LoadDeltaStamped(bytes.NewReader(b), base, baseFP)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %s: %w", tenant, err)
 	}

@@ -2,7 +2,11 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -89,13 +93,64 @@ func seedBlobs(t testing.TB) [][]byte {
 	return [][]byte{ens.Bytes(), one.Bytes(), bin.Bytes(), sens.Bytes(), sbin.Bytes()}
 }
 
+// tenantBlobs returns the base model of the Version1 tenant store in
+// ../serve/testdata/v1store, its fingerprint, the epoch of tenant w1's
+// full record, and tenant blobs against that base in both class-memory
+// layouts: the Version1 record and journal patches as written to that
+// store, and the same delta saved packed as a record and a patch.
+func tenantBlobs(t testing.TB) (*boosthd.Model, uint64, uint64, [][]byte) {
+	t.Helper()
+	dir := filepath.Join("..", "serve", "testdata", "v1store")
+	f, err := os.Open(filepath.Join(dir, "base.bhde"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := boosthd.Load(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := base.Fingerprint()
+	rec, err := os.ReadFile(filepath.Join(dir, "w1.bhdt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, d, epoch, err := boosthd.LoadDeltaStamped(bytes.NewReader(rec), base, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := [][]byte{rec}
+	jb, err := os.ReadFile(filepath.Join(dir, "w1.bhdtj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off+4 <= len(jb); {
+		n := int(binary.LittleEndian.Uint32(jb[off:]))
+		blobs = append(blobs, jb[off+4:off+4+n])
+		off += 4 + n
+	}
+	var prec, patch bytes.Buffer
+	if err := boosthd.SaveDeltaStamped(&prec, "w1", d, fp, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if err := boosthd.SaveDeltaPatch(&patch, "w1", d, d.Indexes()[:1], fp, epoch); err != nil {
+		t.Fatal(err)
+	}
+	return base, fp, epoch, append(blobs, prec.Bytes(), patch.Bytes())
+}
+
 // FuzzLoadCheckpoint feeds arbitrary (seeded with truncated and
-// bit-flipped real checkpoints) blobs to every checkpoint loader.
+// bit-flipped real checkpoints and tenant records) blobs to every
+// checkpoint loader, the tenant record and patch loaders included.
 // Reliability starts at the checkpoint boundary: a corrupted blob must
 // produce a loud error — never a panic, and never a silently mis-decoded
 // model.
 func FuzzLoadCheckpoint(f *testing.F) {
-	blobs := seedBlobs(f)
+	base, fp, epoch, tenant := tenantBlobs(f)
+	// A patch header followed by a 4-byte gob count of 0x30303030: gob
+	// alone would allocate 10 MiB before finding the stream short.
+	f.Add([]byte("BHDJ\x01\xfc0000"))
+	blobs := append(seedBlobs(f), tenant...)
 	for _, blob := range blobs {
 		f.Add(blob)
 		// Truncations at the header boundary, inside the header, and
@@ -124,7 +179,45 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if _, err := infer.LoadBinary(bytes.NewReader(data)); err != nil {
 			_ = err
 		}
+
+		// Tenant records and patches against the small base: whatever
+		// they declare, the loaders may allocate no more than the blob
+		// itself accounts for.
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, d, _, err := boosthd.LoadDeltaStamped(bytes.NewReader(data), base, fp); err == nil {
+			sanityCheckDelta(t, base, d)
+		}
+		if _, d, matched, err := boosthd.LoadDeltaPatch(bytes.NewReader(data), base, fp, epoch); err == nil && matched {
+			sanityCheckDelta(t, base, d)
+		}
+		runtime.ReadMemStats(&ms)
+		if alloc, bound := ms.TotalAlloc-before, 64*uint64(len(data))+1<<20; alloc > bound {
+			t.Fatalf("tenant loaders allocated %d bytes for a %d-byte blob (bound %d)", alloc, len(data), bound)
+		}
 	})
+}
+
+// sanityCheckDelta serves a successfully decoded tenant delta through
+// both backends' tenant views, the cold path a registry takes.
+func sanityCheckDelta(t *testing.T, base *boosthd.Model, d *boosthd.Delta) {
+	t.Helper()
+	view, err := base.WithDelta(d)
+	if err != nil {
+		t.Fatalf("loader accepted a delta the base rejects: %v", err)
+	}
+	x := make([]float64, base.InputDim())
+	if _, err := view.Predict(x); err != nil {
+		t.Fatalf("loaded delta cannot predict: %v", err)
+	}
+	eng, err := infer.NewBinaryEngine(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.WithDelta(d); err != nil {
+		t.Fatalf("loaded delta cannot build a binary view: %v", err)
+	}
 }
 
 // sanityCheckEnsemble exercises a successfully decoded ensemble enough
@@ -342,6 +435,29 @@ func TestLoadersRejectCorruptBlobs(t *testing.T) {
 			}
 		}
 	}
+	// Tenant blobs in both layouts load only through their own loader,
+	// and their truncations through none.
+	base, fp, epoch, tenant := tenantBlobs(t)
+	loadTenant := func(data []byte) (okRec, okPatch bool) {
+		_, _, _, e1 := boosthd.LoadDeltaStamped(bytes.NewReader(data), base, fp)
+		_, _, matched, e2 := boosthd.LoadDeltaPatch(bytes.NewReader(data), base, fp, epoch)
+		return e1 == nil, e2 == nil && matched
+	}
+	for k, blob := range tenant {
+		isRec := string(blob[:4]) == wire.MagicTenant
+		if okR, okP := loadTenant(blob); okR != isRec || okP == isRec {
+			t.Fatalf("tenant blob %d (%s): record loader %v, patch loader %v", k, blob[:4], okR, okP)
+		}
+		if okE, okO, okB := load(blob); okE || okO || okB {
+			t.Fatalf("tenant blob %d decoded as a model checkpoint", k)
+		}
+		for _, cut := range []int{0, 2, 4, len(blob) / 2, len(blob) - 1} {
+			if okR, okP := loadTenant(blob[:cut]); okR || okP {
+				t.Fatalf("truncated tenant blob %d (%d bytes) decoded", k, cut)
+			}
+		}
+	}
+
 	// An oversized geometry must be rejected before any allocation: craft
 	// a legitimate ensemble blob and corrupt its stored TotalDim by
 	// re-encoding — covered structurally by TestCheckDims plus the

@@ -11,6 +11,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 )
@@ -172,4 +173,54 @@ func describe(magic string) string {
 	default:
 		return fmt.Sprintf("unknown %q", magic)
 	}
+}
+
+// CheckPayload checks the gob message framing of the rest of a framed
+// checkpoint before a decoder sees it, and returns a reader positioned
+// at the payload: every gob message is a byte count followed by that
+// many bytes, and a count running past the end of the payload is
+// rejected here. gob itself allocates a buffer for a declared count (up
+// to 10 MiB at a time) before it finds the stream short, so one flipped
+// bit in a count would make a ten-byte blob cost megabytes to reject. A
+// *bytes.Reader is checked in place; any other reader is read into
+// memory first.
+func CheckPayload(r io.Reader) (*bytes.Reader, error) {
+	br, ok := r.(*bytes.Reader)
+	if !ok {
+		b, err := io.ReadAll(r)
+		if err != nil {
+			return nil, fmt.Errorf("wire: read payload: %w", err)
+		}
+		br = bytes.NewReader(b)
+	}
+	end := br.Size()
+	var buf [9]byte
+	for off := end - int64(br.Len()); off < end; {
+		n, _ := br.ReadAt(buf[:min(int64(len(buf)), end-off)], off)
+		count, w := gobUint(buf[:n])
+		if w == 0 || count > uint64(end-off-int64(w)) {
+			return nil, fmt.Errorf("wire: gob message at payload byte %d overruns the payload", off)
+		}
+		off += int64(w) + int64(count)
+	}
+	return br, nil
+}
+
+// gobUint decodes a gob unsigned integer from the front of b, returning
+// it and its encoded width, or width 0 when b does not start with one:
+// values below 128 are one byte, larger ones a negated byte count and
+// then that many big-endian bytes.
+func gobUint(b []byte) (uint64, int) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || len(b) <= n {
+		return 0, 0
+	}
+	var v uint64
+	for _, c := range b[1 : 1+n] {
+		v = v<<8 | uint64(c)
+	}
+	return v, 1 + n
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/gob"
 	"io"
 	"strings"
 	"testing"
@@ -77,5 +78,46 @@ func TestHeaderLegacyPassthrough(t *testing.T) {
 func TestWriteHeaderRejectsBadMagic(t *testing.T) {
 	if err := WriteHeader(io.Discard, "NOPE"); err == nil {
 		t.Fatal("expected invalid-magic error")
+	}
+}
+
+// TestCheckPayload pins the gob framing check: a real gob stream passes
+// from a *bytes.Reader (checked in place, position kept) and from any
+// other reader, and every stream whose message count overruns the
+// payload, or is not a gob count at all, is rejected before a decoder
+// could size a buffer from it.
+func TestCheckPayload(t *testing.T) {
+	var buf bytes.Buffer
+	type rec struct {
+		Name   string
+		Packed []byte
+	}
+	if err := gob.NewEncoder(&buf).Encode(rec{"w1", make([]byte, 300)}); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	framed := append([]byte("BHDT\x03"), stream...)
+	br := bytes.NewReader(framed)
+	br.Seek(5, io.SeekStart)
+	got, err := CheckPayload(br)
+	if err != nil || got != br || got.Len() != len(stream) {
+		t.Fatalf("in-place check: %v (reader kept %v, %d bytes left)", err, got == br, got.Len())
+	}
+	var back rec
+	if err := gob.NewDecoder(got).Decode(&back); err != nil || back.Name != "w1" || len(back.Packed) != 300 {
+		t.Fatalf("decode after check: %v", err)
+	}
+	if _, err := CheckPayload(io.MultiReader(bytes.NewReader(stream))); err != nil {
+		t.Fatalf("generic reader: %v", err)
+	}
+	for _, bad := range []string{
+		"\xfc0000",                     // a 4-byte count of 0x30303030
+		"\x05abc",                      // a one-byte count past the end
+		"\x80abc",                      // count width 128
+		string(stream[:len(stream)-1]), // the last message cut short
+	} {
+		if _, err := CheckPayload(bytes.NewReader([]byte(bad))); err == nil {
+			t.Errorf("payload %q accepted", bad)
+		}
 	}
 }
