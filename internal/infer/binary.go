@@ -135,9 +135,9 @@ type BinaryModel struct {
 }
 
 // quantizeLearner thresholds one learner's class vectors straight into a
-// fresh class-major plane block of the snapshot under construction: the
-// sign plane keeps component >= 0, and the mask is selected by rank, not
-// by value comparison: exactly the top len-floor(QuantizeDrop*len)
+// fresh class-major plane block of the snapshot under construction. The
+// sign plane keeps components >= 0. The mask is selected by rank, not by
+// value comparison: exactly the top len-floor(QuantizeDrop*len)
 // components by magnitude are kept, boundary ties broken toward the
 // lowest index, so tied or constant vectors never over-drop past the
 // intended fraction.

@@ -196,6 +196,7 @@ func CheckPayload(r io.Reader) (*bytes.Reader, error) {
 	end := br.Size()
 	var buf [9]byte
 	for off := end - int64(br.Len()); off < end; {
+		// The range read lies inside the reader, so ReadAt fills it.
 		n, _ := br.ReadAt(buf[:min(int64(len(buf)), end-off)], off)
 		count, w := gobUint(buf[:n])
 		if w == 0 || count > uint64(end-off-int64(w)) {
