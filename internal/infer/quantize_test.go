@@ -104,7 +104,7 @@ func TestQuantizeGoldenDigest(t *testing.T) {
 // replaced: sort a copy of the magnitudes with sort.Float64s, cut at
 // sorted[len-keep], set the mask above the cut, then fill the quota
 // with ties in index order.
-func referencePlanes(cv []float64) (sign, mask []uint64, ones int, thr float64) {
+func referencePlanes(cv []float64) (sign, mask []uint64, ones int) {
 	abs := make([]float64, len(cv))
 	for j, v := range cv {
 		abs[j] = math.Abs(v)
@@ -112,7 +112,7 @@ func referencePlanes(cv []float64) (sign, mask []uint64, ones int, thr float64) 
 	keep := len(abs) - int(QuantizeDrop*float64(len(abs)))
 	sorted := append([]float64(nil), abs...)
 	sort.Float64s(sorted)
-	thr = sorted[len(sorted)-keep]
+	thr := sorted[len(sorted)-keep]
 	sign = hdc.FromVector(cv).Words
 	m := hdc.NewBitVector(len(cv))
 	for j, a := range abs {
@@ -130,7 +130,7 @@ func referencePlanes(cv []float64) (sign, mask []uint64, ones int, thr float64) 
 			ones++
 		}
 	}
-	return sign, m.Words, ones, thr
+	return sign, m.Words, ones
 }
 
 // sameThreshold compares thresholds bit for bit, with any NaN equal to
@@ -182,10 +182,11 @@ func adversarialVectors(rng *rand.Rand, n int) [][]float64 {
 }
 
 // TestMaskThresholdMatchesSort is the property the selection rests on:
-// for adversarial vectors of lengths 1-9, 13, 64 and 1000, and every
-// mask size from one component to all of them (keep == len included),
-// the selected threshold is the sort.Float64s reference bit for bit, and
-// the planes quantizeLearner builds are the reference planes.
+// for adversarial vectors of lengths 1-9, 13, 64 and 1000, the selected
+// threshold is the sort.Float64s reference bit for bit at every mask
+// size up to length 13 (keep == len included) and, beyond, at keep 1,
+// len, the quantization's keep and a random one; and the planes
+// quantizeLearner builds are the reference planes.
 func TestMaskThresholdMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64, 1000}
@@ -217,7 +218,7 @@ func TestMaskThresholdMatchesSort(t *testing.T) {
 				maskOnes: make([][]float64, 1),
 			}
 			qz.quantizeLearner(0, []hdc.Vector{cv})
-			sign, mask, ones, _ := referencePlanes(cv)
+			sign, mask, ones := referencePlanes(cv)
 			if !slices.Equal(qz.class[0][0].Words, sign) || !slices.Equal(qz.mask[0][0].Words, mask) ||
 				qz.maskOnes[0][0] != float64(ones) {
 				t.Fatalf("len %d vector %d: planes differ from the sort reference", n, vi)
