@@ -124,10 +124,11 @@ const (
 )
 
 // Projection selects where an encoder's random projection lives: a
-// stored Gaussian matrix, or a seeded Rademacher projection regenerated
-// inside the encode kernels from a splitmix64 counter stream — O(1)
-// encoder state and seed-sized checkpoints. Set it on Config.Projection;
-// the zero value is the stored encoder.
+// stored Gaussian matrix, or a seeded Rademacher projection derived from
+// a splitmix64 counter stream — seed-sized checkpoints, and a resident
+// plane of sign bytes and phases about 14x smaller than the stored
+// matrix, rebuilt and checked from the seed. Set it on
+// Config.Projection; the zero value is the stored encoder.
 type Projection = encoding.Projection
 
 // Projection modes.

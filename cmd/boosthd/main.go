@@ -15,10 +15,10 @@
 // vectors and scores by Hamming similarity.
 //
 // -projection selects the encoder's projection representation: "stored"
-// is the materialized Gaussian matrix, "seeded" the encoder that
-// regenerates Rademacher projection rows in-kernel from a counter stream —
-// O(1) encoder state and seed-sized checkpoints. Seeded checkpoints use a
-// newer wire framing that older builds reject loudly.
+// is the materialized Gaussian matrix, "seeded" the encoder that derives
+// Rademacher projection rows from a counter stream — seed-sized
+// checkpoints and a resident state about 14x smaller. Seeded checkpoints
+// use a newer wire framing that older builds reject loudly.
 //
 // -save writes the last run's trained BoostHD ensemble as a float
 // checkpoint; -save-binary writes its quantized binary snapshot. Both

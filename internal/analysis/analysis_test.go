@@ -152,14 +152,12 @@ var benchKernels = map[string][]struct{ dir, fn string }{
 	"internal/encoding.BenchmarkEncodeBatchRemat": {
 		{"internal/encoding", "encodeRows"},
 		{"internal/encoding", "buildTables"},
-		{"internal/encoding", "indexTile"},
 		{"internal/encoding", "sumTables"},
 		{"internal/encoding", "activate"},
 	},
 	"internal/encoding.BenchmarkEncodeBitsRemat": {
 		{"internal/encoding", "encodeBitsRows"},
 		{"internal/encoding", "buildTables"},
-		{"internal/encoding", "indexTile"},
 		{"internal/encoding", "sumTables"},
 		{"internal/encoding", "signWords"},
 	},

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"boosthd/internal/encoding"
@@ -69,10 +70,12 @@ type Config struct {
 	// Projection selects the encoder's projection representation: the
 	// zero value keeps the stored math/rand Gaussian matrix (and
 	// byte-identical behavior for existing checkpoints);
-	// encoding.ProjSeeded regenerates counter-based Rademacher rows inside
-	// the kernels for O(1) encoder state. Seeded checkpoints are framed
-	// at a newer wire version so pre-seeded builds reject them loudly
-	// instead of silently rebuilding the wrong encoder.
+	// encoding.ProjSeeded derives counter-based Rademacher rows from the
+	// seed, so checkpoints carry no projection and the resident plane of
+	// sign bytes and phases is rebuilt, and checked, from the seed.
+	// Seeded checkpoints are framed at a newer wire version so
+	// pre-seeded builds reject them loudly instead of silently
+	// rebuilding the wrong encoder.
 	Projection encoding.Projection
 }
 
@@ -441,6 +444,7 @@ func (m *Model) classifyEncoded(h hdc.Vector, norms [][]float64, sc *inferScratc
 		}
 		// Convert dots to cosine scores in place, replicating the
 		// zero-norm conventions of HVClassifier.Scores.
+		finite := true
 		for c := 0; c < classes; c++ {
 			cn := norms[i][c]
 			if hn == 0 || cn == 0 {
@@ -448,6 +452,15 @@ func (m *Model) classifyEncoded(h hdc.Vector, norms [][]float64, sc *inferScratc
 				continue
 			}
 			sc.dots[c] = sc.dots[c] / (hn * cn)
+			finite = finite && sc.dots[c]-sc.dots[c] == 0
+		}
+		if !finite {
+			// A NaN or infinite cosine (from a corrupted encoder plane,
+			// class word or stored weight) would decide every aggregate
+			// it joins, so the learner sits this query out as a
+			// zero-alpha learner does. EvaluateLearners keeps scoring
+			// it, so the canary still sees the collapse.
+			continue
 		}
 		if score {
 			for c := 0; c < classes; c++ {
@@ -610,9 +623,53 @@ func (m *Model) InputDim() int { return m.inputDim }
 func (m *Model) Gamma() float64 { return m.gamma }
 
 // EncoderStateBytes reports the resident memory of the encoder stack:
-// the stored projection matrices, phases, and activation caches — or the
-// O(1) stream roots when the configuration rematerializes its projection.
+// the stored projection matrices, if any, and every sub-encoder's plane
+// of phases, activation constants and, when seeded, projection sign
+// bytes. A seeded checkpoint carries none of it.
 func (m *Model) EncoderStateBytes() int { return m.Enc.StateBytes() }
+
+// HealEncoders checks every seeded sub-encoder's plane against its
+// regeneration from the stream roots, swaps a fresh plane in wherever a
+// value differs, and returns the learners whose segment read a
+// differing value; nil means every plane was intact. Sub-encoders and
+// segments both run in segment order, so the learners come out in
+// order. Views and clones share the encoder stack, so one call heals
+// them all.
+func (m *Model) HealEncoders() []int {
+	var hit []int
+	for _, enc := range m.Enc.encs {
+		bad := enc.Heal()
+		if bad == nil {
+			continue
+		}
+		for i, p := range m.Enc.parts {
+			if p.enc != enc {
+				continue
+			}
+			if k, _ := slices.BinarySearch(bad, p.lo); k < len(bad) && bad[k] < p.hi {
+				hit = append(hit, i)
+			}
+		}
+	}
+	return hit
+}
+
+// InjectEncoderFaults flips bits of every seeded sub-encoder's plane
+// (projection sign bytes, phases and activation constants) under the
+// injector's per-bit probability, the encoder-side analogue of
+// InjectClassFaults. It works copy on write, as
+// infer.BinaryModel.InjectWordFaults does: each plane is copied, the
+// copy corrupted and swapped in, so encodes in flight finish on the
+// plane they loaded. The corruption is silent until HealEncoders runs,
+// and it reaches every view and clone that shares the encoder stack.
+// It returns the number of flipped bits.
+func (m *Model) InjectEncoderFaults(inj *faults.Injector) int {
+	flips := 0
+	for _, enc := range m.Enc.encs {
+		flips += enc.InjectFaults(inj)
+	}
+	return flips
+}
 
 // Segments returns the dimension partition as (lo, hi) pairs.
 func (m *Model) Segments() [][2]int {

@@ -126,8 +126,8 @@ func (s *encoderStack) EncodeBatch(xs [][]float64) ([]hdc.Vector, error) {
 	return outs, nil
 }
 
-// StateBytes sums the sub-encoders' resident state — the number the
-// seeded projection mode exists to shrink.
+// StateBytes sums the sub-encoders' resident state: projection matrices
+// and planes.
 func (s *encoderStack) StateBytes() int {
 	total := 0
 	for _, enc := range s.encs {

@@ -33,3 +33,20 @@ func TestSeededEncodeZeroAlloc(t *testing.T) {
 		t.Fatalf("warm single-row seeded encode allocates %v times", allocs)
 	}
 }
+
+// TestHealIntactPlaneZeroAlloc: checking an intact plane walks its
+// regeneration and allocates nothing.
+func TestHealIntactPlaneZeroAlloc(t *testing.T) {
+	e, err := NewSeeded(36, 1000, Nonlinear, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if bad := e.Heal(); bad != nil {
+			t.Fatalf("intact plane reported %v", bad)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Heal on an intact plane allocates %v times", allocs)
+	}
+}

@@ -14,14 +14,16 @@
 // the projection in tiles of 256 components and write into caller-owned
 // buffers. Only the projection step depends on the mode (see
 // Projection): a GEMM over a stored matrix, or table lookups indexed by
-// sign words regenerated from a seeded counter stream. The activation
-// and sign steps after it are shared.
+// the sign bytes of a seeded encoder's plane. The activation and sign
+// steps after it are shared.
 package encoding
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"boosthd/internal/hdc"
 	"boosthd/internal/par"
@@ -69,20 +71,57 @@ type Encoder struct {
 	Kind   Kind
 	Gamma  float64
 
-	// w is the stored OutDim x InDim projection, row-major, and b the
-	// OutDim phase offsets. Both are nil on a seeded encoder, whose
-	// kernels regenerate rows and phases from the counter streams rooted
-	// at wBase/bBase; wpr is the number of 64-bit sign words per row,
-	// ceil(InDim/64).
-	w, b         []float64
+	// w is the stored OutDim x InDim projection, row-major. It is nil on
+	// a seeded encoder, whose projection signs and phases come from the
+	// counter streams rooted at wBase and bBase; wpr is the number of
+	// 64-bit sign words per row, ceil(InDim/64).
+	w            []float64
 	wBase, bBase uint64
 	wpr          int
 
-	// halfSinB caches 0.5*sin(b_j) for the product-to-sum form of the
-	// nonlinear activation: cos(d+b)*sin(d) = 0.5*sin(2d+b) - 0.5*sin(b),
-	// which costs one trigonometric evaluation per component instead of
-	// two on the inference hot path. A seeded encoder computes it per tile.
-	halfSinB []float64
+	// plane is the row-independent state every kernel call loads once
+	// and reads in place. Writers (InjectFaults, Heal) swap whole planes
+	// under mu, so a call in flight finishes on the plane it loaded.
+	plane atomic.Pointer[plane]
+	mu    sync.Mutex
+}
+
+// plane is an encoder's row-independent state: the phases b_j; for
+// Nonlinear, hsb_j = 0.5*sin(b_j), the constant of the product-to-sum
+// form cos(d+b)*sin(d) = 0.5*sin(2d+b) - 0.5*sin(b), which costs one
+// trigonometric evaluation per component instead of two; and, on a
+// seeded encoder, every component's sign words split into lookup-group
+// byte indexes, group-major: idx[g*OutDim+j] is byte g%8 of sign word
+// g/8 of component j with its bits past InDim cleared, and indexes
+// table g. A seeded plane is never persisted: it is rebuilt from the
+// stream roots at construction and checked against them by Heal.
+type plane struct {
+	idx    []uint8
+	b, hsb []float64
+}
+
+// phasePlane returns a plane holding phases b and, for Nonlinear, their
+// half sines.
+func (e *Encoder) phasePlane(b []float64) *plane {
+	p := &plane{b: b}
+	if e.Kind == Nonlinear {
+		p.hsb = make([]float64, len(b))
+		for j, bj := range b {
+			p.hsb[j] = 0.5 * math.Sin(bj)
+		}
+	}
+	return p
+}
+
+// tile returns views of the plane's phases and, for Nonlinear, half
+// sines of components [j0,j1).
+//
+//hd:hotpath
+func (p *plane) tile(j0, j1 int) (b, hsb []float64) {
+	if p.hsb != nil {
+		hsb = p.hsb[j0:j1]
+	}
+	return p.b[j0:j1], hsb
 }
 
 // DefaultGamma returns the default kernel bandwidth for inDim features:
@@ -112,16 +151,11 @@ func NewWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64) (*Enc
 	for i := range e.w {
 		e.w[i] = rng.NormFloat64()
 	}
-	e.b = make([]float64, outDim)
-	for i := range e.b {
-		e.b[i] = rng.Float64() * 2 * math.Pi
+	b := make([]float64, outDim)
+	for i := range b {
+		b[i] = rng.Float64() * 2 * math.Pi
 	}
-	if kind == Nonlinear {
-		e.halfSinB = make([]float64, outDim)
-		for i, b := range e.b {
-			e.halfSinB[i] = 0.5 * math.Sin(b)
-		}
-	}
+	e.plane.Store(e.phasePlane(b))
 	return e, nil
 }
 
@@ -198,9 +232,9 @@ const BatchRowBlock = 32
 
 // Batch tiling parameters: each worker encodes BatchRowBlock rows at a
 // time, sweeping the projection in dimBlock-component tiles so a tile is
-// fetched once per row block instead of once per row: tens of kilobytes
-// of a stored matrix, a GEMM-style loop, or one set of regenerated sign
-// words for a seeded encoder's table lookups.
+// read once per row block instead of once per row: tens of kilobytes of
+// a stored matrix, a GEMM-style loop, or a few rows of plane index bytes
+// for a seeded encoder's table lookups.
 const (
 	encodeRowBlock = BatchRowBlock
 	encodeDimBlock = 256
@@ -253,59 +287,25 @@ func (e *Encoder) EncodeBatch(xs [][]float64) ([]hdc.Vector, error) {
 	return out, nil
 }
 
-// tile fetches what the kernels need of projection rows [j0,j1): their
-// phases — a view of a stored encoder's, or regenerated from the phase
-// stream into bBuf — and, on a stored encoder, a row-major view of the
-// rows themselves. A seeded encoder returns w == nil and instead splits
-// the rows' sign words into lk's per-group byte indexes, generating each
-// sign word once for every row of the block.
-//
-//hd:hotpath
-func (e *Encoder) tile(j0, j1 int, lk *lookup, bBuf *[encodeDimBlock]float64) (w, b []float64) {
-	if e.w != nil {
-		return e.w[j0*e.InDim : j1*e.InDim], e.b[j0:j1]
-	}
-	for j := j0; j < j1; j++ {
-		bBuf[j-j0] = e.phaseAt(j)
-	}
-	lk.indexTile(e, j0, j1)
-	return nil, bBuf[:j1-j0]
-}
-
-// halfSinTile returns 0.5*sin(b) for the phases b of the tile starting at
-// component j0: a view of the stored cache, or computed into buf once per
-// tile, so the sin() costs one evaluation per (component, row block).
-//
-//hd:hotpath
-func (e *Encoder) halfSinTile(j0 int, b []float64, buf *[encodeDimBlock]float64) []float64 {
-	if e.halfSinB != nil {
-		return e.halfSinB[j0 : j0+len(b)]
-	}
-	for i, bv := range b {
-		buf[i] = 0.5 * math.Sin(bv)
-	}
-	return buf[:len(b)]
-}
-
-// project writes the raw projections <w_j, x> of the tile's n components
-// for rows xs[i:i+r], r = min(4, len(xs)-i), into acc[0:r][:n] and
+// project writes the raw projections <w_j, x> of the n components from
+// j0 on for rows xs[i:i+r], r = min(4, len(xs)-i), into acc[0:r][:n] and
 // returns r. It is the kernels' one mode-specific step: a stored encoder
 // runs the four-row register-blocked GEMM body (dots4) or the one-row dot
-// over the tile rows w; a seeded encoder (w == nil) sums table lookups.
+// over its rows; a seeded encoder sums table lookups indexed by plane p.
 //
 //hd:hotpath
-func (e *Encoder) project(w []float64, lk *lookup, xs [][]float64, i, n int, acc *[4][encodeDimBlock]float64) int {
+func (e *Encoder) project(p *plane, lk *lookup, xs [][]float64, i, j0, n int, acc *[4][encodeDimBlock]float64) int {
 	r := min(4, len(xs)-i)
 	switch {
-	case w == nil:
+	case e.w == nil:
 		for k := 0; k < r; k++ {
-			lk.sumTables(i+k, acc[k][:n])
+			lk.sumTables(i+k, p.idx[j0:], e.OutDim, acc[k][:n])
 		}
 	case r == 4:
-		e.dots4(w, xs[i], xs[i+1], xs[i+2], xs[i+3], acc, n)
+		e.dots4(e.w[j0*e.InDim:], xs[i], xs[i+1], xs[i+2], xs[i+3], acc, n)
 	default:
 		for k := 0; k < r; k++ {
-			e.dots(w, xs[i+k], acc[k][:n])
+			e.dots(e.w[j0*e.InDim:], xs[i+k], acc[k][:n])
 		}
 	}
 	return r
@@ -381,13 +381,13 @@ func (e *Encoder) activate(s, b, hsb, d []float64) {
 // encodeRows is the blocked float kernel behind every float entry point:
 // row i of xs is encoded into out[i*stride+offset : i*stride+offset+OutDim].
 // Rows run in blocks (all of xs on a stored encoder, a lookup block on a
-// seeded one), dimension tiles inside a block; each tile is fetched once
-// and swept four rows at a time.
+// seeded one), dimension tiles inside a block; each tile is swept four
+// rows at a time, reading the plane loaded once per call.
 //
 //hd:hotpath
 func (e *Encoder) encodeRows(xs [][]float64, out []float64, stride, offset int) {
-	var bBuf, hsbBuf [encodeDimBlock]float64
 	var acc [4][encodeDimBlock]float64
+	p := e.plane.Load()
 	lk, step := e.getLookup(len(xs))
 	if lk != nil {
 		defer putLookup(lk)
@@ -398,13 +398,9 @@ func (e *Encoder) encodeRows(xs [][]float64, out []float64, stride, offset int) 
 			lk.buildTables(blk)
 		}
 		for j0 := 0; j0 < e.OutDim; j0 += encodeDimBlock {
-			w, b := e.tile(j0, min(j0+encodeDimBlock, e.OutDim), lk, &bBuf)
-			var hsb []float64
-			if e.Kind == Nonlinear {
-				hsb = e.halfSinTile(j0, b, &hsbBuf)
-			}
+			b, hsb := p.tile(j0, min(j0+encodeDimBlock, e.OutDim))
 			for i := 0; i < len(blk); i += 4 {
-				for k := range e.project(w, lk, blk, i, len(b), &acc) {
+				for k := range e.project(p, lk, blk, i, j0, len(b), &acc) {
 					e.activate(acc[k][:len(b)], b, hsb, out[(r0+i+k)*stride+offset+j0:])
 				}
 			}
@@ -530,8 +526,8 @@ func (e *Encoder) EncodeBitsRangeBatch(xs [][]float64, lo, hi int, dst []*hdc.Bi
 //
 //hd:hotpath
 func (e *Encoder) encodeBitsRows(xs [][]float64, lo, hi int, dst []*hdc.BitVector) {
-	var bBuf [encodeDimBlock]float64
 	var acc [4][encodeDimBlock]float64
+	p := e.plane.Load()
 	lk, step := e.getLookup(len(xs))
 	if lk != nil {
 		defer putLookup(lk)
@@ -542,10 +538,10 @@ func (e *Encoder) encodeBitsRows(xs [][]float64, lo, hi int, dst []*hdc.BitVecto
 			lk.buildTables(blk)
 		}
 		for t0 := lo; t0 < hi; t0 += encodeDimBlock {
-			w, b := e.tile(t0, min(t0+encodeDimBlock, hi), lk, &bBuf)
+			b, _ := p.tile(t0, min(t0+encodeDimBlock, hi))
 			word := (t0 - lo) / 64
 			for i := 0; i < len(blk); i += 4 {
-				for k := range e.project(w, lk, blk, i, len(b), &acc) {
+				for k := range e.project(p, lk, blk, i, t0, len(b), &acc) {
 					e.signWords(acc[k][:len(b)], b, dst[r0+i+k].Words[word:])
 				}
 			}
@@ -555,9 +551,8 @@ func (e *Encoder) encodeBitsRows(xs [][]float64, lo, hi int, dst []*hdc.BitVecto
 
 // ProjectionMatrix returns a copy of the OutDim x InDim projection weights;
 // the random-matrix experiments inspect encoder spectra through it. A
-// seeded encoder generates its rows on demand from the counter streams —
-// O(OutDim x InDim) work and allocation, deliberately not cached so the
-// encoder keeps its O(1) state.
+// seeded encoder generates its ±1 rows on demand from the sign stream, so
+// the result is independent of the plane the kernels read.
 func (e *Encoder) ProjectionMatrix() []float64 {
 	if e.w != nil {
 		return append([]float64(nil), e.w...)

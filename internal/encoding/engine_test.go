@@ -24,6 +24,7 @@ func randRows(rng *rand.Rand, n, dim int) [][]float64 {
 // cos(d+b)*sin(d) straight from the encoder's internals.
 func legacyEncode(e *Encoder, x []float64) hdc.Vector {
 	h := make(hdc.Vector, e.OutDim)
+	b := e.plane.Load().b
 	for j := 0; j < e.OutDim; j++ {
 		row := e.w[j*e.InDim : (j+1)*e.InDim]
 		var dot float64
@@ -33,9 +34,9 @@ func legacyEncode(e *Encoder, x []float64) hdc.Vector {
 		dot *= e.Gamma
 		switch e.Kind {
 		case Nonlinear:
-			h[j] = math.Cos(dot+e.b[j]) * math.Sin(dot)
+			h[j] = math.Cos(dot+b[j]) * math.Sin(dot)
 		case RFF:
-			h[j] = math.Cos(dot + e.b[j])
+			h[j] = math.Cos(dot + b[j])
 		default:
 			h[j] = dot
 		}

@@ -3,7 +3,10 @@ package encoding
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+
+	"boosthd/internal/faults"
 )
 
 // Projection selects where an encoder's random projection lives.
@@ -14,9 +17,11 @@ import (
 // encoder memory and cache traffic. A seeded encoder (ProjSeeded) replaces
 // the Gaussian matrix with Rademacher (+1/-1) rows produced by a
 // counter-based splitmix64 generator keyed on (seed, row, feature-word):
-// any projection word is computable in O(1) from the seed alone, so the
-// kernels regenerate each tile of rows as they sweep it and the encoder
-// carries O(1) projection state at any dimensionality.
+// any projection word is computable in O(1) from the seed alone. The
+// encoder keeps the sign words in its plane as one byte per component
+// and 8-feature group (about 0.2 MB with phases at paper scale), and the
+// checkpoint carries none of it: the plane is rebuilt, and checked, from
+// the two stream roots.
 type Projection int
 
 const (
@@ -24,11 +29,11 @@ const (
 	// sequentially from math/rand. It is the zero value, so existing
 	// checkpoints rebuild the exact encoder they were trained with.
 	ProjStored Projection = 0
-	// ProjSeeded regenerates projection rows and phases inside the encode
-	// kernels from the splitmix64 counter streams: O(1) encoder state, no
-	// projection memory traffic. Its value is fixed by the checkpoint
-	// wire format; value 1 belonged to a retired mode that materialized
-	// the same rows.
+	// ProjSeeded derives projection signs and phases from the splitmix64
+	// counter streams: a checkpoint holds only the seed, and the resident
+	// plane is rebuilt from it. Its value is fixed by the checkpoint wire
+	// format; value 1 belonged to a retired mode that materialized the
+	// same rows as float64.
 	ProjSeeded Projection = 2
 )
 
@@ -108,8 +113,8 @@ func NewSeeded(inDim, outDim int, kind Kind, seed int64) (*Encoder, error) {
 }
 
 // NewSeededWithGamma builds a seeded encoder with an explicit kernel
-// bandwidth. It holds only the two stream roots: the kernels regenerate
-// projection rows and phases as they sweep each tile.
+// bandwidth. It derives the two stream roots from seed and builds its
+// plane from them.
 func NewSeededWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64) (*Encoder, error) {
 	e, err := newEncoder(inDim, outDim, kind, gamma)
 	if err != nil {
@@ -117,37 +122,112 @@ func NewSeededWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64)
 	}
 	e.wpr = (inDim + 63) / 64
 	e.wBase, e.bBase = seededBases(seed)
+	e.plane.Store(e.newPlane())
 	return e, nil
 }
 
 // signWord returns the packed Rademacher signs of projection row j for
 // feature word t (bit k set means weight +1 for feature t*64+k).
-//
-//hd:hotpath
 func (e *Encoder) signWord(j, t int) uint64 {
 	return counterRand(e.wBase, uint64(j)*uint64(e.wpr)+uint64(t))
 }
 
 // phaseAt returns the phase offset of output component j from the phase
 // counter stream.
-//
-//hd:hotpath
 func (e *Encoder) phaseAt(j int) float64 {
 	return twoPi * toUnit(counterRand(e.bBase, uint64(j)))
+}
+
+// indexByte returns the plane's index byte for component j and lookup
+// group g: byte g%8 of sign word g/8, with the bits past InDim cleared.
+func (e *Encoder) indexByte(j, g int) uint8 {
+	v := uint8(e.signWord(j, g/8) >> (8 * uint(g%8)))
+	if rem := e.InDim - 8*g; rem < 8 {
+		v &= 1<<uint(rem) - 1
+	}
+	return v
+}
+
+// newPlane builds a seeded encoder's plane from its stream roots.
+func (e *Encoder) newPlane() *plane {
+	D, groups := e.OutDim, (e.InDim+7)/8
+	b := make([]float64, D)
+	for j := range b {
+		b[j] = e.phaseAt(j)
+	}
+	p := e.phasePlane(b)
+	p.idx = make([]uint8, groups*D)
+	for g := 0; g < groups; g++ {
+		for j := 0; j < D; j++ {
+			p.idx[g*D+j] = e.indexByte(j, g)
+		}
+	}
+	return p
+}
+
+// Heal checks a seeded encoder's plane against its regeneration from the
+// stream roots, value by value and bit for bit, and on any mismatch
+// swaps in a freshly built plane; kernel calls in flight finish on the
+// plane they loaded. The roots act as the plane's signature, so no
+// digest is stored, and an intact plane costs a walk and no allocation.
+// Heal returns the output components holding a differing value, in
+// order: nil for an intact plane, and always for a stored encoder,
+// which has no roots to regenerate from.
+func (e *Encoder) Heal() []int {
+	if e.w != nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p := e.plane.Load()
+	D, groups := e.OutDim, (e.InDim+7)/8
+	var bad []int
+	for j := 0; j < D; j++ {
+		b := e.phaseAt(j)
+		ok := math.Float64bits(p.b[j]) == math.Float64bits(b) &&
+			(p.hsb == nil || math.Float64bits(p.hsb[j]) == math.Float64bits(0.5*math.Sin(b)))
+		for g := 0; ok && g < groups; g++ {
+			ok = p.idx[g*D+j] == e.indexByte(j, g)
+		}
+		if !ok {
+			bad = append(bad, j)
+		}
+	}
+	if bad != nil {
+		e.plane.Store(e.newPlane())
+	}
+	return bad
+}
+
+// InjectFaults flips bits of a seeded encoder's plane (index bytes,
+// phases and half sines) under the injector's per-bit probability,
+// emulating memory faults in the state every query reads. It works copy
+// on write: the flips land in a copy that is swapped in, so kernel calls
+// in flight finish on the plane they loaded. A stored encoder is left
+// alone. It returns the number of flipped bits.
+func (e *Encoder) InjectFaults(inj *faults.Injector) int {
+	if e.w != nil {
+		return 0
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p := e.plane.Load()
+	q := &plane{idx: slices.Clone(p.idx), b: slices.Clone(p.b), hsb: slices.Clone(p.hsb)}
+	flips := inj.InjectBytes(q.idx) + inj.InjectFloat64(q.b) + inj.InjectFloat64(q.hsb)
+	e.plane.Store(q)
+	return flips
 }
 
 // lookup is the seeded kernels' scratch. For a block of rows it holds
 // ⌈InDim/8⌉ tables of 256 signed partial sums per row: entry b of table
 // g is the index-order sum over features 8g..8g+7 of +x_k where bit k-8g
-// of b is set and -x_k where it is clear. For the current tile it holds
-// every component's sign words split into per-group byte indexes, so a
-// component's projection is ⌈InDim/8⌉ table lookups, summed in group
-// order, instead of InDim multiply-adds. That order defines the seeded
-// encoder's projection.
+// of b is set and -x_k where it is clear. A component's projection is
+// then ⌈InDim/8⌉ table lookups, indexed by its plane bytes and summed in
+// group order, instead of InDim multiply-adds. That order defines the
+// seeded encoder's projection.
 type lookup struct {
 	groups int
 	tabs   []float64 // [row][group][256]
-	idx    []uint8   // [group][encodeDimBlock], eight groups per sign word
 }
 
 // lookupBytes bounds a lookup block's tables, so they stay cache
@@ -156,7 +236,7 @@ type lookup struct {
 const lookupBytes = 160 << 10
 
 // lookupPool recycles lookup scratch across kernel calls: a single-row
-// call would otherwise allocate its tables and indexes every time.
+// call would otherwise allocate its tables every time.
 var lookupPool sync.Pool
 
 // getLookup returns nil and n on a stored encoder, whose kernels sweep
@@ -176,10 +256,7 @@ func (e *Encoder) getLookup(n int) (*lookup, int) {
 	if cap(lk.tabs) < rows*groups*256 {
 		lk.tabs = make([]float64, rows*groups*256)
 	}
-	if cap(lk.idx) < 8*e.wpr*encodeDimBlock {
-		lk.idx = make([]uint8, 8*e.wpr*encodeDimBlock)
-	}
-	lk.tabs, lk.idx = lk.tabs[:rows*groups*256], lk.idx[:8*e.wpr*encodeDimBlock]
+	lk.tabs = lk.tabs[:rows*groups*256]
 	return lk, rows
 }
 
@@ -210,53 +287,46 @@ func (lk *lookup) buildTables(xs [][]float64) {
 	}
 }
 
-// indexTile generates the sign words of tile components [j0,j1) once for
-// every row of the block and splits each into its per-group byte
-// indexes: idx[g*encodeDimBlock+t], byte g%8 of word g/8 of component
-// j0+t with its bits past InDim cleared, indexes table g. A word always
-// fills eight index rows; those past the last group are never read.
+// sumTables writes row r's projections of len(acc) consecutive
+// components into acc: acc[t] = sum over groups g, in order, of
+// tab_g[ix[g*stride+t]], where ix is the plane's index bytes from the
+// first component on and stride the plane's row length, OutDim.
+// Group-major, so components are independent and no add chain
+// serializes the loop; four groups share a pass, so acc is loaded and
+// stored once per four lookups. The sum still runs left to right, from
+// +0, in group order.
 //
 //hd:hotpath
-func (lk *lookup) indexTile(e *Encoder, j0, j1 int) {
-	n := j1 - j0
-	for w := 0; w < e.wpr; w++ {
-		mask := ^uint64(0)
-		if rem := e.InDim - 64*w; rem < 64 {
-			mask = 1<<uint(rem) - 1
-		}
-		ix := lk.idx[8*w*encodeDimBlock:]
-		i0, i1, i2, i3 := ix[:n], ix[encodeDimBlock:][:n], ix[2*encodeDimBlock:][:n], ix[3*encodeDimBlock:][:n]
-		i4, i5, i6, i7 := ix[4*encodeDimBlock:][:n], ix[5*encodeDimBlock:][:n], ix[6*encodeDimBlock:][:n], ix[7*encodeDimBlock:][:n]
-		for t := range i0 {
-			bits := e.signWord(j0+t, w) & mask
-			i0[t], i1[t], i2[t], i3[t] = uint8(bits), uint8(bits>>8), uint8(bits>>16), uint8(bits>>24)
-			i4[t], i5[t], i6[t], i7[t] = uint8(bits>>32), uint8(bits>>40), uint8(bits>>48), uint8(bits>>56)
+func (lk *lookup) sumTables(r int, ix []uint8, stride int, acc []float64) {
+	clear(acc)
+	n := len(acc)
+	tabs := lk.tabs[r*lk.groups*256:]
+	g := 0
+	for ; g+4 <= lk.groups; g += 4 {
+		t0, t1 := (*[256]float64)(tabs[g*256:]), (*[256]float64)(tabs[(g+1)*256:])
+		t2, t3 := (*[256]float64)(tabs[(g+2)*256:]), (*[256]float64)(tabs[(g+3)*256:])
+		i0, i1 := ix[g*stride:][:n], ix[(g+1)*stride:][:n]
+		i2, i3 := ix[(g+2)*stride:][:n], ix[(g+3)*stride:][:n]
+		for t := range acc {
+			acc[t] = acc[t] + t0[i0[t]] + t1[i1[t]] + t2[i2[t]] + t3[i3[t]]
 		}
 	}
-}
-
-// sumTables writes row r's projections of the current tile's
-// components into acc: acc[t] = sum over groups g, in order, of
-// tab_g[idx_g[t]]. Group-major, so components are independent and no
-// add chain serializes the loop.
-//
-//hd:hotpath
-func (lk *lookup) sumTables(r int, acc []float64) {
-	clear(acc)
-	for g := 0; g < lk.groups; g++ {
-		tab := (*[256]float64)(lk.tabs[(r*lk.groups+g)*256:])
-		ix := lk.idx[g*encodeDimBlock:][:len(acc)]
-		for t, i := range ix {
+	for ; g < lk.groups; g++ {
+		tab := (*[256]float64)(tabs[g*256:])
+		for t, i := range ix[g*stride:][:n] {
 			acc[t] += tab[i]
 		}
 	}
 }
 
-// StateBytes reports the encoder's resident state in bytes: the
-// projection matrix, phases, and activation cache of a stored encoder;
-// O(1) for a seeded one. This is the number the -exp infer sweep sizes
-// encoder memory by.
+// StateBytes reports the encoder's resident state in bytes: the struct
+// scalars, a stored encoder's projection matrix, and the plane: 8 bytes
+// per phase, 8 per half sine for Nonlinear and, on a seeded encoder, one
+// index byte per component and 8-feature group. This is the number the
+// -exp infer sweep sizes encoder memory by. A seeded checkpoint carries
+// none of it beyond the seed.
 func (e *Encoder) StateBytes() int {
 	const header = 64 // struct scalars
-	return header + 8*(len(e.w)+len(e.b)+len(e.halfSinB))
+	p := e.plane.Load()
+	return header + 8*(len(e.w)+len(p.b)+len(p.hsb)) + len(p.idx)
 }

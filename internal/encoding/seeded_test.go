@@ -3,8 +3,11 @@ package encoding
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"boosthd/internal/faults"
 	"boosthd/internal/hdc"
 )
 
@@ -178,10 +181,27 @@ func TestProjectionMatrixOnDemand(t *testing.T) {
 	}
 }
 
-// TestSeededStateShrink pins the property the seeded mode exists for: at
-// paper scale its state is at least 100x smaller than a stored
+// TestSeededStateShrink pins the seeded encoder's resident state byte
+// for byte: the struct scalars, one plane index byte per component and
+// 8-feature group, a phase per component and, for Nonlinear, a half sine
+// per component. At paper scale that stays at least 10x under a stored
 // projection's.
 func TestSeededStateShrink(t *testing.T) {
+	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
+		for _, geom := range []struct{ in, out int }{{36, 10000}, {1, 333}, {65, 130}} {
+			e, err := NewSeeded(geom.in, geom.out, kind, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 64 + (geom.in+7)/8*geom.out + 8*geom.out
+			if kind == Nonlinear {
+				want += 8 * geom.out
+			}
+			if got := e.StateBytes(); got != want {
+				t.Fatalf("kind=%v in=%d out=%d: StateBytes %d, want %d", kind, geom.in, geom.out, got, want)
+			}
+		}
+	}
 	stored, err := New(36, 10000, Nonlinear, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +210,204 @@ func TestSeededStateShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio := float64(stored.StateBytes()) / float64(seeded.StateBytes()); ratio < 100 {
-		t.Fatalf("state shrink %.1fx < 100x (stored=%d seeded=%d)", ratio, stored.StateBytes(), seeded.StateBytes())
+	if ratio := float64(stored.StateBytes()) / float64(seeded.StateBytes()); ratio < 10 {
+		t.Fatalf("state shrink %.1fx < 10x (stored=%d seeded=%d)", ratio, stored.StateBytes(), seeded.StateBytes())
+	}
+}
+
+// TestSeededPlaneMatchesRegeneration: every value of a seeded plane is
+// its regeneration from the stream roots. Index byte g of component j is
+// byte g%8 of sign word g/8 with the bits of features past InDim
+// cleared, the phase is phaseAt(j), and the half sine is 0.5*sin of it
+// (Nonlinear only), for feature widths that leave partial groups and
+// words and an output width that is not a multiple of 64.
+func TestSeededPlaneMatchesRegeneration(t *testing.T) {
+	const out = 333
+	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
+		for _, in := range []int{1, 9, 36, 65, 129} {
+			e, err := NewSeeded(in, out, kind, 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := e.plane.Load()
+			groups := (in + 7) / 8
+			if len(p.idx) != groups*out || len(p.b) != out {
+				t.Fatalf("kind=%v in=%d: plane holds %d index bytes and %d phases, want %d and %d",
+					kind, in, len(p.idx), len(p.b), groups*out, out)
+			}
+			if (kind == Nonlinear) != (p.hsb != nil) {
+				t.Fatalf("kind=%v in=%d: half sines present = %v", kind, in, p.hsb != nil)
+			}
+			for j := 0; j < out; j++ {
+				for g := 0; g < groups; g++ {
+					var want uint8
+					for bit := 0; bit < 8 && 8*g+bit < in; bit++ {
+						k := 8*g + bit
+						want |= uint8(e.signWord(j, k/64)>>(k%64)&1) << bit
+					}
+					if got := p.idx[g*out+j]; got != want {
+						t.Fatalf("kind=%v in=%d: index byte group %d comp %d is %#x, want %#x", kind, in, g, j, got, want)
+					}
+				}
+				b := e.phaseAt(j)
+				if math.Float64bits(p.b[j]) != math.Float64bits(b) {
+					t.Fatalf("kind=%v in=%d: phase %d is %v, want %v", kind, in, j, p.b[j], b)
+				}
+				if p.hsb != nil && math.Float64bits(p.hsb[j]) != math.Float64bits(0.5*math.Sin(b)) {
+					t.Fatalf("kind=%v in=%d: half sine %d is %v, want %v", kind, in, j, p.hsb[j], 0.5*math.Sin(b))
+				}
+			}
+		}
+	}
+}
+
+// planeDiff lists the components at which two planes differ in any
+// value, bit for bit.
+func planeDiff(a, b *plane, out int) []int {
+	var diff []int
+	for j := 0; j < out; j++ {
+		same := math.Float64bits(a.b[j]) == math.Float64bits(b.b[j]) &&
+			(a.hsb == nil || math.Float64bits(a.hsb[j]) == math.Float64bits(b.hsb[j]))
+		for g := 0; same && g < len(a.idx)/out; g++ {
+			same = a.idx[g*out+j] == b.idx[g*out+j]
+		}
+		if !same {
+			diff = append(diff, j)
+		}
+	}
+	return diff
+}
+
+// TestSeededPlaneHeal: Heal names exactly the components an injection
+// changed, swaps in a plane that encodes bit for bit like the pristine
+// one, and then finds nothing. Injection is copy on write, so a plane
+// loaded before it stays intact. A stored encoder neither takes faults
+// nor reports any.
+func TestSeededPlaneHeal(t *testing.T) {
+	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
+		e, err := NewSeeded(36, 333, kind, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := seededTestRows(4, 5, 36)
+		want := make([]float64, len(xs)*e.OutDim)
+		if err := e.EncodeBatchInto(xs, want, e.OutDim, 0); err != nil {
+			t.Fatal(err)
+		}
+		pristine := e.plane.Load()
+		inj, err := faults.NewInjector(1e-3, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flips := e.InjectFaults(inj); flips == 0 {
+			t.Fatalf("kind=%v: injection flipped nothing", kind)
+		}
+		if planeDiff(pristine, e.newPlane(), e.OutDim) != nil {
+			t.Fatalf("kind=%v: injection wrote into the plane it replaced", kind)
+		}
+		hit := planeDiff(pristine, e.plane.Load(), e.OutDim)
+		if hit == nil {
+			t.Fatalf("kind=%v: injected plane equals the pristine one", kind)
+		}
+		if got := e.Heal(); !slices.Equal(got, hit) {
+			t.Fatalf("kind=%v: Heal reported components %v, injection hit %v", kind, got, hit)
+		}
+		if got := e.Heal(); got != nil {
+			t.Fatalf("kind=%v: second Heal reported %v", kind, got)
+		}
+		got := make([]float64, len(want))
+		if err := e.EncodeBatchInto(xs, got, e.OutDim, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("kind=%v: healed encoding differs at %d: %v, want %v", kind, i, got[i], want[i])
+			}
+		}
+	}
+	stored, err := New(36, 333, Nonlinear, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, _ := faults.NewInjector(1e-2, rand.New(rand.NewSource(3)))
+	if flips, bad := stored.InjectFaults(inj), stored.Heal(); flips != 0 || bad != nil {
+		t.Fatalf("stored encoder took %d flips and reported %v", flips, bad)
+	}
+}
+
+// TestSeededPlaneHealUnderLoad runs encoders of every entry point, float
+// and sign bits, one row and batches, while another goroutine injects
+// plane faults and heals. Run it with -race -count=10: readers load the
+// plane once per call, so no call sees a torn plane, and after the last
+// heal every encoding is bit-identical to the pristine one.
+func TestSeededPlaneHealUnderLoad(t *testing.T) {
+	e, err := NewSeeded(36, 700, Nonlinear, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := seededTestRows(9, 6, 36)
+	encode := func() ([]float64, []*hdc.BitVector) {
+		flat := make([]float64, len(xs)*e.OutDim)
+		if err := e.EncodeBatchInto(xs, flat, e.OutDim, 0); err != nil {
+			t.Error(err)
+		}
+		if err := e.EncodeInto(xs[0], flat[:e.OutDim]); err != nil {
+			t.Error(err)
+		}
+		bits := make([]*hdc.BitVector, len(xs))
+		for i := range bits {
+			bits[i] = hdc.NewBitVector(e.OutDim - 35)
+		}
+		if err := e.EncodeBitsRangeBatch(xs, 35, e.OutDim, bits); err != nil {
+			t.Error(err)
+		}
+		if err := e.EncodeBitsRange(xs[1], 35, e.OutDim, bits[1]); err != nil {
+			t.Error(err)
+		}
+		return flat, bits
+	}
+	wantF, wantB := encode()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					encode()
+				}
+			}
+		}()
+	}
+	inj, err := faults.NewInjector(2e-4, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		e.InjectFaults(inj)
+		if round%3 == 0 {
+			e.Heal()
+		}
+	}
+	e.Heal()
+	close(stop)
+	wg.Wait()
+
+	gotF, gotB := encode()
+	for i := range wantF {
+		if math.Float64bits(gotF[i]) != math.Float64bits(wantF[i]) {
+			t.Fatalf("float encoding differs at %d after the last heal", i)
+		}
+	}
+	for i := range wantB {
+		if !slices.Equal(gotB[i].Words, wantB[i].Words) {
+			t.Fatalf("row %d sign bits differ after the last heal", i)
+		}
 	}
 }
 

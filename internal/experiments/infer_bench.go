@@ -356,6 +356,6 @@ func RunInferSweep(opt Options) (*Table, *Table, error) {
 			maxD, sd.encodeKRows/st.encodeKRows, float64(st.stateBytes)/float64(sd.stateBytes))
 	}
 	predT.AddNote("both projections run the same blocked kernels except the projection step: a GEMM over the stored math/rand Gaussian matrix, or table lookups over splitmix64 Rademacher signs")
-	predT.AddNote("seeded regenerates its sign words and phases on every encode call, once per row block, and sums ceil(F/8) table lookups per component where stored does F multiply-adds")
+	predT.AddNote("seeded reads its sign bytes and phases from a resident plane built once from the seed, and sums ceil(F/8) table lookups per component where stored does F multiply-adds")
 	return encT, predT, nil
 }

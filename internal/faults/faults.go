@@ -86,6 +86,23 @@ func (in *Injector) InjectFloat64(data []float64) int {
 	return flips
 }
 
+// InjectBytes flips bits of byte storage, such as a seeded encoder's
+// index plane. It returns the number of flipped bits.
+func (in *Injector) InjectBytes(data []uint8) int {
+	if in.Pb <= 0 || len(data) == 0 {
+		return 0
+	}
+	totalBits := len(data) * 8
+	flips := 0
+	pos := geometricSkip(in.Pb, in.Rng)
+	for pos < totalBits {
+		data[pos/8] ^= 1 << uint(pos%8)
+		flips++
+		pos += 1 + geometricSkip(in.Pb, in.Rng)
+	}
+	return flips
+}
+
 // InjectWords flips bits of packed 64-bit storage planes — the binary
 // backend's sign and confidence-mask memories — treating the given
 // slices as one contiguous bit array so the geometric skip amortizes

@@ -10,9 +10,10 @@ import (
 )
 
 // Event types recorded by the journal. The set covers the reliability
-// lifecycle (scrub → quarantine/mask → repair → swap), tenant
-// residency churn, and model republishing, so the full self-healing
-// story of a serving process is reconstructible from the sequence.
+// lifecycle (encoder heal, scrub → quarantine/mask → repair → swap),
+// tenant residency churn, and model republishing, so the full
+// self-healing story of a serving process is reconstructible from the
+// sequence.
 const (
 	EvScrub          = "scrub"            // non-clean scrub verdict
 	EvQuarantine     = "quarantine"       // learner alpha-masked out of the vote
@@ -27,6 +28,7 @@ const (
 	EvTenantColdLoad = "tenant_cold_load" // tenant delta loaded from the store
 	EvTenantRebuild  = "tenant_rebuild"   // resident view rebuilt onto a new base
 	EvTenantCompact  = "tenant_compact"   // delta journal folded into a full record
+	EvEncoderHeal    = "encoder_heal"     // encoder plane regenerated from its stream roots
 )
 
 // Event is one journal entry. Seq is a process-monotonic sequence

@@ -314,6 +314,9 @@ func (e *entry) pendingNewerThan(version uint64) bool {
 
 // ScrubReport describes one scrub pass.
 type ScrubReport struct {
+	// EncoderHealed lists the learners whose encoder plane differed from
+	// its regeneration and was swapped for a fresh one this pass.
+	EncoderHealed []int `json:"encoder_healed,omitempty"`
 	// Adopted is true when the serving engine changed hands since the
 	// last pass (operator swap, trainer retrain): the monitor re-signed
 	// the new model instead of scrubbing signatures it no longer holds.
@@ -696,12 +699,13 @@ const (
 	quarantine         // the whole learner is alpha-masked out of the vote
 )
 
-// Scrub runs one detection pass: verify every healthy learner's segment
-// signatures, score the canary, record what failed in the verdict table,
-// and decide per learner — mask the corrupted segments, or quarantine
-// the whole learner when the damage is too broad (healthy fraction below
-// MinHealthyFraction), too critical (summed canary impact of the masked
-// segments past QuarantineDrop), or unattributable (a canary collapse).
+// Scrub runs one detection pass: heal the serving encoders' planes,
+// verify every healthy learner's segment signatures, score the canary,
+// record what failed in the verdict table, and decide per learner —
+// mask the corrupted segments, or quarantine the whole learner when the
+// damage is too broad (healthy fraction below MinHealthyFraction), too
+// critical (summed canary impact of the masked segments past
+// QuarantineDrop), or unattributable (a canary collapse).
 // When any mask changed, a rebuilt two-tier-masked engine installs
 // through the server's atomic swap. Fully quarantined learners are
 // skipped (their memory is known bad until repaired); already-masked
@@ -723,6 +727,17 @@ func (mo *Monitor) Scrub() (ScrubReport, error) {
 		mo.mu.Unlock()
 		mo.scrubs.Add(1)
 	}()
+
+	// The encoder check comes first, before adoption, signing and the
+	// canary: every query and canary row encodes through the planes, so
+	// a plane fault is healed before anything is judged on what it
+	// encoded, and class memory is never blamed for it. Tenant and
+	// masked views share the serving engine's encoders.
+	if hit := mo.srv.Engine().Model().HealEncoders(); hit != nil {
+		report.EncoderHealed = hit
+		mo.journal(obs.Event{Type: obs.EvEncoderHeal, Learners: hit,
+			Detail: "encoder plane regenerated from its stream roots"})
+	}
 
 	mo.mu.Lock()
 	if eng := mo.srv.Engine(); eng != mo.cur {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"boosthd/internal/boosthd"
+	"boosthd/internal/encoding"
 	"boosthd/internal/faults"
 	"boosthd/internal/hdc"
 	"boosthd/internal/infer"
@@ -21,6 +22,12 @@ import (
 
 // fixture trains a small fixed-seed ensemble and returns held-out rows.
 func fixture(t testing.TB, dim, nl int) (*boosthd.Model, [][]float64, []int) {
+	t.Helper()
+	return fixtureProj(t, dim, nl, encoding.ProjStored)
+}
+
+// fixtureProj is fixture with the encoder's projection mode chosen.
+func fixtureProj(t testing.TB, dim, nl int, proj encoding.Projection) (*boosthd.Model, [][]float64, []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(4321))
 	const n, features, classes = 300, 10, 3
@@ -64,6 +71,7 @@ func fixture(t testing.TB, dim, nl int) (*boosthd.Model, [][]float64, []int) {
 	cfg := boosthd.DefaultConfig(dim, nl, classes)
 	cfg.Epochs = 3
 	cfg.Seed = 7
+	cfg.Projection = proj
 	m, err := boosthd.Train(X[:200], y[:200], cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("boosthd_tenant_rows_total", "Rows served through the batcher pinned to a resolved tenant view.", float64(st.TenantRows))
 	counter("boosthd_coalesced_rows_total", "Served rows that shared their engine batch call with at least one other row.", float64(st.CoalescedRows))
 	gauge("boosthd_model_version", "Generation of the installed serving engine.", float64(st.ModelVersion))
-	gauge("boosthd_encoder_state_bytes", "Resident memory of the serving encoder stack (O(1) for the rematerialized projection).", float64(st.EncoderStateBytes))
+	gauge("boosthd_encoder_state_bytes", "Resident memory of the serving encoder stack: stored projection matrices plus every encoder plane (phases, activation constants, seeded sign bytes).", float64(st.EncoderStateBytes))
 	fmt.Fprintf(&b, "# HELP boosthd_model_info Serving model identity; constant 1, labeled by backend and encoder projection mode.\n")
 	fmt.Fprintf(&b, "# TYPE boosthd_model_info gauge\n")
 	fmt.Fprintf(&b, "boosthd_model_info{backend=%q,projection=%q} 1\n", st.Backend, st.Projection)

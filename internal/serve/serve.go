@@ -98,9 +98,9 @@ type Stats struct {
 	// actually landed on the serving path.
 	ModelVersion uint64
 	// EncoderStateBytes is the resident memory of the serving model's
-	// encoder stack (projection matrix, phases, activation cache); O(1)
-	// for the rematerialized projection. A swap to a differently encoded
-	// model shows up here.
+	// encoder stack: a stored projection matrix, if any, plus every
+	// sub-encoder's plane of phases, activation constants and seeded
+	// sign bytes. A swap to a differently encoded model shows up here.
 	EncoderStateBytes int
 	// Projection names the serving encoder's projection mode (stored or
 	// seeded), the axis the paper's memory/latency trade-off sweeps.
