@@ -643,10 +643,10 @@ func (m *Model) HealEncoders() []int {
 			continue
 		}
 		for i, p := range m.Enc.parts {
-			if p.enc != enc {
+			if p.Enc != enc {
 				continue
 			}
-			if k, _ := slices.BinarySearch(bad, p.lo); k < len(bad) && bad[k] < p.hi {
+			if k, _ := slices.BinarySearch(bad, p.Lo); k < len(bad) && bad[k] < p.Hi {
 				hit = append(hit, i)
 			}
 		}
@@ -741,14 +741,15 @@ func (m *Model) EmbeddedClassVectors() []hdc.Vector {
 // sign of each component is derived from the projection phase without
 // evaluating the trigonometric activation.
 func (m *Model) EncodeSegmentBits(x []float64, dst []*hdc.BitVector) error {
-	return m.Enc.EncodeSegmentBits(x, dst)
+	return m.Enc.parts.EncodeBits(x, dst)
 }
 
 // EncodeSegmentBitsBatch encodes a block of rows into per-segment sign
 // bits (dst[r][i] = row r, segment i) through the register-blocked batch
-// kernel — the binary engine's batch query path.
+// kernel, every segment in one call — the binary engine's batch query
+// path.
 func (m *Model) EncodeSegmentBitsBatch(X [][]float64, dst [][]*hdc.BitVector) error {
-	return m.Enc.EncodeSegmentBitsBatch(X, dst)
+	return m.Enc.parts.EncodeBitsBatch(X, dst)
 }
 
 // InvalidateCaches discards every learner's derived scoring state (cached

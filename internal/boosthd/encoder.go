@@ -17,17 +17,13 @@ import (
 // geometrically around the base gamma gives the ensemble multi-scale
 // views of the input — coarse kernels for broad structure, sharp kernels
 // for fine structure — which is diversity a single shared bandwidth
-// cannot provide.
+// cannot provide. Every entry point is one call into the encoding
+// package's stack kernels, which validate each row once and build its
+// lookup tables once for all segments.
 type encoderStack struct {
 	encs  []*encoding.Encoder // sub-encoders, back to back across the full width
-	parts []stackPart         // one per learner segment, in segment order
+	parts encoding.Stack      // one per learner segment, in segment order
 	out   int                 // full encoding width
-}
-
-// stackPart is one learner segment's source: components [lo,hi) of enc.
-type stackPart struct {
-	enc    *encoding.Encoder
-	lo, hi int
 }
 
 // newSubEncoder builds one projection for the stack, honoring the
@@ -58,7 +54,7 @@ func newEncoderStack(features int, cfg Config, gamma float64) (*encoderStack, er
 		}
 		s.encs = []*encoding.Encoder{enc}
 		for _, seg := range segs {
-			s.parts = append(s.parts, stackPart{enc, seg.lo, seg.hi})
+			s.parts = append(s.parts, encoding.Part{Enc: enc, Lo: seg.lo, Hi: seg.hi})
 		}
 		return s, nil
 	}
@@ -71,7 +67,7 @@ func newEncoderStack(features int, cfg Config, gamma float64) (*encoderStack, er
 			return nil, fmt.Errorf("boosthd: segment %d encoder: %w", i, err)
 		}
 		s.encs = append(s.encs, enc)
-		s.parts = append(s.parts, stackPart{enc, 0, enc.OutDim})
+		s.parts = append(s.parts, encoding.Part{Enc: enc, Lo: 0, Hi: enc.OutDim})
 	}
 	return s, nil
 }
@@ -83,31 +79,20 @@ func pow(base, exp float64) float64 {
 	return math.Pow(base, exp)
 }
 
-// Encode concatenates the sub-encoders' outputs into one full-width
+// Encode concatenates the segments' encodings into one full-width
 // hypervector, preserving the segment layout the learners expect.
 func (s *encoderStack) Encode(x []float64) (hdc.Vector, error) {
 	out := make(hdc.Vector, s.out)
-	off := 0
-	for _, enc := range s.encs {
-		if err := enc.EncodeInto(x, out[off:off+enc.OutDim]); err != nil {
-			return nil, err
-		}
-		off += enc.OutDim
+	if err := s.parts.EncodeInto(x, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // EncodeBatchInto writes row i's full-width encoding into
-// out[i*stride+offset:]: each sub-encoder runs its blocked kernel over
-// the whole batch and fills its slice of every row.
+// out[i*stride+offset:].
 func (s *encoderStack) EncodeBatchInto(xs [][]float64, out []float64, stride, offset int) error {
-	for _, enc := range s.encs {
-		if err := enc.EncodeBatchInto(xs, out, stride, offset); err != nil {
-			return err
-		}
-		offset += enc.OutDim
-	}
-	return nil
+	return s.parts.EncodeBatchInto(xs, out, stride, offset)
 }
 
 // EncodeBatch encodes every row into views of one flat allocation.
@@ -134,37 +119,4 @@ func (s *encoderStack) StateBytes() int {
 		total += enc.StateBytes()
 	}
 	return total
-}
-
-// EncodeSegmentBits writes the sign bits of learner segment i of x's
-// encoding into dst[i].
-func (s *encoderStack) EncodeSegmentBits(x []float64, dst []*hdc.BitVector) error {
-	if len(dst) != len(s.parts) {
-		return fmt.Errorf("boosthd: %d bit destinations for %d segments", len(dst), len(s.parts))
-	}
-	for i, p := range s.parts {
-		if err := p.enc.EncodeBitsRange(x, p.lo, p.hi, dst[i]); err != nil {
-			return fmt.Errorf("segment %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// EncodeSegmentBitsBatch writes the sign bits of learner segment i of
-// row r's encoding into dst[r][i], running each segment's range through
-// the register-blocked bits kernel for the whole row block.
-func (s *encoderStack) EncodeSegmentBitsBatch(xs [][]float64, dst [][]*hdc.BitVector) error {
-	if len(dst) != len(xs) {
-		return fmt.Errorf("boosthd: %d bit destinations for %d rows", len(dst), len(xs))
-	}
-	cols := make([]*hdc.BitVector, len(xs))
-	for i, p := range s.parts {
-		for r := range xs {
-			cols[r] = dst[r][i]
-		}
-		if err := p.enc.EncodeBitsRangeBatch(xs, p.lo, p.hi, cols); err != nil {
-			return fmt.Errorf("segment %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -11,12 +11,22 @@ import (
 	"boosthd/internal/hdc"
 )
 
-// TestSeededEncodeZeroAlloc: once its lookup scratch is pooled, a
-// single-row seeded encode allocates nothing, float or sign bits.
+// TestSeededEncodeZeroAlloc: once its kernel scratch is pooled, a
+// single-row seeded encode allocates nothing, float or sign bits, on a
+// lone encoder or a ten-part stack.
 func TestSeededEncodeZeroAlloc(t *testing.T) {
 	e, err := NewSeeded(36, 1000, Nonlinear, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	stack := make(Stack, 10)
+	stackBits := make([]*hdc.BitVector, len(stack))
+	for i := range stack {
+		sub, err := NewSeeded(36, 100, Nonlinear, int64(2+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack[i], stackBits[i] = Part{sub, 0, sub.OutDim}, hdc.NewBitVector(sub.OutDim)
 	}
 	x := seededTestRows(1, 1, 36)[0]
 	dst := make([]float64, e.OutDim)
@@ -26,6 +36,12 @@ func TestSeededEncodeZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := e.EncodeBitsRange(x, 0, e.OutDim, bits); err != nil {
+			t.Fatal(err)
+		}
+		if err := stack.EncodeInto(x, dst); err != nil {
+			t.Fatal(err)
+		}
+		if err := stack.EncodeBits(x, stackBits); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,14 +8,15 @@
 // An ID-level record encoder for symbolic/classic HDC pipelines completes
 // the set.
 //
-// Every entry point, single-row or batch, runs one of two blocked
-// kernels: a float kernel, and a sign-only kernel for the packed-binary
-// backend that skips the trigonometric evaluation entirely. Both sweep
-// the projection in tiles of 256 components and write into caller-owned
-// buffers. Only the projection step depends on the mode (see
-// Projection): a GEMM over a stored matrix, or table lookups indexed by
-// the sign bytes of a seeded encoder's plane. The activation and sign
-// steps after it are shared.
+// Every entry point, single-row or batch, lone encoder or Stack, runs
+// one of two blocked kernels: a float kernel, and a sign-only kernel for
+// the packed-binary backend that skips the trigonometric evaluation
+// entirely. Both sweep the projection in tiles of 256 components and
+// write into caller-owned buffers. Only the projection step depends on
+// the mode (see Projection): a GEMM over a stored matrix, or table
+// lookups indexed by the sign bytes of a seeded encoder's plane, with
+// the tables built once per row block for every part of a stack. The
+// activation and sign steps after it are shared.
 package encoding
 
 import (
@@ -26,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"boosthd/internal/hdc"
-	"boosthd/internal/par"
 )
 
 // Kind selects the activation applied to the random projection.
@@ -199,19 +199,17 @@ func (e *Encoder) checkRow(x []float64) error {
 	return CheckFeatures(x)
 }
 
+// onePart is components [lo,hi) of the encoder as a one-part stack.
+func (e *Encoder) onePart(lo, hi int) [1]Part {
+	return [1]Part{{e, lo, hi}}
+}
+
 // EncodeInto maps one feature vector into hyperspace, writing the result
-// into dst (length OutDim). It allocates nothing once warm: a seeded
-// encoder's lookup scratch comes from a pool.
+// into dst (length OutDim): the one-part case of Stack.EncodeInto, and
+// allocation-free once warm.
 func (e *Encoder) EncodeInto(x []float64, dst []float64) error {
-	if err := e.checkRow(x); err != nil {
-		return err
-	}
-	if len(dst) != e.OutDim {
-		return fmt.Errorf("encoding: dst length %d != OutDim %d", len(dst), e.OutDim)
-	}
-	xs := [1][]float64{x}
-	e.encodeRows(xs[:], dst, e.OutDim, 0)
-	return nil
+	s := e.onePart(0, e.OutDim)
+	return Stack(s[:]).EncodeInto(x, dst)
 }
 
 // Encode maps one feature vector into hyperspace.
@@ -242,31 +240,10 @@ const (
 
 // EncodeBatchInto encodes every row of xs into the caller-owned flat
 // buffer out: row i occupies out[i*stride+offset : i*stride+offset+OutDim].
-// stride >= offset+OutDim lets several encoders (e.g. BoostHD's
-// per-segment stack) share one row-major matrix. Rows are processed in
-// blocks across workers with the projection tiled for cache reuse.
+// It is the one-part case of Stack.EncodeBatchInto.
 func (e *Encoder) EncodeBatchInto(xs [][]float64, out []float64, stride, offset int) error {
-	if len(xs) == 0 {
-		return nil
-	}
-	if offset < 0 || stride < offset+e.OutDim {
-		return fmt.Errorf("encoding: stride %d cannot hold OutDim %d at offset %d", stride, e.OutDim, offset)
-	}
-	if len(out) < len(xs)*stride {
-		return fmt.Errorf("encoding: out length %d < %d rows * stride %d", len(out), len(xs), stride)
-	}
-	for i, x := range xs {
-		if err := e.checkRow(x); err != nil {
-			return fmt.Errorf("encoding: row %d: %w", i, err)
-		}
-	}
-	blocks := (len(xs) + encodeRowBlock - 1) / encodeRowBlock
-	return par.ForEach(blocks, func(blk int) error {
-		lo := blk * encodeRowBlock
-		hi := min(lo+encodeRowBlock, len(xs))
-		e.encodeRows(xs[lo:hi], out[lo*stride:], stride, offset)
-		return nil
-	})
+	s := e.onePart(0, e.OutDim)
+	return Stack(s[:]).EncodeBatchInto(xs, out, stride, offset)
 }
 
 // EncodeBatch maps a batch of feature vectors. The returned hypervectors
@@ -378,36 +355,6 @@ func (e *Encoder) activate(s, b, hsb, d []float64) {
 	}
 }
 
-// encodeRows is the blocked float kernel behind every float entry point:
-// row i of xs is encoded into out[i*stride+offset : i*stride+offset+OutDim].
-// Rows run in blocks (all of xs on a stored encoder, a lookup block on a
-// seeded one), dimension tiles inside a block; each tile is swept four
-// rows at a time, reading the plane loaded once per call.
-//
-//hd:hotpath
-func (e *Encoder) encodeRows(xs [][]float64, out []float64, stride, offset int) {
-	var acc [4][encodeDimBlock]float64
-	p := e.plane.Load()
-	lk, step := e.getLookup(len(xs))
-	if lk != nil {
-		defer putLookup(lk)
-	}
-	for r0 := 0; r0 < len(xs); r0 += step {
-		blk := xs[r0:min(r0+step, len(xs))]
-		if lk != nil {
-			lk.buildTables(blk)
-		}
-		for j0 := 0; j0 < e.OutDim; j0 += encodeDimBlock {
-			b, hsb := p.tile(j0, min(j0+encodeDimBlock, e.OutDim))
-			for i := 0; i < len(blk); i += 4 {
-				for k := range e.project(p, lk, blk, i, j0, len(b), &acc) {
-					e.activate(acc[k][:len(b)], b, hsb, out[(r0+i+k)*stride+offset+j0:])
-				}
-			}
-		}
-	}
-}
-
 const invTwoPi = 1 / (2 * math.Pi)
 
 // phaseFrac returns t/(2*pi) mod 1 in [0,1) — the quadrant information the
@@ -485,68 +432,23 @@ func (e *Encoder) signWords(s, b []float64, d []uint64) {
 // into dst: bit k of dst is set iff component lo+k of the real encoding is
 // >= 0. For the trigonometric kinds the sign is derived from the phase
 // quadrants directly — sign(cos(d+b)*sin(d)) = sign(cos(d+b))*sign(sin(d))
-// — so the packed-binary backend never evaluates sin or cos at all.
+// — so the packed-binary backend never evaluates sin or cos at all. It is
+// the one-part case of Stack.EncodeBits, and allocation-free once warm.
 func (e *Encoder) EncodeBitsRange(x []float64, lo, hi int, dst *hdc.BitVector) error {
-	xs, ds := [1][]float64{x}, [1]*hdc.BitVector{dst}
-	return e.EncodeBitsRangeBatch(xs[:], lo, hi, ds[:])
+	s, ds := e.onePart(lo, hi), [1]*hdc.BitVector{dst}
+	return Stack(s[:]).EncodeBits(x, ds[:])
 }
 
 // EncodeBitsRangeBatch encodes components [lo,hi) of every row of xs into
 // dst: bit k of dst[r] is the sign bit of component lo+k of row r's
-// encoding. Rows run through the same blocked projection as the float
-// kernel, and bits are assembled in registers and flushed a whole 64-bit
-// word at a time.
+// encoding. It is the one-part case of Stack.EncodeBitsBatch.
 func (e *Encoder) EncodeBitsRangeBatch(xs [][]float64, lo, hi int, dst []*hdc.BitVector) error {
-	if len(dst) != len(xs) {
-		return fmt.Errorf("encoding: %d bit destinations for %d rows", len(dst), len(xs))
+	rows := make([][]*hdc.BitVector, len(dst))
+	for r := range dst {
+		rows[r] = dst[r : r+1]
 	}
-	for i, x := range xs {
-		if err := e.checkRow(x); err != nil {
-			return fmt.Errorf("encoding: row %d: %w", i, err)
-		}
-	}
-	if lo < 0 || hi > e.OutDim || lo > hi {
-		return fmt.Errorf("encoding: bit range [%d,%d) outside [0,%d)", lo, hi, e.OutDim)
-	}
-	// Destinations must be exactly the range width: the kernel stores
-	// whole 64-bit words, so a wider vector would have bits beyond the
-	// range zeroed.
-	for i, d := range dst {
-		if d.N != hi-lo {
-			return fmt.Errorf("encoding: row %d bit destination dim %d != range width %d", i, d.N, hi-lo)
-		}
-	}
-	e.encodeBitsRows(xs, lo, hi, dst)
-	return nil
-}
-
-// encodeBitsRows is the blocked sign-bit kernel behind every bit entry
-// point: encodeRows' loop over [lo,hi) with signWords as the last step.
-// Tiles span whole 64-bit words, so each row stores complete words.
-//
-//hd:hotpath
-func (e *Encoder) encodeBitsRows(xs [][]float64, lo, hi int, dst []*hdc.BitVector) {
-	var acc [4][encodeDimBlock]float64
-	p := e.plane.Load()
-	lk, step := e.getLookup(len(xs))
-	if lk != nil {
-		defer putLookup(lk)
-	}
-	for r0 := 0; r0 < len(xs); r0 += step {
-		blk := xs[r0:min(r0+step, len(xs))]
-		if lk != nil {
-			lk.buildTables(blk)
-		}
-		for t0 := lo; t0 < hi; t0 += encodeDimBlock {
-			b, _ := p.tile(t0, min(t0+encodeDimBlock, hi))
-			word := (t0 - lo) / 64
-			for i := 0; i < len(blk); i += 4 {
-				for k := range e.project(p, lk, blk, i, t0, len(b), &acc) {
-					e.signWords(acc[k][:len(b)], b, dst[r0+i+k].Words[word:])
-				}
-			}
-		}
-	}
+	s := e.onePart(lo, hi)
+	return Stack(s[:]).EncodeBitsBatch(xs, rows)
 }
 
 // ProjectionMatrix returns a copy of the OutDim x InDim projection weights;

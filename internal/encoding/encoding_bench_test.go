@@ -136,28 +136,63 @@ func BenchmarkIDLevelEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeBitsRow measures one row through ten seeded 36x1000
-// sub-encoders — the sign-bit encode of a lone /predict on the packed
-// binary backend at Dtotal=10000 with ten learners. It is not pinned in
-// BENCH_baseline.json.
-func BenchmarkEncodeBitsRow(b *testing.B) {
-	encs := make([]*Encoder, 10)
-	dst := make([]*hdc.BitVector, len(encs))
-	for i := range encs {
+// benchStack builds the stack of a packed-binary model at Dtotal=10000
+// with ten learners: ten seeded 36x1000 sub-encoders, one part each, and
+// per-row bit destinations for n rows.
+func benchStack(b *testing.B, n int) (Stack, [][]*hdc.BitVector) {
+	b.Helper()
+	s := make(Stack, 10)
+	for i := range s {
 		e, err := NewSeeded(36, 1000, Nonlinear, int64(1+i*7717))
 		if err != nil {
 			b.Fatal(err)
 		}
-		encs[i], dst[i] = e, hdc.NewBitVector(e.OutDim)
+		s[i] = Part{Enc: e, Lo: 0, Hi: e.OutDim}
 	}
+	dst := make([][]*hdc.BitVector, n)
+	for r := range dst {
+		dst[r] = make([]*hdc.BitVector, len(s))
+		for i := range dst[r] {
+			dst[r][i] = hdc.NewBitVector(1000)
+		}
+	}
+	return s, dst
+}
+
+// BenchmarkEncodeBitsRow measures one row through the stack entry point
+// of ten seeded 36x1000 sub-encoders — the sign-bit encode of a lone
+// /predict on the packed binary backend at Dtotal=10000 with ten
+// learners. It is not pinned in BENCH_baseline.json.
+func BenchmarkEncodeBitsRow(b *testing.B) {
+	s, dst := benchStack(b, 1)
 	x := benchInput(36)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k, e := range encs {
-			if err := e.EncodeBitsRange(x, 0, e.OutDim, dst[k]); err != nil {
-				b.Fatal(err)
-			}
+		if err := s.EncodeBits(x, dst[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeBitsStackBatch measures 64 rows through the same stack
+// on one goroutine — the sign-bit encode work of one 64-row
+// /predict_batch call. It is not pinned in BENCH_baseline.json.
+func BenchmarkEncodeBitsStackBatch(b *testing.B) {
+	s, dst := benchStack(b, 64)
+	rng := rand.New(rand.NewSource(2))
+	xs := make([][]float64, len(dst))
+	for i := range xs {
+		xs[i] = make([]float64, 36)
+		for j := range xs[i] {
+			xs[i][j] = rng.NormFloat64()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.EncodeBitsBatch(xs, dst); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -218,16 +218,25 @@ func (e *Encoder) InjectFaults(inj *faults.Injector) int {
 	return flips
 }
 
-// lookup is the seeded kernels' scratch. For a block of rows it holds
+// lookup holds the seeded kernels' tables. For a block of rows it holds
 // ⌈InDim/8⌉ tables of 256 signed partial sums per row: entry b of table
 // g is the index-order sum over features 8g..8g+7 of +x_k where bit k-8g
 // of b is set and -x_k where it is clear. A component's projection is
 // then ⌈InDim/8⌉ table lookups, indexed by its plane bytes and summed in
 // group order, instead of InDim multiply-adds. That order defines the
-// seeded encoder's projection.
+// seeded encoder's projection. The tables depend only on the rows and
+// InDim, so every seeded part of a stack reads the same ones.
 type lookup struct {
 	groups int
 	tabs   []float64 // [row][group][256]
+}
+
+// scratch is one kernel call's pooled state: every part's plane, loaded
+// once per call so a call in flight finishes on the planes it loaded,
+// and the lookup tables of the current row block.
+type scratch struct {
+	planes []*plane
+	lookup
 }
 
 // lookupBytes bounds a lookup block's tables, so they stay cache
@@ -235,38 +244,52 @@ type lookup struct {
 // at encodeRowBlock and never sized by the request.
 const lookupBytes = 160 << 10
 
-// lookupPool recycles lookup scratch across kernel calls: a single-row
-// call would otherwise allocate its tables every time.
-var lookupPool sync.Pool
+// scratchPool recycles kernel scratch across calls: a single-row call
+// would otherwise allocate its tables every time.
+var scratchPool sync.Pool
 
-// getLookup returns nil and n on a stored encoder, whose kernels sweep
-// all n rows per tile. On a seeded encoder it returns pooled lookup
-// scratch and the rows per lookup block, sized for n rows at most.
-func (e *Encoder) getLookup(n int) (*lookup, int) {
-	if e.w != nil {
-		return nil, n
+// getScratch returns pooled scratch holding the parts' planes, and the
+// rows per block. A stack without a seeded part builds no tables and
+// sweeps all n rows per tile; otherwise a block is a lookup block, sized
+// for n rows at most.
+func (s Stack) getScratch(n int) (*scratch, int) {
+	sc, _ := scratchPool.Get().(*scratch)
+	if sc == nil {
+		sc = new(scratch)
 	}
-	groups := (e.InDim + 7) / 8
+	seeded := false
+	for _, pt := range s {
+		sc.planes = append(sc.planes, pt.Enc.plane.Load())
+		seeded = seeded || pt.Enc.w == nil
+	}
+	if !seeded {
+		sc.groups = 0
+		return sc, n
+	}
+	groups := (s[0].Enc.InDim + 7) / 8
 	rows := max(min(lookupBytes/(groups*256*8), encodeRowBlock, n), 1)
-	lk, _ := lookupPool.Get().(*lookup)
-	if lk == nil {
-		lk = new(lookup)
+	sc.groups = groups
+	if cap(sc.tabs) < rows*groups*256 {
+		sc.tabs = make([]float64, rows*groups*256)
 	}
-	lk.groups = groups
-	if cap(lk.tabs) < rows*groups*256 {
-		lk.tabs = make([]float64, rows*groups*256)
-	}
-	lk.tabs = lk.tabs[:rows*groups*256]
-	return lk, rows
+	sc.tabs = sc.tabs[:rows*groups*256]
+	return sc, rows
 }
 
-func putLookup(lk *lookup) { lookupPool.Put(lk) }
+// putScratch returns scratch to the pool without its plane references,
+// so a pooled scratch never keeps a replaced plane alive.
+func putScratch(sc *scratch) {
+	clear(sc.planes)
+	sc.planes = sc.planes[:0]
+	scratchPool.Put(sc)
+}
 
-// buildTables fills the tables of rows xs, at most one lookup block. Each
-// table doubles feature by feature: after feature k, entries b < 2^(k+1)
-// hold the signed sums over the group's first k+1 features, each
-// accumulated in index order. Starting from ±x rather than 0 + ±x can
-// only turn a +0 entry into -0, which sumTables' +0 start absorbs.
+// buildTables fills the tables of rows xs, at most one lookup block; with
+// no groups it does nothing. Each table doubles feature by feature:
+// after feature k, entries b < 2^(k+1) hold the signed sums over the
+// group's first k+1 features, each accumulated in index order. Starting
+// from ±x rather than 0 + ±x can only turn a +0 entry into -0, which
+// sumTables' +0 start absorbs.
 //
 //hd:hotpath
 func (lk *lookup) buildTables(xs [][]float64) {
@@ -292,29 +315,56 @@ func (lk *lookup) buildTables(xs [][]float64) {
 // tab_g[ix[g*stride+t]], where ix is the plane's index bytes from the
 // first component on and stride the plane's row length, OutDim.
 // Group-major, so components are independent and no add chain
-// serializes the loop; four groups share a pass, so acc is loaded and
-// stored once per four lookups. The sum still runs left to right, from
-// +0, in group order.
+// serializes the loop, and in as few passes over acc as it can: the
+// first pass writes acc from +0, with no clear, taking one to three
+// groups, four, or five (a lone group joined to a four); every later
+// pass adds four. Up to five groups (InDim <= 40) that is one pass. The
+// sum runs left to right, from +0, in group order. A row's tables are
+// contiguous, so a pass reads all of its groups' tables from one base
+// at fixed offsets, which keeps its index rows and acc in registers.
 //
 //hd:hotpath
 func (lk *lookup) sumTables(r int, ix []uint8, stride int, acc []float64) {
-	clear(acc)
-	n := len(acc)
-	tabs := lk.tabs[r*lk.groups*256:]
-	g := 0
-	for ; g+4 <= lk.groups; g += 4 {
-		t0, t1 := (*[256]float64)(tabs[g*256:]), (*[256]float64)(tabs[(g+1)*256:])
-		t2, t3 := (*[256]float64)(tabs[(g+2)*256:]), (*[256]float64)(tabs[(g+3)*256:])
-		i0, i1 := ix[g*stride:][:n], ix[(g+1)*stride:][:n]
-		i2, i3 := ix[(g+2)*stride:][:n], ix[(g+3)*stride:][:n]
+	n, G := len(acc), lk.groups
+	tabs := lk.tabs[r*G*256:]
+	w := (G-1)%4 + 1
+	if w == 1 && G > 1 {
+		w = 5
+	}
+	i0 := ix[:n]
+	switch w {
+	case 1:
+		tb := (*[256]float64)(tabs)
 		for t := range acc {
-			acc[t] = acc[t] + t0[i0[t]] + t1[i1[t]] + t2[i2[t]] + t3[i3[t]]
+			acc[t] = 0 + tb[i0[t]]
+		}
+	case 2:
+		tb, i1 := (*[2 * 256]float64)(tabs), ix[stride:][:n]
+		for t := range acc {
+			acc[t] = 0 + tb[i0[t]] + tb[256+int(i1[t])]
+		}
+	case 3:
+		tb, i1, i2 := (*[3 * 256]float64)(tabs), ix[stride:][:n], ix[2*stride:][:n]
+		for t := range acc {
+			acc[t] = 0 + tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])]
+		}
+	case 4:
+		tb, i1, i2, i3 := (*[4 * 256]float64)(tabs), ix[stride:][:n], ix[2*stride:][:n], ix[3*stride:][:n]
+		for t := range acc {
+			acc[t] = 0 + tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])] + tb[768+int(i3[t])]
+		}
+	default:
+		tb, i1, i2, i3 := (*[5 * 256]float64)(tabs), ix[stride:][:n], ix[2*stride:][:n], ix[3*stride:][:n]
+		i4 := ix[4*stride:][:n]
+		for t := range acc {
+			acc[t] = 0 + tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])] + tb[768+int(i3[t])] + tb[1024+int(i4[t])]
 		}
 	}
-	for ; g < lk.groups; g++ {
-		tab := (*[256]float64)(tabs[g*256:])
-		for t, i := range ix[g*stride:][:n] {
-			acc[t] += tab[i]
+	for g := w; g < G; g += 4 {
+		tb, i0, i1 := (*[4 * 256]float64)(tabs[g*256:]), ix[g*stride:][:n], ix[(g+1)*stride:][:n]
+		i2, i3 := ix[(g+2)*stride:][:n], ix[(g+3)*stride:][:n]
+		for t := range acc {
+			acc[t] = acc[t] + tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])] + tb[768+int(i3[t])]
 		}
 	}
 }

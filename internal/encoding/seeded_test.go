@@ -336,32 +336,65 @@ func TestSeededPlaneHeal(t *testing.T) {
 }
 
 // TestSeededPlaneHealUnderLoad runs encoders of every entry point, float
-// and sign bits, one row and batches, while another goroutine injects
-// plane faults and heals. Run it with -race -count=10: readers load the
-// plane once per call, so no call sees a torn plane, and after the last
-// heal every encoding is bit-identical to the pristine one.
+// and sign bits, one row and batches, lone encoder and stack, while
+// another goroutine injects plane faults and heals. Run it with -race
+// -count=10: readers load each plane once per call, so no call sees a
+// torn plane, and after the last heal every encoding is bit-identical to
+// the pristine one.
 func TestSeededPlaneHealUnderLoad(t *testing.T) {
 	e, err := NewSeeded(36, 700, Nonlinear, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A stack of e's ranges and two more encoders: a shared encoder's
+	// parts and per-part encoders in one call.
+	stack := Stack{{e, 0, 300}, {e, 300, 700}}
+	encs := []*Encoder{e}
+	for i, kind := range []Kind{RFF, Linear} {
+		o, err := NewSeeded(36, 200+50*i, kind, int64(20+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack, encs = append(stack, Part{o, 0, o.OutDim}), append(encs, o)
+	}
+	const width = 700 + 200 + 250
 	xs := seededTestRows(9, 6, 36)
 	encode := func() ([]float64, []*hdc.BitVector) {
-		flat := make([]float64, len(xs)*e.OutDim)
+		flat := make([]float64, len(xs)*(e.OutDim+width))
 		if err := e.EncodeBatchInto(xs, flat, e.OutDim, 0); err != nil {
 			t.Error(err)
 		}
 		if err := e.EncodeInto(xs[0], flat[:e.OutDim]); err != nil {
 			t.Error(err)
 		}
-		bits := make([]*hdc.BitVector, len(xs))
+		sf := flat[len(xs)*e.OutDim:]
+		if err := stack.EncodeBatchInto(xs, sf, width, 0); err != nil {
+			t.Error(err)
+		}
+		if err := stack.EncodeInto(xs[2], sf[2*width:3*width]); err != nil {
+			t.Error(err)
+		}
+		bits := make([]*hdc.BitVector, len(xs)*(1+len(stack)))
 		for i := range bits {
 			bits[i] = hdc.NewBitVector(e.OutDim - 35)
 		}
-		if err := e.EncodeBitsRangeBatch(xs, 35, e.OutDim, bits); err != nil {
+		if err := e.EncodeBitsRangeBatch(xs, 35, e.OutDim, bits[:len(xs)]); err != nil {
 			t.Error(err)
 		}
 		if err := e.EncodeBitsRange(xs[1], 35, e.OutDim, bits[1]); err != nil {
+			t.Error(err)
+		}
+		rows := make([][]*hdc.BitVector, len(xs))
+		for r := range rows {
+			rows[r] = bits[len(xs)+r*len(stack) : len(xs)+(r+1)*len(stack)]
+			for i, pt := range stack {
+				rows[r][i] = hdc.NewBitVector(pt.Hi - pt.Lo)
+			}
+		}
+		if err := stack.EncodeBitsBatch(xs, rows); err != nil {
+			t.Error(err)
+		}
+		if err := stack.EncodeBits(xs[3], rows[3]); err != nil {
 			t.Error(err)
 		}
 		return flat, bits
@@ -389,12 +422,16 @@ func TestSeededPlaneHealUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 20; round++ {
-		e.InjectFaults(inj)
-		if round%3 == 0 {
-			e.Heal()
+		for _, enc := range encs {
+			enc.InjectFaults(inj)
+			if round%3 == 0 {
+				enc.Heal()
+			}
 		}
 	}
-	e.Heal()
+	for _, enc := range encs {
+		enc.Heal()
+	}
 	close(stop)
 	wg.Wait()
 

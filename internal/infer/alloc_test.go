@@ -38,7 +38,7 @@ func TestPredictBatchOneRowAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("one-row binary PredictBatch: %v allocs", allocs)
-	if allocs > 16 {
-		t.Fatalf("one-row binary PredictBatch allocates %v times, want <= 16", allocs)
+	if allocs > 9 {
+		t.Fatalf("one-row binary PredictBatch allocates %v times, want <= 9", allocs)
 	}
 }

@@ -123,6 +123,9 @@ func TestEncoderHealDrill(t *testing.T) {
 			if heals != 1 {
 				t.Fatalf("%d encoder_heal events, want 1: %+v", heals, events)
 			}
+			if got := mon.Status().EncoderHeals; got != uint64(len(hit)) {
+				t.Fatalf("status counts %d encoder heals, want %d (the learners healed)", got, len(hit))
+			}
 
 			got, err := srv.Engine().PredictBatch(X)
 			if err != nil {

@@ -394,6 +394,9 @@ type Monitor struct {
 	quarantines atomic.Uint64
 	repairs     atomic.Uint64
 	repairFails atomic.Uint64
+	// encoderHeals counts the learners named by encoder_heal events,
+	// the unit repairs counts in.
+	encoderHeals atomic.Uint64
 
 	loopMu sync.Mutex
 	stop   chan struct{}
@@ -735,6 +738,7 @@ func (mo *Monitor) Scrub() (ScrubReport, error) {
 	// masked views share the serving engine's encoders.
 	if hit := mo.srv.Engine().Model().HealEncoders(); hit != nil {
 		report.EncoderHealed = hit
+		mo.encoderHeals.Add(uint64(len(hit)))
 		mo.journal(obs.Event{Type: obs.EvEncoderHeal, Learners: hit,
 			Detail: "encoder plane regenerated from its stream roots"})
 	}
@@ -1406,6 +1410,7 @@ func (mo *Monitor) Status() serve.ReliabilityStatus {
 		Detections:   mo.detections.Load(),
 		Quarantines:  mo.quarantines.Load(),
 		Repairs:      mo.repairs.Load(),
+		EncoderHeals: mo.encoderHeals.Load(),
 		RepairFails:  mo.repairFails.Load(),
 		CanaryRows:   len(mo.canaryX),
 		LastScrubMS:  mo.lastScrubMS,

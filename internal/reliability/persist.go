@@ -43,6 +43,7 @@ type persistedState struct {
 	Quarantines      uint64             `json:"quarantines"`
 	Repairs          uint64             `json:"repairs"`
 	RepairFails      uint64             `json:"repair_failures"`
+	EncoderHeals     uint64             `json:"encoder_heals,omitempty"`
 }
 
 // SaveState persists the health ledger and criticality baselines to
@@ -66,6 +67,7 @@ func (mo *Monitor) SaveState(path string) error {
 		Quarantines:      mo.quarantines.Load(),
 		Repairs:          mo.repairs.Load(),
 		RepairFails:      mo.repairFails.Load(),
+		EncoderHeals:     mo.encoderHeals.Load(),
 	}
 	for i, e := range mo.ledger {
 		st.Learners[i] = persistedLearner{
@@ -157,6 +159,7 @@ func (mo *Monitor) LoadState(path string) error {
 	mo.quarantines.Store(st.Quarantines)
 	mo.repairs.Store(st.Repairs)
 	mo.repairFails.Store(st.RepairFails)
+	mo.encoderHeals.Store(st.EncoderHeals)
 	return nil
 }
 

@@ -51,6 +51,9 @@ func TestStateRoundTrip(t *testing.T) {
 	if _, err := mo.Scrub(); err != nil {
 		t.Fatal(err)
 	}
+	// The fixture's stored encoders have no plane to heal; stand in for
+	// a scrub that healed two learners' encoder planes.
+	mo.encoderHeals.Add(2)
 	before := mo.Status()
 	if before.Detections == 0 {
 		t.Fatal("fixture: scrub detected nothing; state has no history to persist")
@@ -74,7 +77,7 @@ func TestStateRoundTrip(t *testing.T) {
 	after := mo2.Status()
 	if after.Scrubs != before.Scrubs || after.Detections != before.Detections ||
 		after.Quarantines != before.Quarantines || after.Repairs != before.Repairs ||
-		after.RepairFails != before.RepairFails {
+		after.RepairFails != before.RepairFails || after.EncoderHeals != before.EncoderHeals {
 		t.Fatalf("counters: saved %+v, restored %+v", before, after)
 	}
 	if len(after.Ledger) != len(before.Ledger) {

@@ -127,6 +127,7 @@ type ReliabilityStatus struct {
 	Detections   uint64          `json:"detections"`      // corruption events detected
 	Quarantines  uint64          `json:"quarantines"`     // learners quarantined (cumulative)
 	Repairs      uint64          `json:"repairs"`         // learners repaired (cumulative)
+	EncoderHeals uint64          `json:"encoder_heals"`   // learners named by encoder plane heals (cumulative)
 	RepairFails  uint64          `json:"repair_failures"` // repair attempts that failed
 	CanaryRows   int             `json:"canary_rows"`     // held-out canary set size (0 = integrity-only)
 	LastScrubMS  float64         `json:"last_scrub_ms"`   // duration of the most recent scrub pass

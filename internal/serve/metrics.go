@@ -120,6 +120,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 		counter("boosthd_reliability_detections_total", "Corruption events detected.", float64(rst.Detections))
 		counter("boosthd_reliability_quarantines_total", "Learners quarantined (cumulative).", float64(rst.Quarantines))
 		counter("boosthd_reliability_repairs_total", "Learners repaired (cumulative).", float64(rst.Repairs))
+		counter("boosthd_reliability_encoder_heals_total", "Learners named by encoder plane heals (cumulative).", float64(rst.EncoderHeals))
 		counter("boosthd_reliability_repair_failures_total", "Repair attempts that failed.", float64(rst.RepairFails))
 		gauge("boosthd_reliability_canary_rows", "Held-out canary rows (0 = integrity-only scrubbing).", float64(rst.CanaryRows))
 		gauge("boosthd_reliability_last_scrub_duration_seconds", "Duration of the most recent scrub pass.", rst.LastScrubMS/1e3)

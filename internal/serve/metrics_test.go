@@ -48,15 +48,16 @@ func metricLine(t *testing.T, body, name string) string {
 // subsystem is configured.
 func TestMetricsEndpoint(t *testing.T) {
 	rel := &fakeReliability{st: ReliabilityStatus{
-		Degraded:    true,
-		Learners:    3,
-		Quarantined: []int{2},
-		DimMasked:   []int{0},
-		MaskedWords: 7,
-		Scrubs:      11,
-		Detections:  2,
-		Repairs:     1,
-		LastScrubMS: 250,
+		Degraded:     true,
+		Learners:     3,
+		Quarantined:  []int{2},
+		DimMasked:    []int{0},
+		MaskedWords:  7,
+		Scrubs:       11,
+		Detections:   2,
+		Repairs:      1,
+		LastScrubMS:  250,
+		EncoderHeals: 4,
 		Ledger: []LearnerHealth{
 			{State: "degraded", HealthyFraction: 0.75, MaskedWords: 7},
 			{State: "healthy", HealthyFraction: 1},
@@ -87,6 +88,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"boosthd_reliability_quarantined_learners 1",
 		"boosthd_reliability_dim_masked_learners 1",
 		"boosthd_reliability_scrubs_total 11",
+		"boosthd_reliability_encoder_heals_total 4",
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("exposition missing %q", want)

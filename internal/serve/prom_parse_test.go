@@ -209,7 +209,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := &fakeReliability{st: ReliabilityStatus{
-		Learners: 4, Quarantined: []int{1}, MaskedWords: 3,
+		Learners: 4, Quarantined: []int{1}, MaskedWords: 3, EncoderHeals: 2,
 		Ledger: []LearnerHealth{{State: "healthy", HealthyFraction: 1}, {State: "quarantined"}},
 	}}
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{Tenants: reg, Reliability: rel}))
@@ -251,7 +251,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		"boosthd_stage_seconds_total",
 		"boosthd_trace_sample_every", "boosthd_trace_sampled_total", "boosthd_events_total",
 		"boosthd_tenant_evictions_total", "boosthd_tenant_residents", "boosthd_tenant_cache_capacity",
-		"boosthd_reliability_quarantined_learners",
+		"boosthd_reliability_quarantined_learners", "boosthd_reliability_encoder_heals_total",
 	}
 	var missing []string
 	for _, name := range want {
@@ -270,6 +270,9 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		if smp.name == "boosthd_request_seconds_count" && smp.value < 8 {
 			t.Fatalf("request histogram count %g, want >= 8", smp.value)
 		}
+	}
+	if smp := fams["boosthd_reliability_encoder_heals_total"].samples; len(smp) != 1 || smp[0].value != 2 {
+		t.Fatalf("encoder heals counter: %+v, want one sample of 2", smp)
 	}
 	// Stage accounting carries backend+stage labels.
 	for _, smp := range fams["boosthd_stage_seconds_total"].samples {
