@@ -11,9 +11,10 @@ import (
 // These are the encode and scoring kernels whose throughput the benchmark
 // guard defends; a stray append or fmt call inside one turns a
 // zero-allocation batch loop into a GC treadmill. Scratch space must
-// arrive via parameters or pools (plain calls are fine — getLookup/putLookup
-// pass), so the forbidden set is purely syntactic: append/make/new, slice
-// and map literals, closures, fmt calls, and string concatenation.
+// arrive via parameters or pools (plain calls are fine — getScratch and
+// putScratch pass), so the forbidden set is purely syntactic:
+// append/make/new, slice and map literals, closures, fmt calls, and
+// string concatenation.
 // Fixed-size array literals are allowed: they live on the stack.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
