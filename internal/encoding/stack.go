@@ -56,7 +56,7 @@ func (s Stack) checkRows(xs [][]float64) error {
 
 // EncodeInto writes x's float encoding into dst, the parts back to back;
 // len(dst) must be the parts' summed width. It allocates nothing once
-// warm: lookup scratch comes from a pool.
+// warm: kernel scratch comes from a pool.
 func (s Stack) EncodeInto(x, dst []float64) error {
 	w, err := s.width()
 	if err != nil {

@@ -1,7 +1,7 @@
 //go:build !race
 
 // The race detector makes sync.Pool drop items at random, so the seeded
-// encoder's pooled lookup scratch reallocates and allocation pins hold
+// encoder's pooled kernel scratch reallocates and allocation pins hold
 // only in a normal build.
 
 package infer
