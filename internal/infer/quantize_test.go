@@ -4,12 +4,14 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
 	"boosthd/internal/boosthd"
+	"boosthd/internal/faults"
 	"boosthd/internal/hdc"
 )
 
@@ -254,4 +256,85 @@ func TestSelectBitsEveryRank(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenWordFaultDigests pins the write paths over the packed planes:
+// InjectWordFaults under a seeded injector ("inject"), then
+// ApplyWordRepair over a deterministic transform that keeps the stored
+// popcounts ("repair") and one that recounts them ("recount"). Each
+// digest folds the flip count, every learner's and class's sign and
+// mask words and every stored mask popcount. A change to how snapshots
+// hold or copy their planes must leave all three unchanged.
+var goldenWordFaultDigests = map[string]uint64{
+	"inject":  0x39069cc1d5b4f9f8,
+	"repair":  0xeba67f63acbe268c,
+	"recount": 0x39c7312761fdaf0e,
+}
+
+// planeStateDigest folds a binary model's current planes, its stored
+// mask popcounts and flips into one digest.
+func planeStateDigest(bm *BinaryModel, flips int) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(w uint64) {
+		binary.LittleEndian.PutUint64(b[:], w)
+		h.Write(b[:])
+	}
+	put(uint64(flips))
+	bm.ReadPlanes(func(learner, class int, _ uint64, sign, mask []uint64) {
+		put(uint64(learner))
+		put(uint64(class))
+		for _, w := range sign {
+			put(w)
+		}
+		for _, w := range mask {
+			put(w)
+		}
+	})
+	for _, ones := range bm.snap.Load().maskOnes {
+		for _, n := range ones {
+			put(math.Float64bits(n))
+		}
+	}
+	return h.Sum64()
+}
+
+// wordTransform rewrites every sign and mask word as a function of its
+// learner, class and word index: signs are XORed with a mixed pattern,
+// masks rotated and thinned, padding bits included.
+func wordTransform(learner, class int, sign, mask []uint64) {
+	for w := range sign {
+		k := uint64(learner*131+class*17+w) + 1
+		sign[w] ^= k * 0x9e3779b97f4a7c15
+		mask[w] = bits.RotateLeft64(mask[w], learner+class+1) &^ (k * 0xbf58476d1ce4e5b9 >> 7)
+	}
+}
+
+// TestWordFaultGoldenDigest pins InjectWordFaults and ApplyWordRepair bit
+// for bit on segments whose widths leave padding bits in the last word.
+func TestWordFaultGoldenDigest(t *testing.T) {
+	m, _, _ := fixture(t, 1003, 4)
+	bm, err := Quantize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, flips int) {
+		t.Helper()
+		if got, want := planeStateDigest(bm, flips), goldenWordFaultDigests[stage]; got != want {
+			t.Errorf("%s: plane state digest %#016x, want %#016x", stage, got, want)
+		}
+	}
+	inj, err := faults.NewInjector(0.01, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flips := bm.InjectWordFaults(inj)
+	if flips == 0 {
+		t.Fatal("injector flipped nothing")
+	}
+	check("inject", flips)
+	bm.ApplyWordRepair(false, wordTransform)
+	check("repair", flips)
+	bm.ApplyWordRepair(true, wordTransform)
+	check("recount", flips)
 }
