@@ -123,12 +123,15 @@ type Model struct {
 	dimMasks [][]uint64
 }
 
-// dimMask returns learner i's healthy-dimension mask, or nil when every
-// dimension is trusted.
-func (m *Model) dimMask(i int) []uint64 {
+// DimMask returns learner i's healthy-dimension mask, or nil when every
+// dimension is trusted. Both scoring backends read it: the float path
+// zeroes the untrusted class components, the packed-binary path drops
+// them from the confidence masks. The mask must not be modified.
+func (m *Model) DimMask(i int) []uint64 {
 	if m.dimMasks == nil {
 		return nil
 	}
+	//hdlint:ignore snapshotalias views never rewrite an installed mask; MaskedView and WithDelta build new tables
 	return m.dimMasks[i]
 }
 
@@ -249,7 +252,7 @@ func (m *Model) pinLearners() (norms [][]float64, unpin func()) {
 	unpins := make([]func(), len(m.Learners))
 	for i, l := range m.Learners {
 		norms[i], unpins[i] = l.PinClass()
-		if dm := m.dimMask(i); dm != nil {
+		if dm := m.DimMask(i); dm != nil {
 			// A dimension-masked learner scores against class memory with
 			// its untrusted components treated as zero, so the cached
 			// full-width norms do not apply. The class vectors are pinned
@@ -410,12 +413,44 @@ func segmentDotsMasked(hseg hdc.Vector, class []hdc.Vector, dots []float64, heal
 	return hn2
 }
 
-// classifyEncoded scores a full-width encoding in one pass: for every
-// learner it walks that learner's dimension segment once, accumulating the
-// query-segment norm and all per-class dot products together, then folds
-// the learner's cosine scores (or its vote) into the alpha-weighted
-// aggregate. Arithmetic order matches the historical slice-per-learner
-// path exactly, so predictions are bit-identical to it.
+// learnerScores writes learner i's cosine similarity to every class into
+// scores (length Classes) for the full-width encoding h: one walk of the
+// learner's dimension segment accumulates the query-segment norm and all
+// per-class dots together, with untrusted components read as zero on a
+// dimension-masked learner, then the zero-norm conventions of
+// HVClassifier.Scores apply. norms are the learner's pinned class norms
+// (pinLearners). It reports whether every score is finite. Serving
+// (classifyEncoded) and the canary probe (EvaluateLearners) both score
+// through it, so a learner is always evaluated the way it serves.
+//
+//hd:hotpath
+func (m *Model) learnerScores(i int, h hdc.Vector, norms, scores []float64) (finite bool) {
+	seg := m.segs[i]
+	hseg := h[seg.lo:seg.hi]
+	var hn float64
+	if dm := m.DimMask(i); dm != nil {
+		//hdlint:ignore locksafety callers pin the learners (pinLearners) for the whole batch
+		hn = math.Sqrt(segmentDotsMasked(hseg, m.Learners[i].Class, scores, dm))
+	} else {
+		//hdlint:ignore locksafety callers pin the learners (pinLearners) for the whole batch
+		hn = math.Sqrt(segmentDots(hseg, m.Learners[i].Class, scores))
+	}
+	finite = true
+	for c, cn := range norms {
+		if hn == 0 || cn == 0 {
+			scores[c] = 0
+			continue
+		}
+		scores[c] = scores[c] / (hn * cn)
+		finite = finite && scores[c]-scores[c] == 0
+	}
+	return finite
+}
+
+// classifyEncoded scores a full-width encoding in one pass: every voting
+// learner's cosine scores (learnerScores) fold, or its vote does, into
+// the alpha-weighted aggregate. Arithmetic order matches the historical
+// slice-per-learner path exactly, so predictions are bit-identical to it.
 //
 //hd:hotpath
 func (m *Model) classifyEncoded(h hdc.Vector, norms [][]float64, sc *inferScratch) int {
@@ -424,7 +459,7 @@ func (m *Model) classifyEncoded(h hdc.Vector, norms [][]float64, sc *inferScratc
 		sc.agg[c] = 0
 	}
 	score := m.Cfg.Aggregation == Score
-	for i, l := range m.Learners {
+	for i := range m.Learners {
 		if m.Alphas[i] == 0 {
 			// A zero-alpha learner (quarantined, or judged worthless by
 			// boosting) contributes nothing — and must not be scored at
@@ -432,29 +467,7 @@ func (m *Model) classifyEncoded(h hdc.Vector, norms [][]float64, sc *inferScratc
 			// would poison the aggregate the masking exists to protect.
 			continue
 		}
-		seg := m.segs[i]
-		hseg := h[seg.lo:seg.hi]
-		var hn float64
-		if dm := m.dimMask(i); dm != nil {
-			//hdlint:ignore locksafety callers pin the learners (pinLearners) for the whole batch
-			hn = math.Sqrt(segmentDotsMasked(hseg, l.Class, sc.dots, dm))
-		} else {
-			//hdlint:ignore locksafety callers pin the learners (pinLearners) for the whole batch
-			hn = math.Sqrt(segmentDots(hseg, l.Class, sc.dots))
-		}
-		// Convert dots to cosine scores in place, replicating the
-		// zero-norm conventions of HVClassifier.Scores.
-		finite := true
-		for c := 0; c < classes; c++ {
-			cn := norms[i][c]
-			if hn == 0 || cn == 0 {
-				sc.dots[c] = 0
-				continue
-			}
-			sc.dots[c] = sc.dots[c] / (hn * cn)
-			finite = finite && sc.dots[c]-sc.dots[c] == 0
-		}
-		if !finite {
+		if !m.learnerScores(i, h, norms[i], sc.dots) {
 			// A NaN or infinite cosine (from a corrupted encoder plane,
 			// class word or stored weight) would decide every aggregate
 			// it joins, so the learner sits this query out as a
@@ -476,9 +489,16 @@ func (m *Model) classifyEncoded(h hdc.Vector, norms [][]float64, sc *inferScratc
 			sc.agg[vote] += m.Alphas[i]
 		}
 	}
+	return argmax(sc.agg)
+}
+
+// argmax returns the lowest index of the maximum score.
+//
+//hd:hotpath
+func argmax(s []float64) int {
 	best := 0
-	for c := 1; c < classes; c++ {
-		if sc.agg[c] > sc.agg[best] {
+	for c := 1; c < len(s); c++ {
+		if s[c] > s[best] {
 			best = c
 		}
 	}

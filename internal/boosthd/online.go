@@ -10,11 +10,9 @@ package boosthd
 
 import (
 	"fmt"
-	"math"
 
 	"boosthd/internal/ensemble"
 	"boosthd/internal/hdc"
-	"boosthd/internal/onlinehd"
 )
 
 // Update applies one streaming OnlineHD step to every weak learner: the
@@ -185,9 +183,11 @@ func (m *Model) MaskedView(masked []bool, healthy [][]uint64) (*Model, error) {
 
 // EvaluateLearners scores each weak learner standalone on a labeled set:
 // rows are encoded once and every learner predicts from its own dimension
-// segment, unweighted by alpha. This is the reliability canary probe — a
-// learner whose solo accuracy collapses is corrupted (or collapsed) in a
-// way a memory checksum cannot always see, e.g. pre-quantization drift.
+// segment through the serving path's cosine step (learnerScores, under
+// its dimension mask), unweighted by alpha. This is the reliability
+// canary probe — a learner whose solo accuracy collapses is corrupted
+// (or collapsed) in a way a memory checksum cannot always see, e.g.
+// pre-quantization drift.
 func (m *Model) EvaluateLearners(X [][]float64, y []int) ([]float64, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("boosthd: bad learner evaluation set (%d rows, %d labels)", len(X), len(y))
@@ -196,63 +196,23 @@ func (m *Model) EvaluateLearners(X [][]float64, y []int) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("boosthd: %w", err)
 	}
-	acc := make([]float64, len(m.Learners))
-	sub := make([]hdc.Vector, len(H))
-	for i, l := range m.Learners {
-		seg := m.segs[i]
-		for r, h := range H {
-			sub[r] = h.Slice(seg.lo, seg.hi)
-		}
-		var preds []int
-		if dm := m.dimMask(i); dm != nil {
-			// A dimension-masked learner must be probed the way it serves:
-			// untrusted class components read as zero, norms to match —
-			// the canary then measures the masked learner's real residual
-			// competence, not the corrupted memory the mask excludes.
-			preds = m.predictLearnerMasked(l, sub, dm)
-		} else {
-			preds = l.PredictBatch(sub)
-		}
-		right := 0
-		for r, p := range preds {
-			if p == y[r] {
-				right++
+	norms, unpin := m.pinLearners()
+	defer unpin()
+	right := make([]int, len(m.Learners))
+	scores := make([]float64, m.Cfg.Classes)
+	for r, h := range H {
+		for i := range m.Learners {
+			m.learnerScores(i, h, norms[i], scores)
+			if argmax(scores) == y[r] {
+				right[i]++
 			}
 		}
-		acc[i] = float64(right) / float64(len(y))
+	}
+	acc := make([]float64, len(right))
+	for i, n := range right {
+		acc[i] = float64(n) / float64(len(y))
 	}
 	return acc, nil
-}
-
-// predictLearnerMasked scores one dimension-masked learner solo over
-// pre-sliced segment encodings, replicating HVClassifier.PredictBatch's
-// zero-norm conventions with the untrusted class components zeroed.
-func (m *Model) predictLearnerMasked(l *onlinehd.HVClassifier, sub []hdc.Vector, healthy []uint64) []int {
-	out := make([]int, len(sub))
-	_, unpin := l.PinClass()
-	defer unpin()
-	//hdlint:ignore locksafety read under the learner's pin taken on the line above
-	norms := maskedClassNorms(l.Class, healthy)
-	dots := make([]float64, l.Classes)
-	for r, h := range sub {
-		//hdlint:ignore locksafety read under the learner's pin held for the whole batch
-		hn := math.Sqrt(segmentDotsMasked(h, l.Class, dots, healthy))
-		for c := range dots {
-			if hn == 0 || norms[c] == 0 {
-				dots[c] = 0
-				continue
-			}
-			dots[c] = dots[c] / (hn * norms[c])
-		}
-		best := 0
-		for c := 1; c < len(dots); c++ {
-			if dots[c] > dots[best] {
-				best = c
-			}
-		}
-		out[r] = best
-	}
-	return out
 }
 
 // Refit retrains every weak learner and the boosting alphas from scratch

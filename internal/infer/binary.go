@@ -30,76 +30,50 @@ func popcount(x uint64) int { return bits.OnesCount64(x) }
 const QuantizeDrop = 0.25
 
 // quantization is one immutable snapshot of the ternary class memory:
-// sign planes, confidence masks, precomputed mask popcounts, and the
+// the packed sign and mask planes, precomputed mask popcounts, and the
 // learner versions the snapshot was taken at. Snapshots are never
 // mutated after construction — refresh swaps in a whole new one — so
 // readers that load a snapshot can score against it without locks.
 type quantization struct {
-	//hd:guarded snapshot plane memory; direct access only in this file
-	class [][]*hdc.BitVector // [learner][class] segment-local sign planes
-
-	//hd:guarded snapshot plane memory; direct access only in this file
-	mask [][]*hdc.BitVector // [learner][class] confidence masks
-
-	maskOnes [][]float64 // popcount of each mask, precomputed
-	versions []uint64    // learner versions at quantization time
-
-	// planes is the scoring kernel's view of the same memory: one
+	// planes is the snapshot's only copy of the class memory: one
 	// contiguous class-major block per learner, class c's sign words at
 	// [c*2W, c*2W+W) immediately followed by its mask words at
-	// [c*2W+W, c*2W+2W), W = words per segment. The per-class BitVectors
-	// in class/mask alias sub-slices of this block (packLearner
-	// re-anchors them), so the scrubber's ReadPlanes and the kernels
-	// observe the identical bits while the hot loop walks one flat slice
-	// with sign and mask adjacent — no pointer chasing, one stream.
+	// [c*2W+W, c*2W+2W), W = words per segment. The kernels walk a block
+	// as one flat stream with sign and mask adjacent; the scrubber, the
+	// write paths and the wire format take sub-slices of it (words).
 	//
 	//hd:guarded
 	planes [][]uint64
+
+	maskOnes [][]float64 // [learner][class] popcount of each mask, precomputed
+	versions []uint64    // learner versions at quantization time
 }
 
-// packLearner lays learner i's sign and mask planes out in the contiguous
-// class-major block the blocked scoring kernels sweep, and re-aliases the
-// learner's BitVectors into it. Paths that rewrite planes word by word
-// (fault injection, word repair, snapshot loads) funnel through this;
-// quantizeLearner writes straight into a fresh block, and reuse paths
-// copy the previous snapshot's block pointer instead.
-func (qz *quantization) packLearner(i int) {
-	sign, mask := qz.class[i], qz.mask[i]
-	if len(sign) == 0 {
-		qz.allocLearner(i, 0, 0)
-		return
-	}
-	qz.allocLearner(i, len(sign), sign[0].N)
-	for c := range sign {
-		copy(qz.class[i][c].Words, sign[c].Words)
-		copy(qz.mask[i][c].Words, mask[c].Words)
-	}
+// words returns learner i's class-c sign and mask words: sub-slices of
+// the learner's plane block, capped so neither can grow into the other.
+func (qz *quantization) words(i, c int) (sign, mask []uint64) {
+	p := qz.planes[i]
+	w := len(p) / (2 * len(qz.maskOnes[i]))
+	base := 2 * c * w
+	return p[base : base+w : base+w], p[base+w : base+2*w : base+2*w]
 }
 
-// allocLearner gives learner i a zeroed class-major block of classes
-// sign and mask planes of n bits each, and points its BitVectors at it.
-func (qz *quantization) allocLearner(i, classes, n int) {
-	if len(qz.planes) < len(qz.class) {
-		// Snapshots built piecewise (tests, partial constructors) may not
-		// have sized the plane table yet.
-		qz.planes = append(qz.planes, make([][]uint64, len(qz.class)-len(qz.planes))...)
+// requantize returns a snapshot that shares qz's planes for every learner
+// except those listed, which are re-thresholded from m's float memory
+// under each learner's read lock.
+func (qz *quantization) requantize(m *boosthd.Model, learners []int) *quantization {
+	next := &quantization{
+		planes:   append([][]uint64(nil), qz.planes...),
+		maskOnes: append([][]float64(nil), qz.maskOnes...),
+		versions: append([]uint64(nil), qz.versions...),
 	}
-	qz.class[i] = make([]*hdc.BitVector, classes)
-	qz.mask[i] = make([]*hdc.BitVector, classes)
-	if classes == 0 {
-		qz.planes[i] = nil
-		return
+	for _, i := range learners {
+		m.Learners[i].ReadClass(func(class []hdc.Vector, version uint64) {
+			next.versions[i] = version
+			next.quantizeLearner(i, class)
+		})
 	}
-	w := (n + 63) / 64
-	packed := make([]uint64, 2*w*classes)
-	hdrs := make([]hdc.BitVector, 2*classes)
-	for c := 0; c < classes; c++ {
-		hdrs[2*c] = hdc.BitVector{N: n, Words: packed[c*2*w : c*2*w+w : c*2*w+w]}
-		hdrs[2*c+1] = hdc.BitVector{N: n, Words: packed[c*2*w+w : (c+1)*2*w : (c+1)*2*w]}
-		qz.class[i][c] = &hdrs[2*c]
-		qz.mask[i][c] = &hdrs[2*c+1]
-	}
-	qz.planes[i] = packed
+	return next
 }
 
 // BinaryModel is the packed-binary deployment form of a BoostHD ensemble:
@@ -116,19 +90,16 @@ func (qz *quantization) allocLearner(i, classes, n int) {
 // learners' version counters: the predict paths re-threshold when the
 // float model mutated (Fit, fault injection), and concurrent callers
 // always score against a consistent snapshot.
+//
+// Alphas, segment widths and per-learner dimension masks are read from the
+// model view the BinaryModel serves: a learner with a dimension mask
+// (boosthd.Model.DimMask) scores with the mask ANDed into its confidence
+// masks and renormalized by the surviving popcount, so it votes with full
+// weight from its healthy dimensions — exactly as if the untrusted words
+// had been dropped from the confidence mask at quantize time.
 type BinaryModel struct {
-	model   *boosthd.Model
-	segDims []int // segment widths, learner-major
-	frozen  bool  // cold-loaded snapshot: no float memory to re-quantize from
-
-	// dimMasks carries per-learner healthy-dimension masks on quarantine
-	// views (withView): bit d set means dimension d of that learner's
-	// quantized memory is trusted. Scoring ANDs the mask into the
-	// confidence mask and renormalizes by the surviving popcount, so a
-	// partially masked learner votes with full weight from its healthy
-	// dimensions — exactly as if the untrusted words had been dropped
-	// from the confidence mask at quantize time. nil trusts everything.
-	dimMasks [][]uint64
+	model  *boosthd.Model
+	frozen bool // cold-loaded snapshot: no float memory to re-quantize from
 
 	mu   sync.Mutex                   // serializes re-quantization
 	snap atomic.Pointer[quantization] // current snapshot; never nil
@@ -144,15 +115,15 @@ type BinaryModel struct {
 func (qz *quantization) quantizeLearner(i int, class []hdc.Vector) {
 	qz.maskOnes[i] = make([]float64, len(class))
 	if len(class) == 0 {
-		qz.allocLearner(i, 0, 0)
+		qz.planes[i] = nil
 		return
 	}
 	n := len(class[0])
-	qz.allocLearner(i, len(class), n)
+	qz.planes[i] = make([]uint64, 2*len(class)*((n+63)/64))
 	keep := n - int(QuantizeDrop*float64(n))
 	scratch := make([]uint64, n)
 	for c, cv := range class {
-		sign, mask := qz.class[i][c].Words, qz.mask[i][c].Words
+		sign, mask := qz.words(i, c)
 		// Strictly-above-threshold components number fewer than keep;
 		// components tied with the threshold fill the remaining quota.
 		thr := maskThreshold(cv, keep, scratch)
@@ -262,20 +233,16 @@ func selectBits(a []uint64, k int) uint64 {
 // one learner's quantization, not the whole ensemble's.
 func snapshot(m *boosthd.Model, prev *quantization) *quantization {
 	qz := &quantization{
-		class:    make([][]*hdc.BitVector, len(m.Learners)),
-		mask:     make([][]*hdc.BitVector, len(m.Learners)),
+		planes:   make([][]uint64, len(m.Learners)),
 		maskOnes: make([][]float64, len(m.Learners)),
 		versions: make([]uint64, len(m.Learners)),
-		planes:   make([][]uint64, len(m.Learners)),
 	}
 	for i, l := range m.Learners {
 		l.ReadClass(func(class []hdc.Vector, version uint64) {
 			qz.versions[i] = version
 			if prev != nil && prev.versions[i] == version {
-				qz.class[i] = prev.class[i]
-				qz.mask[i] = prev.mask[i]
-				qz.maskOnes[i] = prev.maskOnes[i]
 				qz.planes[i] = prev.planes[i]
+				qz.maskOnes[i] = prev.maskOnes[i]
 				return
 			}
 			qz.quantizeLearner(i, class)
@@ -290,10 +257,7 @@ func Quantize(m *boosthd.Model) (*BinaryModel, error) {
 	if len(m.Learners) == 0 {
 		return nil, fmt.Errorf("infer: quantize: model has no learners")
 	}
-	bm := &BinaryModel{model: m, segDims: make([]int, len(m.Learners))}
-	for i, l := range m.Learners {
-		bm.segDims[i] = l.Dim
-	}
+	bm := &BinaryModel{model: m}
 	bm.snap.Store(snapshot(m, nil))
 	return bm, nil
 }
@@ -359,21 +323,7 @@ func (bm *BinaryModel) Rethreshold(learners ...int) error {
 		bm.snap.Store(snapshot(bm.model, nil))
 		return nil
 	}
-	prev := bm.snap.Load()
-	qz := &quantization{
-		class:    append([][]*hdc.BitVector(nil), prev.class...),
-		mask:     append([][]*hdc.BitVector(nil), prev.mask...),
-		maskOnes: append([][]float64(nil), prev.maskOnes...),
-		versions: append([]uint64(nil), prev.versions...),
-		planes:   append([][]uint64(nil), prev.planes...),
-	}
-	for _, i := range learners {
-		bm.model.Learners[i].ReadClass(func(class []hdc.Vector, version uint64) {
-			qz.versions[i] = version
-			qz.quantizeLearner(i, class)
-		})
-	}
-	bm.snap.Store(qz)
+	bm.snap.Store(bm.snap.Load().requantize(bm.model, learners))
 	return nil
 }
 
@@ -400,8 +350,8 @@ func (bm *BinaryModel) syncQuantization() {
 func (bm *BinaryModel) Bits() int {
 	qz := bm.snap.Load()
 	total := 0
-	for i := range qz.class {
-		total += 2 * len(qz.class[i]) * bm.segDims[i]
+	for i, l := range bm.model.Learners {
+		total += 2 * len(qz.maskOnes[i]) * l.Dim
 	}
 	return total
 }
@@ -415,18 +365,18 @@ func (bm *BinaryModel) NewQueryBits() []*hdc.BitVector {
 // newQueryBlock allocates per-segment query buffers for n rows out of
 // four allocations, whatever n and the segment count.
 func (bm *BinaryModel) newQueryBlock(n int) [][]*hdc.BitVector {
-	segs, words := len(bm.segDims), 0
-	for _, d := range bm.segDims {
-		words += (d + 63) / 64
+	segs, words := len(bm.model.Learners), 0
+	for _, l := range bm.model.Learners {
+		words += (l.Dim + 63) / 64
 	}
 	slab := make([]uint64, n*words)
 	vecs := make([]hdc.BitVector, n*segs)
 	ptrs := make([]*hdc.BitVector, n*segs)
 	out := make([][]*hdc.BitVector, n)
 	for r := range out {
-		for i, d := range bm.segDims {
-			w := (d + 63) / 64
-			vecs[r*segs+i] = hdc.BitVector{N: d, Words: slab[:w:w]}
+		for i, l := range bm.model.Learners {
+			w := (l.Dim + 63) / 64
+			vecs[r*segs+i] = hdc.BitVector{N: l.Dim, Words: slab[:w:w]}
 			ptrs[r*segs+i] = &vecs[r*segs+i]
 			slab = slab[w:]
 		}
@@ -446,10 +396,7 @@ func (bm *BinaryModel) EncodeBits(x []float64, dst []*hdc.BitVector) error {
 // confidence mask, and the score renormalizes by the surviving
 // popcount so the healthy dimensions keep their full voting weight —
 // bit-for-bit what a clean model quantized with those words masked out
-// would score. Shared by the serving path (predictBits) and the canary
-// probe (EvaluateLearners) so a masked learner is always evaluated the
-// way it serves. An all-masked class scores 0, the zero-norm
-// convention.
+// would score. An all-masked class scores 0, the zero-norm convention.
 //
 //hd:hotpath
 func maskedPlaneScore(q, sign, mask, healthy []uint64) float64 {
@@ -509,7 +456,9 @@ func planeDistance4(q0, q1, q2, q3, sign, mask []uint64) (d0, d1, d2, d3 int) {
 // scoreLearner writes learner i's per-class similarities for one query
 // row, walking the packed class-major plane block. The dimension-
 // quarantined path (healthy != nil) keeps the reference word loop —
-// correctness of the renormalization over raw speed.
+// correctness of the renormalization over raw speed. Serving and the
+// canary probe (EvaluateLearners) both score through it, so a learner is
+// always evaluated the way it serves.
 //
 //hd:hotpath
 func scoreLearner(qz *quantization, i int, q []uint64, healthy []uint64, scores []float64) {
@@ -571,7 +520,7 @@ func (bm *BinaryModel) predictBits(qz *quantization, q []*hdc.BitVector, agg, sc
 		agg[c] = 0
 	}
 	score := bm.model.Cfg.Aggregation == boosthd.Score
-	for i := range qz.class {
+	for i := range qz.planes {
 		if bm.model.Alphas[i] == 0 {
 			// Skip quarantined / zero-weight learners outright: their
 			// planes may be corrupted (that is why reliability masked
@@ -579,11 +528,7 @@ func (bm *BinaryModel) predictBits(qz *quantization, q []*hdc.BitVector, agg, sc
 			// aggregate a plain 0-weighted add was supposed to ignore.
 			continue
 		}
-		var healthy []uint64
-		if bm.dimMasks != nil {
-			healthy = bm.dimMasks[i]
-		}
-		scoreLearner(qz, i, q[i].Words, healthy, scores[:classes])
+		scoreLearner(qz, i, q[i].Words, bm.model.DimMask(i), scores[:classes])
 		aggregateLearner(score, bm.model.Alphas[i], scores[:classes], agg[:classes])
 	}
 	return argmax(agg[:classes])
@@ -606,17 +551,13 @@ func (bm *BinaryModel) predictBits4(qz *quantization, q0, q1, q2, q3 []*hdc.BitV
 		}
 	}
 	score := bm.model.Cfg.Aggregation == boosthd.Score
-	for i := range qz.class {
+	for i := range qz.planes {
 		alpha := bm.model.Alphas[i]
 		if alpha == 0 {
 			continue
 		}
 		w0, w1, w2, w3 := q0[i].Words, q1[i].Words, q2[i].Words, q3[i].Words
-		var healthy []uint64
-		if bm.dimMasks != nil {
-			healthy = bm.dimMasks[i]
-		}
-		if healthy != nil {
+		if healthy := bm.model.DimMask(i); healthy != nil {
 			scoreLearner(qz, i, w0, healthy, scores[0][:classes])
 			scoreLearner(qz, i, w1, healthy, scores[1][:classes])
 			scoreLearner(qz, i, w2, healthy, scores[2][:classes])
@@ -753,38 +694,20 @@ func (bm *BinaryModel) PredictBatchStaged(X [][]float64, stages *obs.StageTimes)
 // planes and confidence masks — under the injector's per-bit
 // probability: the packed-binary analogue of Model.InjectClassFaults,
 // emulating memory faults in the deployed word-parallel representation.
-// Snapshots are immutable (readers score them lock-free), so the faults
-// are applied to a deep copy that is atomically swapped in: in-flight
-// batches finish on the memory they loaded, every later call scores the
-// corrupted planes. The corruption is silent, exactly like hardware:
-// learner versions and the stored mask popcounts are NOT updated, so
-// nothing downstream re-thresholds it away — detection is the
-// reliability scrubber's job. It returns the number of flipped bits.
+// Each (learner, class) pair's sign and mask words are handed to the
+// injector as one bit array, learner-major. Snapshots are immutable
+// (readers score them lock-free), so the faults are applied to a deep
+// copy that is atomically swapped in: in-flight batches finish on the
+// memory they loaded, every later call scores the corrupted planes. The
+// corruption is silent, exactly like hardware: learner versions and the
+// stored mask popcounts are NOT updated, so nothing downstream
+// re-thresholds it away — detection is the reliability scrubber's job.
+// It returns the number of flipped bits.
 func (bm *BinaryModel) InjectWordFaults(inj *faults.Injector) int {
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	qz := bm.snap.Load()
-	corrupt := &quantization{
-		class:    make([][]*hdc.BitVector, len(qz.class)),
-		mask:     make([][]*hdc.BitVector, len(qz.mask)),
-		maskOnes: qz.maskOnes, // stored popcounts stay stale on purpose
-		versions: qz.versions,
-		planes:   make([][]uint64, len(qz.planes)),
-	}
 	flips := 0
-	for i := range qz.class {
-		corrupt.class[i] = make([]*hdc.BitVector, len(qz.class[i]))
-		corrupt.mask[i] = make([]*hdc.BitVector, len(qz.mask[i]))
-		for c := range qz.class[i] {
-			sign := qz.class[i][c].Clone()
-			mask := qz.mask[i][c].Clone()
-			flips += inj.InjectWords(sign.Words, mask.Words)
-			corrupt.class[i][c] = sign
-			corrupt.mask[i][c] = mask
-		}
-		corrupt.packLearner(i)
-	}
-	bm.snap.Store(corrupt)
+	bm.ApplyWordRepair(false, func(_, _ int, sign, mask []uint64) {
+		flips += inj.InjectWords(sign, mask)
+	})
 	return flips
 }
 
@@ -796,93 +719,33 @@ func (bm *BinaryModel) InjectWordFaults(inj *faults.Injector) int {
 // parity signatures.
 func (bm *BinaryModel) ReadPlanes(fn func(learner, class int, version uint64, sign, mask []uint64)) {
 	qz := bm.snap.Load()
-	for i := range qz.class {
-		for c := range qz.class[i] {
-			fn(i, c, qz.versions[i], qz.class[i][c].Words, qz.mask[i][c].Words)
+	for i := range qz.planes {
+		for c := range qz.maskOnes[i] {
+			sign, mask := qz.words(i, c)
+			fn(i, c, qz.versions[i], sign, mask)
 		}
 	}
 }
 
-// withView returns a BinaryModel serving the same quantized snapshot
-// through a different model view (shared learners, private alphas) —
-// the quarantine path's engine rebuild, which must not pay (or trust!)
-// a re-quantization of possibly-corrupted float memory. healthy, when
-// non-nil, installs per-learner dimension masks (see dimMasks) on the
-// view; word counts must match each learner's plane width.
-func (bm *BinaryModel) withView(view *boosthd.Model, healthy [][]uint64) (*BinaryModel, error) {
-	if healthy != nil {
-		if len(healthy) != len(bm.segDims) {
-			return nil, fmt.Errorf("infer: %d dimension masks for %d learners", len(healthy), len(bm.segDims))
-		}
-		for i, hm := range healthy {
-			if hm == nil {
-				continue
-			}
-			if want := (bm.segDims[i] + 63) / 64; len(hm) != want {
-				return nil, fmt.Errorf("infer: learner %d dimension mask has %d words, want %d", i, len(hm), want)
-			}
-		}
-	}
-	out := &BinaryModel{model: view, segDims: bm.segDims, frozen: bm.frozen, dimMasks: healthy}
-	out.snap.Store(bm.snap.Load())
-	return out, nil
-}
-
-// WithDelta returns a BinaryModel serving a tenant view: the quantized
-// snapshot is the base's with only the overridden learners' planes
-// re-thresholded from the delta's float class memory, so a fleet of
-// tenant views shares every base learner's packed planes and pays
-// quantization (and memory) only for its own overrides. Because
-// quantizeLearner is deterministic in the class vectors, the overlay is
-// bit-for-bit the snapshot a full per-tenant re-quantization would
-// build. view is the float-side tenant view (boosthd.Model.WithDelta
-// over this model's base); overridden lists the delta's learner indexes.
-//
-// The overlay works over a frozen base too: the base learners' planes
-// carry over untouched (no float memory needed), and the overridden
-// learners quantize from the delta's own float memory.
-func (bm *BinaryModel) WithDelta(view *boosthd.Model, overridden []int) (*BinaryModel, error) {
-	if len(view.Learners) != len(bm.segDims) {
-		return nil, fmt.Errorf("infer: with delta: view has %d learners, snapshot has %d",
-			len(view.Learners), len(bm.segDims))
-	}
-	for _, i := range overridden {
-		if i < 0 || i >= len(bm.segDims) {
-			return nil, fmt.Errorf("infer: with delta: learner %d outside [0,%d)", i, len(bm.segDims))
-		}
-		if view.Learners[i].Dim != bm.segDims[i] {
-			return nil, fmt.Errorf("infer: with delta: learner %d override dim %d, snapshot dim %d",
-				i, view.Learners[i].Dim, bm.segDims[i])
-		}
-	}
-	out := &BinaryModel{model: view, segDims: bm.segDims, frozen: bm.frozen}
-	if bm.dimMasks != nil {
-		// Quarantine composition mirrors the float view: shared learners
-		// keep the base's dimension masks, overridden learners drop them —
-		// their planes quantize from the tenant's own memory, never the
-		// condemned base words.
-		masks := append([][]uint64(nil), bm.dimMasks...)
-		for _, i := range overridden {
-			masks[i] = nil
-		}
-		out.dimMasks = masks
-	}
-	prev := bm.snap.Load()
-	qz := &quantization{
-		class:    append([][]*hdc.BitVector(nil), prev.class...),
-		mask:     append([][]*hdc.BitVector(nil), prev.mask...),
-		maskOnes: append([][]float64(nil), prev.maskOnes...),
-		versions: append([]uint64(nil), prev.versions...),
-		planes:   append([][]uint64(nil), prev.planes...),
-	}
-	for _, i := range overridden {
-		view.Learners[i].ReadClass(func(class []hdc.Vector, version uint64) {
-			qz.versions[i] = version
-			qz.quantizeLearner(i, class)
-		})
+// overlay returns a BinaryModel serving view — a boosthd view of this
+// model (masked, reweighted or tenant) with the same learner geometry —
+// over this model's current snapshot. Only the learners listed in
+// requantize are re-thresholded, from the view's own float memory; every
+// other learner shares the parent's planes, so a quarantine never
+// re-trusts float memory it has no reason to trust, and a fleet of
+// tenant views pays quantization only for its overrides. Quantization is
+// per-learner and deterministic, so the overlay is bit-for-bit the
+// snapshot a full re-quantization of the materialized view would build.
+// Over a frozen parent the listed learners still quantize, from the
+// view's memory; the rest keep the frozen planes.
+func (bm *BinaryModel) overlay(view *boosthd.Model, requantize []int) *BinaryModel {
+	out := &BinaryModel{model: view, frozen: bm.frozen}
+	qz := bm.snap.Load()
+	if len(requantize) > 0 {
+		qz = qz.requantize(view, requantize)
 	}
 	out.snap.Store(qz)
-	return out, nil
+	return out
 }
 
 // ApplyWordRepair runs fn over a deep copy of every (learner, class)
@@ -898,51 +761,48 @@ func (bm *BinaryModel) ApplyWordRepair(recount bool, fn func(learner, class int,
 	defer bm.mu.Unlock()
 	qz := bm.snap.Load()
 	next := &quantization{
-		class:    make([][]*hdc.BitVector, len(qz.class)),
-		mask:     make([][]*hdc.BitVector, len(qz.mask)),
+		planes:   make([][]uint64, len(qz.planes)),
 		maskOnes: qz.maskOnes,
 		versions: qz.versions,
-		planes:   make([][]uint64, len(qz.planes)),
 	}
 	if recount {
 		next.maskOnes = make([][]float64, len(qz.maskOnes))
 	}
-	for i := range qz.class {
-		next.class[i] = make([]*hdc.BitVector, len(qz.class[i]))
-		next.mask[i] = make([]*hdc.BitVector, len(qz.mask[i]))
+	for i := range qz.planes {
+		next.planes[i] = append([]uint64(nil), qz.planes[i]...)
 		if recount {
 			next.maskOnes[i] = make([]float64, len(qz.maskOnes[i]))
 		}
-		for c := range qz.class[i] {
-			sign := qz.class[i][c].Clone()
-			mask := qz.mask[i][c].Clone()
-			fn(i, c, sign.Words, mask.Words)
-			next.class[i][c] = sign
-			next.mask[i][c] = mask
+		for c := range qz.maskOnes[i] {
+			sign, mask := next.words(i, c)
+			fn(i, c, sign, mask)
 			if recount {
-				next.maskOnes[i][c] = float64(mask.Ones())
+				ones := 0
+				for _, w := range mask {
+					ones += popcount(w)
+				}
+				next.maskOnes[i][c] = float64(ones)
 			}
 		}
-		next.packLearner(i)
 	}
 	bm.snap.Store(next)
 }
 
 // EvaluateLearners scores each weak learner standalone on a labeled set
 // through the current quantized snapshot: per-segment sign-bit encoding,
-// masked Hamming scoring against that learner's planes only, no alpha
-// weighting. The reliability canary uses it to catch a learner whose
-// quantized memory still passes parity but whose accuracy collapsed —
-// and, for frozen snapshots, it is the only learner-level probe at all
-// (there is no float memory to score).
+// then each learner's planes through the serving kernel (scoreLearner,
+// under the view's dimension masks), no alpha weighting. The reliability
+// canary uses it to catch a learner whose quantized memory still passes
+// parity but whose accuracy collapsed — and, for frozen snapshots, it is
+// the only learner-level probe at all (there is no float memory to
+// score).
 func (bm *BinaryModel) EvaluateLearners(X [][]float64, y []int) ([]float64, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("infer: bad learner evaluation set (%d rows, %d labels)", len(X), len(y))
 	}
 	qz := bm.snap.Load()
-	classes := bm.model.Cfg.Classes
-	right := make([]int, len(qz.class))
-	scores := make([]float64, classes)
+	right := make([]int, len(qz.planes))
+	scores := make([]float64, bm.model.Cfg.Classes)
 	q := bm.newQueryBlock(min(predictBatchRows, len(X)))
 	for lo := 0; lo < len(X); lo += predictBatchRows {
 		hi := lo + predictBatchRows
@@ -953,34 +813,9 @@ func (bm *BinaryModel) EvaluateLearners(X [][]float64, y []int) ([]float64, erro
 			return nil, fmt.Errorf("infer: rows [%d,%d): %w", lo, hi, err)
 		}
 		for r := lo; r < hi; r++ {
-			qr := q[r-lo]
-			for i, cls := range qz.class {
-				qi := qr[i]
-				var healthy []uint64
-				if bm.dimMasks != nil {
-					healthy = bm.dimMasks[i]
-				}
-				for c, cb := range cls {
-					mb := qz.mask[i][c]
-					if healthy == nil {
-						dis := 0
-						for w, qw := range qi.Words {
-							dis += popcount((qw ^ cb.Words[w]) & mb.Words[w])
-						}
-						scores[c] = 1 - 2*float64(dis)/qz.maskOnes[i][c]
-						continue
-					}
-					// Probe a dimension-quarantined learner the way it
-					// serves: untrusted words out, popcount renormalized.
-					scores[c] = maskedPlaneScore(qi.Words, cb.Words, mb.Words, healthy)
-				}
-				best := 0
-				for c := 1; c < classes; c++ {
-					if scores[c] > scores[best] {
-						best = c
-					}
-				}
-				if best == y[r] {
+			for i := range qz.planes {
+				scoreLearner(qz, i, q[r-lo][i].Words, bm.model.DimMask(i), scores)
+				if argmax(scores) == y[r] {
 					right[i]++
 				}
 			}
@@ -991,22 +826,4 @@ func (bm *BinaryModel) EvaluateLearners(X [][]float64, y []int) ([]float64, erro
 		acc[i] = float64(n) / float64(len(y))
 	}
 	return acc, nil
-}
-
-// Evaluate returns plain accuracy on a labeled set.
-func (bm *BinaryModel) Evaluate(X [][]float64, y []int) (float64, error) {
-	if len(X) != len(y) || len(y) == 0 {
-		return 0, fmt.Errorf("infer: bad evaluation set (%d rows, %d labels)", len(X), len(y))
-	}
-	pred, err := bm.PredictBatch(X)
-	if err != nil {
-		return 0, err
-	}
-	correct := 0
-	for i := range pred {
-		if pred[i] == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(y)), nil
 }

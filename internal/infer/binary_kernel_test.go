@@ -10,8 +10,8 @@ import (
 )
 
 // referencePredictBits is the pre-blocked word-at-a-time scoring loop,
-// kept verbatim as the oracle the packed class-major kernels must match
-// bit for bit: per class, XOR/AND/popcount over the BitVector words, the
+// kept as the oracle the packed class-major kernels must match bit for
+// bit: per class, XOR/AND/popcount over the sign and mask words, the
 // same similarity formula, the same aggregation and tie-breaking.
 func referencePredictBits(bm *BinaryModel, qz *quantization, q []*hdc.BitVector, agg, scores []float64) int {
 	classes := bm.model.Cfg.Classes
@@ -19,26 +19,23 @@ func referencePredictBits(bm *BinaryModel, qz *quantization, q []*hdc.BitVector,
 		agg[c] = 0
 	}
 	score := bm.model.Cfg.Aggregation == boosthd.Score
-	for i, cls := range qz.class {
+	for i, ones := range qz.maskOnes {
 		if bm.model.Alphas[i] == 0 {
 			continue
 		}
 		qi := q[i]
-		var healthy []uint64
-		if bm.dimMasks != nil {
-			healthy = bm.dimMasks[i]
-		}
-		for c, cb := range cls {
-			mb := qz.mask[i][c]
+		healthy := bm.model.DimMask(i)
+		for c := range ones {
+			sign, mask := qz.words(i, c)
 			if healthy == nil {
 				dis := 0
 				for w, qw := range qi.Words {
-					dis += popcount((qw ^ cb.Words[w]) & mb.Words[w])
+					dis += popcount((qw ^ sign[w]) & mask[w])
 				}
-				scores[c] = 1 - 2*float64(dis)/qz.maskOnes[i][c]
+				scores[c] = 1 - 2*float64(dis)/ones[c]
 				continue
 			}
-			scores[c] = maskedPlaneScore(qi.Words, cb.Words, mb.Words, healthy)
+			scores[c] = maskedPlaneScore(qi.Words, sign, mask, healthy)
 		}
 		if score {
 			for c := 0; c < classes; c++ {
@@ -200,7 +197,7 @@ func TestBlockedKernelMatchesWordLoopQuarantined(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	healthy := make([][]uint64, 4)
 	for i := range healthy {
-		words := (bm.segDims[i] + 63) / 64
+		words := (m.Learners[i].Dim + 63) / 64
 		hm := make([]uint64, words)
 		switch i {
 		case 0:
@@ -220,9 +217,9 @@ func TestBlockedKernelMatchesWordLoopQuarantined(t *testing.T) {
 		}
 		healthy[i] = hm
 	}
-	view, err := bm.withView(bm.model, healthy)
+	view, err := m.MaskedView(make([]bool, 4), healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertKernelsMatchReference(t, "dim-quarantine", view, X)
+	assertKernelsMatchReference(t, "dim-quarantine", bm.overlay(view, nil), X)
 }

@@ -46,17 +46,30 @@ func (b Backend) String() string {
 }
 
 // Engine serves predictions from a trained BoostHD ensemble through a
-// selected backend. Engines are cheap to construct; the expensive state
-// (quantized class memories) lives in the BinaryModel built by Quantize.
+// selected backend. An engine is a boosthd model view — which holds the
+// alphas and the per-learner dimension masks — plus, on the packed-binary
+// backend, a BinaryModel whose plane snapshot views share. Engines are
+// cheap to construct; the expensive state (quantized class memories)
+// lives in the snapshot Quantize builds.
 type Engine struct {
 	model   *boosthd.Model
 	backend Backend
-	bin     *BinaryModel
+	bin     *BinaryModel // the packed-binary snapshot; nil on Float
+	scorer  scorer       // model on Float, bin on PackedBinary
+}
+
+// scorer is the serving surface both backends implement: *boosthd.Model
+// scores float class memory, *BinaryModel its packed planes. Every
+// predict and evaluate path of Engine runs through it.
+type scorer interface {
+	Predict(x []float64) (int, error)
+	PredictBatchStaged(X [][]float64, stages *obs.StageTimes) ([]int, error)
+	EvaluateLearners(X [][]float64, y []int) ([]float64, error)
 }
 
 // NewEngine returns a float-backend engine over m.
 func NewEngine(m *boosthd.Model) *Engine {
-	return &Engine{model: m, backend: Float}
+	return &Engine{model: m, backend: Float, scorer: m}
 }
 
 // NewBinaryEngine quantizes m and returns a packed-binary engine.
@@ -65,7 +78,14 @@ func NewBinaryEngine(m *boosthd.Model) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{model: m, backend: PackedBinary, bin: bin}, nil
+	return NewEngineFromBinary(bin), nil
+}
+
+// NewEngineFromBinary wraps a binary model — quantized or cold-loaded —
+// in a packed-binary serving engine. Over a cold-loaded snapshot the
+// engine's float model is the zeroed shell, which no predict path scores.
+func NewEngineFromBinary(bm *BinaryModel) *Engine {
+	return &Engine{model: bm.model, backend: PackedBinary, bin: bm, scorer: bm}
 }
 
 // Backend reports which representation the engine scores with.
@@ -83,10 +103,7 @@ func (e *Engine) InputDim() int { return e.model.InputDim() }
 
 // Predict classifies one raw feature vector.
 func (e *Engine) Predict(x []float64) (int, error) {
-	if e.backend == PackedBinary {
-		return e.bin.Predict(x)
-	}
-	return e.model.Predict(x)
+	return e.scorer.Predict(x)
 }
 
 // PredictBatch classifies rows through the backend's batch pipeline.
@@ -100,30 +117,47 @@ func (e *Engine) PredictBatch(X [][]float64) ([]int, error) {
 // feeds the result into the observability histograms; a nil stages
 // costs one branch per 32-row block.
 func (e *Engine) PredictBatchStaged(X [][]float64, stages *obs.StageTimes) ([]int, error) {
-	if e.backend == PackedBinary {
-		return e.bin.PredictBatchStaged(X, stages)
-	}
-	return e.model.PredictBatchStaged(X, stages)
+	return e.scorer.PredictBatchStaged(X, stages)
 }
 
 // Evaluate returns plain accuracy on a labeled set through the selected
-// backend.
+// backend's batch pipeline.
 func (e *Engine) Evaluate(X [][]float64, y []int) (float64, error) {
-	if e.backend == PackedBinary {
-		return e.bin.Evaluate(X, y)
+	if len(X) != len(y) || len(y) == 0 {
+		return 0, fmt.Errorf("infer: bad evaluation set (%d rows, %d labels)", len(X), len(y))
 	}
-	return e.model.Evaluate(X, y)
+	pred, err := e.PredictBatch(X)
+	if err != nil {
+		return 0, err
+	}
+	correct := 0
+	for i := range pred {
+		if pred[i] == y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(y)), nil
 }
 
 // EvaluateLearners scores each weak learner standalone on a labeled set
-// through the backend that actually serves — the reliability canary
-// probe. The binary backend scores its quantized planes (the memory that
-// could be corrupted), the float backend the float class vectors.
+// through the serving kernels of the backend that actually serves — the
+// reliability canary probe. The binary backend scores its quantized
+// planes (the memory that could be corrupted), the float backend the
+// float class vectors; both honour the view's dimension masks.
 func (e *Engine) EvaluateLearners(X [][]float64, y []int) ([]float64, error) {
-	if e.backend == PackedBinary {
-		return e.bin.EvaluateLearners(X, y)
+	return e.scorer.EvaluateLearners(X, y)
+}
+
+// view serves v, a boosthd view of e's model, through e's backend. It is
+// the one place that asks which backend an engine has: a float view is
+// the model itself, and a packed-binary view overlays e's plane snapshot,
+// re-quantizing only the learners listed in requantize from v's own
+// float memory (see BinaryModel.overlay).
+func (e *Engine) view(v *boosthd.Model, requantize []int) *Engine {
+	if e.bin == nil {
+		return NewEngine(v)
 	}
-	return e.model.EvaluateLearners(X, y)
+	return NewEngineFromBinary(e.bin.overlay(v, requantize))
 }
 
 // Remask builds the serving engine for a quarantine mask: an
@@ -154,12 +188,20 @@ func RemaskDims(cur *Engine, base *boosthd.Model, masked []bool, healthy [][]uin
 	if err != nil {
 		return nil, fmt.Errorf("infer: remask: %w", err)
 	}
-	if cur.backend == PackedBinary {
-		bin, err := cur.bin.withView(view, healthy)
-		if err != nil {
-			return nil, fmt.Errorf("infer: remask: %w", err)
-		}
-		return &Engine{model: view, backend: PackedBinary, bin: bin}, nil
+	return cur.view(view, nil), nil
+}
+
+// WithDelta returns the tenant engine for d over this engine's model:
+// the float view shares the encoder stack and every non-overridden
+// learner, and a packed-binary engine additionally shares this engine's
+// quantized planes, quantizing only the delta's overrides. The view
+// composes with quarantine as boosthd.Model.WithDelta specifies.
+// Predictions are bit-for-bit identical to an engine built over a fully
+// materialized per-tenant model on both backends.
+func (e *Engine) WithDelta(d *boosthd.Delta) (*Engine, error) {
+	view, err := e.model.WithDelta(d)
+	if err != nil {
+		return nil, fmt.Errorf("infer: with delta: %w", err)
 	}
-	return &Engine{model: view, backend: Float}, nil
+	return e.view(view, d.Indexes()), nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,13 +121,13 @@ func TestQuantizeThresholdsClassVectors(t *testing.T) {
 	for i, learner := range cvs {
 		for c, cv := range learner {
 			want := hdc.FromVector(cv)
-			got := qz.class[i][c]
+			sign, maskWords := qz.words(i, c)
 			for w := range want.Words {
-				if got.Words[w] != want.Words[w] {
+				if sign[w] != want.Words[w] {
 					t.Fatalf("learner %d class %d word %d sign mismatch", i, c, w)
 				}
 			}
-			mask := qz.mask[i][c]
+			mask := &hdc.BitVector{N: len(cv), Words: maskWords}
 			ones := mask.Ones()
 			if float64(ones) != qz.maskOnes[i][c] {
 				t.Fatalf("learner %d class %d: cached mask popcount %v != %d", i, c, qz.maskOnes[i][c], ones)
@@ -251,13 +252,9 @@ func TestBinaryStaleRefresh(t *testing.T) {
 	}
 	freshQz := fresh.snap.Load()
 	bmQz := bm.snap.Load()
-	for i := range freshQz.class {
-		for c := range freshQz.class[i] {
-			for w := range freshQz.class[i][c].Words {
-				if bmQz.class[i][c].Words[w] != freshQz.class[i][c].Words[w] {
-					t.Fatal("Refresh did not re-threshold the faulted memory")
-				}
-			}
+	for i := range freshQz.planes {
+		if !slices.Equal(bmQz.planes[i], freshQz.planes[i]) {
+			t.Fatal("Refresh did not re-threshold the faulted memory")
 		}
 	}
 	if _, err := bm.PredictBatch(X[:8]); err != nil {
@@ -279,14 +276,11 @@ func TestQuantizeMaskRankSelection(t *testing.T) {
 		{"all equal", hdc.Vector{0.5, 0.5, -0.5, 0.5, -0.5, 0.5, 0.5, -0.5}},
 	}
 	for _, tc := range cases {
-		qz := &quantization{
-			class:    make([][]*hdc.BitVector, 1),
-			mask:     make([][]*hdc.BitVector, 1),
-			maskOnes: make([][]float64, 1),
-		}
+		qz := &quantization{planes: make([][]uint64, 1), maskOnes: make([][]float64, 1)}
 		qz.quantizeLearner(0, []hdc.Vector{tc.cv})
 		keep := len(tc.cv) - int(QuantizeDrop*float64(len(tc.cv)))
-		mask := qz.mask[0][0]
+		_, maskWords := qz.words(0, 0)
+		mask := &hdc.BitVector{N: len(tc.cv), Words: maskWords}
 		if ones := mask.Ones(); ones != keep {
 			t.Errorf("%s: mask keeps %d of %d components, want exactly %d",
 				tc.name, ones, len(tc.cv), keep)

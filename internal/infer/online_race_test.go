@@ -51,7 +51,7 @@ func TestIncrementalRequantization(t *testing.T) {
 	bm.Refresh()
 	after := bm.snap.Load()
 	for i := range m.Learners {
-		same := after.class[i][0] == before.class[i][0]
+		same := &after.planes[i][0] == &before.planes[i][0]
 		if after.versions[i] == before.versions[i] && !same {
 			t.Errorf("learner %d unchanged but re-quantized", i)
 		}

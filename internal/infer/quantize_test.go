@@ -36,16 +36,17 @@ func quantDigest(bm *BinaryModel) uint64 {
 		h.Write(b[:])
 	}
 	qz := bm.snap.Load()
-	for i := range qz.class {
-		put(uint64(bm.segDims[i]))
-		for c := range qz.class[i] {
-			for _, w := range qz.class[i][c].Words {
+	for i, l := range bm.model.Learners {
+		put(uint64(l.Dim))
+		for c, ones := range qz.maskOnes[i] {
+			sign, mask := qz.words(i, c)
+			for _, w := range sign {
 				put(w)
 			}
-			for _, w := range qz.mask[i][c].Words {
+			for _, w := range mask {
 				put(w)
 			}
-			put(math.Float64bits(qz.maskOnes[i][c]))
+			put(math.Float64bits(ones))
 		}
 	}
 	return h.Sum64()
@@ -214,14 +215,11 @@ func TestMaskThresholdMatchesSort(t *testing.T) {
 				}
 			}
 
-			qz := &quantization{
-				class:    make([][]*hdc.BitVector, 1),
-				mask:     make([][]*hdc.BitVector, 1),
-				maskOnes: make([][]float64, 1),
-			}
+			qz := &quantization{planes: make([][]uint64, 1), maskOnes: make([][]float64, 1)}
 			qz.quantizeLearner(0, []hdc.Vector{cv})
 			sign, mask, ones := referencePlanes(cv)
-			if !slices.Equal(qz.class[0][0].Words, sign) || !slices.Equal(qz.mask[0][0].Words, mask) ||
+			gotSign, gotMask := qz.words(0, 0)
+			if !slices.Equal(gotSign, sign) || !slices.Equal(gotMask, mask) ||
 				qz.maskOnes[0][0] != float64(ones) {
 				t.Fatalf("len %d vector %d: planes differ from the sort reference", n, vi)
 			}

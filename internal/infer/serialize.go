@@ -45,11 +45,19 @@ func (bm *BinaryModel) Save(w io.Writer) error {
 		InDim:   m.InputDim(),
 		Gamma:   m.Gamma(),
 		Alphas:  append([]float64(nil), m.Alphas...),
-		SegDims: append([]int(nil), bm.segDims...),
-		//hdlint:ignore locksafety snapshots are immutable once installed; the wire encoder only reads frozen planes
-		Class: qz.class,
-		//hdlint:ignore locksafety snapshots are immutable once installed; the wire encoder only reads frozen planes
-		Mask: qz.mask,
+		SegDims: make([]int, len(m.Learners)),
+		Class:   make([][]*hdc.BitVector, len(m.Learners)),
+		Mask:    make([][]*hdc.BitVector, len(m.Learners)),
+	}
+	// The wire's per-class bit vectors alias the snapshot's plane blocks,
+	// which are immutable once installed; the encoder only reads them.
+	for i, l := range m.Learners {
+		bw.SegDims[i] = l.Dim
+		for c := range qz.maskOnes[i] {
+			sign, mask := qz.words(i, c)
+			bw.Class[i] = append(bw.Class[i], &hdc.BitVector{N: l.Dim, Words: sign})
+			bw.Mask[i] = append(bw.Mask[i], &hdc.BitVector{N: l.Dim, Words: mask})
+		}
 	}
 	version := byte(wire.Version1)
 	if m.Cfg.Projection != encoding.ProjStored {
@@ -75,7 +83,9 @@ func (bm *BinaryModel) MarshalBinary() ([]byte, error) {
 
 // checkPlanes validates one learner's decoded bit planes against the
 // stored geometry, so a truncated or corrupted blob fails at load time
-// instead of panicking inside the scoring loop.
+// instead of panicking inside the scoring loop. Bits past the segment
+// width in a plane's last word are rejected too: the scoring kernels
+// would count them as dimensions.
 func checkPlanes(what string, planes []*hdc.BitVector, classes, dim int) error {
 	if len(planes) != classes {
 		return fmt.Errorf("%d %s planes for %d classes", len(planes), what, classes)
@@ -84,6 +94,9 @@ func checkPlanes(what string, planes []*hdc.BitVector, classes, dim int) error {
 	for c, p := range planes {
 		if p == nil || p.N != dim || len(p.Words) != words {
 			return fmt.Errorf("class %d %s plane does not match segment dim %d", c, what, dim)
+		}
+		if r := dim % 64; r != 0 && p.Words[words-1]>>uint(r) != 0 {
+			return fmt.Errorf("class %d %s plane sets bits past segment dim %d", c, what, dim)
 		}
 	}
 	return nil
@@ -123,13 +136,9 @@ func LoadBinary(r io.Reader) (*BinaryModel, error) {
 			len(bw.SegDims), len(bw.Class), len(bw.Mask), nl)
 	}
 	shell.Alphas = bw.Alphas
-	qz := &quantization{
-		class:    bw.Class,
-		mask:     bw.Mask,
-		maskOnes: make([][]float64, nl),
-		versions: make([]uint64, nl),
-		planes:   make([][]uint64, nl),
-	}
+	planes := make([][]uint64, nl)
+	maskOnes := make([][]float64, nl)
+	versions := make([]uint64, nl)
 	for i, l := range shell.Learners {
 		if bw.SegDims[i] != l.Dim {
 			return nil, fmt.Errorf("infer: load binary: learner %d segment dim %d does not match partition dim %d",
@@ -141,26 +150,21 @@ func LoadBinary(r io.Reader) (*BinaryModel, error) {
 		if err := checkPlanes("mask", bw.Mask[i], bw.Cfg.Classes, l.Dim); err != nil {
 			return nil, fmt.Errorf("infer: load binary: learner %d: %w", i, err)
 		}
-		qz.maskOnes[i] = make([]float64, bw.Cfg.Classes)
+		// The learner's class-major block: each class's sign words, then
+		// its mask words.
+		maskOnes[i] = make([]float64, bw.Cfg.Classes)
+		planes[i] = make([]uint64, 0, 2*bw.Cfg.Classes*((l.Dim+63)/64))
 		for c, mask := range bw.Mask[i] {
 			ones := mask.Ones()
 			if ones == 0 {
 				return nil, fmt.Errorf("infer: load binary: learner %d class %d has an empty confidence mask", i, c)
 			}
-			qz.maskOnes[i][c] = float64(ones)
+			maskOnes[i][c] = float64(ones)
+			planes[i] = append(append(planes[i], bw.Class[i][c].Words...), mask.Words...)
 		}
-		qz.versions[i] = l.Version()
-		qz.packLearner(i)
+		versions[i] = l.Version()
 	}
-	bm := &BinaryModel{model: shell, segDims: bw.SegDims, frozen: true}
-	bm.snap.Store(qz)
+	bm := &BinaryModel{model: shell, frozen: true}
+	bm.snap.Store(&quantization{planes: planes, maskOnes: maskOnes, versions: versions})
 	return bm, nil
-}
-
-// NewEngineFromBinary wraps a cold-loaded binary model in a
-// packed-binary serving engine. The engine's float paths score the
-// zeroed shell and are not meaningful; every Engine predict entry point
-// routes through the binary backend.
-func NewEngineFromBinary(bm *BinaryModel) *Engine {
-	return &Engine{model: bm.model, backend: PackedBinary, bin: bm}
 }

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -146,15 +147,55 @@ func TestLoadBinaryRejectsForeignAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qz := bm.snap.Load()
-	qz.class[1][0].Words = qz.class[1][0].Words[:1]
-	var corrupt bytes.Buffer
-	if err := bm.Save(&corrupt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBinary(&corrupt); err == nil || !strings.Contains(err.Error(), "sign") {
+	corrupt := rewriteSnapshot(t, bm, func(bw *binaryWire) {
+		bw.Class[1][0].Words = bw.Class[1][0].Words[:1]
+	})
+	if _, err := LoadBinary(corrupt); err == nil || !strings.Contains(err.Error(), "sign") {
 		t.Fatalf("corrupt sign plane not rejected: %v", err)
 	}
+
+	// Set a padding bit of one plane: segments are 80 dimensions wide, so
+	// bits 16-63 of each plane's second word lie past the segment, and the
+	// scoring kernels would count them as dimensions.
+	for _, what := range []string{"sign", "mask"} {
+		padded := rewriteSnapshot(t, bm, func(bw *binaryWire) {
+			p := bw.Class[2][1]
+			if what == "mask" {
+				p = bw.Mask[2][1]
+			}
+			p.Words[len(p.Words)-1] |= 1 << 63
+		})
+		if _, err := LoadBinary(padded); err == nil || !strings.Contains(err.Error(), what+" plane sets bits past") {
+			t.Fatalf("%s plane with padding bits set not rejected: %v", what, err)
+		}
+	}
+}
+
+// rewriteSnapshot saves bm, applies edit to the decoded wire payload and
+// frames it again at the same version: a snapshot no writer produces.
+func rewriteSnapshot(t *testing.T, bm *BinaryModel, edit func(*binaryWire)) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := bm.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v, body, err := wire.ReadHeader(&buf, wire.MagicBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bw binaryWire
+	if err := gob.NewDecoder(body).Decode(&bw); err != nil {
+		t.Fatal(err)
+	}
+	edit(&bw)
+	var out bytes.Buffer
+	if err := wire.WriteHeaderVersion(&out, wire.MagicBinary, v); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&out).Encode(&bw); err != nil {
+		t.Fatal(err)
+	}
+	return &out
 }
 
 // TestBinarySaveAfterMutation: Save must persist what the predict paths
