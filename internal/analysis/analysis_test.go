@@ -142,6 +142,7 @@ func TestGolden(t *testing.T) {
 var benchKernels = map[string][]struct{ dir, fn string }{
 	"boosthd.BenchmarkInferBackends": {
 		{"internal/boosthd", "classifyEncoded"},
+		{"internal/boosthd", "learnerScores"},
 		{"internal/infer", "predictBits"},
 	},
 	"internal/encoding.BenchmarkEncodeBatchParallel": {
@@ -171,12 +172,12 @@ var benchKernels = map[string][]struct{ dir, fn string }{
 	"internal/encoding.BenchmarkEncodeRFF":       {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},
 	"internal/encoding.BenchmarkIDLevelEncode":   {{"internal/encoding", "quantize"}},
 	"internal/infer.BenchmarkPredictBatchBinary": {{"internal/infer", "predictBits4"}},
-	"internal/infer.BenchmarkPredictBatchFloat":  {{"internal/boosthd", "classifyEncoded"}},
+	"internal/infer.BenchmarkPredictBatchFloat":  {{"internal/boosthd", "classifyEncoded"}, {"internal/boosthd", "learnerScores"}},
 	"internal/infer.BenchmarkScoreEncodedBinary": {
 		{"internal/infer", "planeDistance"},
 		{"internal/infer", "planeDistance4"},
 	},
-	"internal/infer.BenchmarkScoreEncodedFloat": {{"internal/boosthd", "segmentDots"}},
+	"internal/infer.BenchmarkScoreEncodedFloat": {{"internal/boosthd", "learnerScores"}, {"internal/boosthd", "segmentDots"}},
 	"internal/obs.BenchmarkHistogramObserve":    {{"internal/obs", "Observe"}},
 	"internal/obs.BenchmarkSpanStamp":           {{"internal/obs", "Stamp"}},
 	"internal/serve.BenchmarkTenantResolve":     {{"internal/serve", "Resolve"}},

@@ -507,3 +507,64 @@ func TestEvaluateLearnersSoloAccuracy(t *testing.T) {
 		}
 	}
 }
+
+// TestCanaryMatchesServing ties the canary probe to serving. On float and
+// binary engines, plain, dimension-masked and tenant, under both
+// aggregation rules, EvaluateLearners' accuracy for every voting learner
+// must equal Evaluate on the same engine re-masked so that learner votes
+// alone, its dimension mask kept.
+func TestCanaryMatchesServing(t *testing.T) {
+	m, X, y := fixture(t, 2048, 4)
+	healthy := dimMaskFixture(len(m.Learners), 8)
+	d := tenantDelta(t, m, []int{1, 2}, X[:80], y[:80])
+	for _, agg := range []boosthd.Aggregation{boosthd.Score, boosthd.Vote} {
+		ma := m.Clone()
+		ma.Cfg.Aggregation = agg
+		binary, err := NewBinaryEngine(ma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []*Engine{NewEngine(ma), binary} {
+			dimMasked, err := RemaskDims(base, ma, make([]bool, len(ma.Learners)), healthy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tenant, err := base.WithDelta(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []struct {
+				name    string
+				eng     *Engine
+				healthy [][]uint64
+			}{{"plain", base, nil}, {"dim-masked", dimMasked, healthy}, {"tenant", tenant, nil}} {
+				acc, err := v.eng.EvaluateLearners(X, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				view := v.eng.Model()
+				for i, alpha := range view.Alphas {
+					if alpha <= 0 {
+						continue
+					}
+					others := make([]bool, len(view.Alphas))
+					for j := range others {
+						others[j] = j != i
+					}
+					alone, err := RemaskDims(v.eng, view, others, v.healthy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := alone.Evaluate(X, y)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if acc[i] != want {
+						t.Errorf("%s %s %s learner %d: canary accuracy %v, serving alone %v",
+							agg, base.Backend(), v.name, i, acc[i], want)
+					}
+				}
+			}
+		}
+	}
+}

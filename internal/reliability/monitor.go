@@ -102,8 +102,11 @@ type Config struct {
 	// trainer→monitor contract): a version counter that advanced
 	// without a matching handed signature gets one scrub pass of grace
 	// for the in-flight handoff, then is treated as corruption. This
-	// keeps integrity scrubbing strict under live training, where
-	// TrustVersioned would wave every mutation through.
+	// keeps integrity scrubbing strict under live training. Leave it
+	// false for a static serving model, where any mutation is
+	// corruption — fault injection through the locked paths bumps
+	// versions too, and strict mode catches it. The canary check guards
+	// both modes.
 	SignedUpdates bool
 	// StatePath, when set, persists the health ledger — per-learner fault
 	// counters, canary baselines, and segment-criticality baselines —
@@ -118,15 +121,6 @@ type Config struct {
 	// baseline adoption, each pass grouped under one correlation ID.
 	// Nil disables journaling at the cost of a nil check per event.
 	Journal *obs.Journal
-	// TrustVersioned treats a learner whose version counter advanced
-	// since signing as legitimately mutated (streaming online updates,
-	// in-place fits): it is re-signed instead of flagged. Prefer
-	// SignedUpdates when the mutator can hand signatures; leave both
-	// false for a static serving model, where any mutation is
-	// corruption — fault injection through the locked paths bumps
-	// versions too, and strict mode catches it. The canary check
-	// guards all modes.
-	TrustVersioned bool
 }
 
 func (c Config) withDefaults() Config {
@@ -650,8 +644,7 @@ func (mo *Monitor) adoptLocked(eng *infer.Engine) {
 // signatures as announced mutations. Under SignedUpdates the next scrub
 // trusts a moved version only if it matches a handed signature — so
 // live training stays compatible with strict corruption detection at
-// per-learner, per-update granularity instead of TrustVersioned's
-// wholesale waiver.
+// per-learner, per-update granularity.
 func (mo *Monitor) NoteMutation(learners []int) {
 	if len(learners) == 0 {
 		return
@@ -904,11 +897,6 @@ func (mo *Monitor) attributeLocked(e *entry, cur *learnerSig) (newFloat, newPlan
 			// A trainer-handed signature matches: the mutation was
 			// announced and the reference now describes it.
 			announced = true
-		case mo.cfg.TrustVersioned:
-			ref.version = cur.version
-			ref.classSegs = cur.classSegs
-			e.suspect = 0
-			announced = true
 		case cur.version < ref.version, e.pendingNewerThan(cur.version):
 			// The scan raced announced updates: the reference, or a
 			// queued handoff, already describes a NEWER state than
@@ -1146,8 +1134,8 @@ func (mo *Monitor) Repair() (RepairReport, error) {
 // corruption that landed between the scrub and this repair must not be
 // re-thresholded into the planes and re-signed as healthy. A learner is
 // restored whole when the canary condemned memory its signatures vouch
-// for, when its version moved since the scrub without an announced or
-// trusted mutation behind it (the same hazard with no attribution), and
+// for, when its version moved since the scrub without an announced
+// mutation behind it (the same hazard with no attribution), and
 // always on a frozen snapshot, which has no float memory to check.
 func (mo *Monitor) needsLocked() []need {
 	isFrozen := frozen(mo.cur)
@@ -1164,7 +1152,7 @@ func (mo *Monitor) needsLocked() []need {
 		n := need{learner: i}
 		switch {
 		case isFrozen, e.canarySuspect,
-			sigs[i].version != e.sig.version && !mo.cfg.TrustVersioned &&
+			sigs[i].version != e.sig.version &&
 				!e.hasMatchingPending(&sigs[i]) && !e.pendingNewerThan(sigs[i].version):
 			for s := range e.segs {
 				n.segs = append(n.segs, s)

@@ -386,11 +386,11 @@ func TestScrubDetectsEveryWordFaultBinary(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCanaryCatchesSilentCollapse: in a TrustVersioned deployment a
-// locked mutation is re-signed, so the integrity check alone would wave
-// through a semantically destroyed learner. The canary must catch the
-// collapse, and repair must restore from the checkpoint (the re-signed
-// memory is not trustworthy).
+// TestCanaryCatchesSilentCollapse: under SignedUpdates an announced
+// mutation is re-signed, so the integrity check alone would wave through
+// a semantically destroyed learner whose signature was accepted. The
+// canary must catch the collapse, and repair must restore from the
+// checkpoint (the re-signed memory is not trustworthy).
 func TestCanaryCatchesSilentCollapse(t *testing.T) {
 	m, X, y := fixture(t, 480, 4)
 	pristine := m.Clone()
@@ -401,7 +401,7 @@ func TestCanaryCatchesSilentCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	mon, err := New(srv, Config{CheckpointPath: ckpt, TrustVersioned: true})
+	mon, err := New(srv, Config{CheckpointPath: ckpt, SignedUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,9 +409,10 @@ func TestCanaryCatchesSilentCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rotate the learner's class vectors: every signature stays
-	// internally consistent and the version moves (trusted), but the
-	// learner now answers the wrong class almost always.
+	// Rotate the learner's class vectors and announce the rotation: every
+	// signature stays internally consistent and the version moves with a
+	// handed signature, but the learner now answers the wrong class
+	// almost always.
 	const target = 1
 	m.Learners[target].MutateClass(func(class []hdc.Vector) {
 		first := append(hdc.Vector(nil), class[0]...)
@@ -419,13 +420,14 @@ func TestCanaryCatchesSilentCollapse(t *testing.T) {
 		copy(class[1], class[2])
 		copy(class[2], first)
 	})
+	mon.NoteMutation([]int{target})
 
 	rep, err := mon.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.IntegrityFaults) != 0 {
-		t.Fatalf("trusted mutation flagged as integrity fault: %+v", rep)
+		t.Fatalf("announced mutation flagged as integrity fault: %+v", rep)
 	}
 	if !contains(rep.CanaryFaults, target) || !contains(rep.Quarantined, target) {
 		t.Fatalf("canary missed the collapapsed learner: %+v", rep)
