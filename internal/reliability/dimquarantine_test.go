@@ -699,7 +699,7 @@ func FuzzSegmentAttribution(f *testing.F) {
 			}
 			if hitMask {
 				// Flipping a mask bit ON where the tail is padded would
-				// be outside the logical dimensions; segDims are 512
+				// be outside the logical dimensions; segments are 512 wide
 				// here (8 full words), so every bit is in range.
 				mask[word] ^= 1 << bit
 			} else {
