@@ -429,6 +429,14 @@ func TestCanaryCatchesSilentCollapse(t *testing.T) {
 	if len(rep.IntegrityFaults) != 0 {
 		t.Fatalf("announced mutation flagged as integrity fault: %+v", rep)
 	}
+	// The scrub adopted the handed signature; an unannounced rotation
+	// would only have been granted a grace pass.
+	mon.mu.Lock()
+	adopted := mon.ledger[target].sig.version == m.Learners[target].Version()
+	mon.mu.Unlock()
+	if !adopted {
+		t.Fatal("announced rotation's signature was not adopted")
+	}
 	if !contains(rep.CanaryFaults, target) || !contains(rep.Quarantined, target) {
 		t.Fatalf("canary missed the collapapsed learner: %+v", rep)
 	}
