@@ -12,37 +12,38 @@ import (
 )
 
 // goldenDigests pins every encoding the package produces, keyed
-// "<projection>/<kind>/<in>x<out>". Each value is an FNV-64a digest over
-// the float batch encodings, the single-row float encodings, and the
-// packed sign bits of a full range and an unaligned sub-range, batch and
-// scalar, of 37 rows. A kernel change must leave every digest unchanged.
-// seeded/*/7x130 has a single lookup group, so its digest also pins the
-// plain index-order dot.
-var goldenDigests = map[string]uint64{
-	"stored/nonlinear/36x1000": 0x756ef197276a46bd,
-	"stored/nonlinear/7x130":   0xacccc7e559de5839,
-	"stored/nonlinear/64x512":  0xb3e72473cf09139d,
-	"stored/nonlinear/100x333": 0x379539f93b9cbbf5,
-	"stored/rff/36x1000":       0xf1820fa9408eb42d,
-	"stored/rff/7x130":         0x3ef4aba6fe6fb325,
-	"stored/rff/64x512":        0xd86effe52b56f6ad,
-	"stored/rff/100x333":       0xd2304172a51814b1,
-	"stored/linear/36x1000":    0x488a4266b68f7ee5,
-	"stored/linear/7x130":      0x6bc2f7164f47c685,
-	"stored/linear/64x512":     0x6ea515f553dfa245,
-	"stored/linear/100x333":    0xfad83a7b6b27f891,
-	"seeded/nonlinear/36x1000": 0xbd48c9016e92c919,
-	"seeded/nonlinear/7x130":   0xabc050400e6c65e5,
-	"seeded/nonlinear/64x512":  0x8eed478f5621168d,
-	"seeded/nonlinear/100x333": 0xe3639dc1ec54bdd5,
-	"seeded/rff/36x1000":       0xf155d0ac573b5009,
-	"seeded/rff/7x130":         0x0fc2bca92b1653d1,
-	"seeded/rff/64x512":        0x103812c2c0ed770d,
-	"seeded/rff/100x333":       0x9237fac47959f8a5,
-	"seeded/linear/36x1000":    0x3b9f072d212bdbfd,
-	"seeded/linear/7x130":      0xaed90c7a680c3ff9,
-	"seeded/linear/64x512":     0x8de909c794fc5005,
-	"seeded/linear/100x333":    0xe77114968be1f251,
+// "<projection>/<kind>/<in>x<out>", as two FNV-64a digests over 37 rows.
+// float covers the batch and the single-row float encodings; sign covers
+// the packed sign bits of a full range and an unaligned sub-range, batch
+// and scalar. The halves are separate so a change to the sign-bit kernel
+// alone can show that every float encoding stayed as it was. A kernel
+// change must leave every digest unchanged. seeded/*/7x130 has a single
+// lookup group, so its float digest also pins the plain index-order dot.
+var goldenDigests = map[string]struct{ float, sign uint64 }{
+	"stored/nonlinear/36x1000": {float: 0x6789d6a4e78a7cf1, sign: 0xa2e7bb6559563741},
+	"stored/nonlinear/7x130":   {float: 0x1345687dad701745, sign: 0xeefb365e31e9cd99},
+	"stored/nonlinear/64x512":  {float: 0x76aeb74c3807f161, sign: 0x1f029f88f0104e41},
+	"stored/nonlinear/100x333": {float: 0x3035383e495b12c5, sign: 0x604c9459ff5fbed5},
+	"stored/rff/36x1000":       {float: 0x841ffc9ecea62d69, sign: 0x80ca1a7712abc2f9},
+	"stored/rff/7x130":         {float: 0x486c55c70764bb61, sign: 0x39a591c7738e8829},
+	"stored/rff/64x512":        {float: 0xf262f84894695b25, sign: 0x86dae9a096afbead},
+	"stored/rff/100x333":       {float: 0x9737312303d8c1a9, sign: 0xf7466bb6eab8cbed},
+	"stored/linear/36x1000":    {float: 0x9a2554e9722c83d5, sign: 0x4987d03707f0d835},
+	"stored/linear/7x130":      {float: 0x1e620377b86ab7e5, sign: 0xf75ec6820881d5c5},
+	"stored/linear/64x512":     {float: 0xe20610b094900985, sign: 0xa74a6c2daea3fce5},
+	"stored/linear/100x333":    {float: 0xd5ab1211e613ac3d, sign: 0x2305c4040e8a0df9},
+	"seeded/nonlinear/36x1000": {float: 0xb81d6bdc6e8d6851, sign: 0x93ae719bce029b2d},
+	"seeded/nonlinear/7x130":   {float: 0xdd469c8bd59c3a69, sign: 0x37f5c4908fd9c331},
+	"seeded/nonlinear/64x512":  {float: 0x31acb487ff9d7f9d, sign: 0x4161a003352e6a75},
+	"seeded/nonlinear/100x333": {float: 0x9a6356bc04d46705, sign: 0xea0471d4602e7875},
+	"seeded/rff/36x1000":       {float: 0x833ec40664b2ca6d, sign: 0x505542c3b1aade01},
+	"seeded/rff/7x130":         {float: 0x213ded5d9ba903cd, sign: 0x008cb0b9137feb49},
+	"seeded/rff/64x512":        {float: 0x0578c8fd6914f80d, sign: 0x1af08be58b22b165},
+	"seeded/rff/100x333":       {float: 0xad82ac9ea3519879, sign: 0x03426909e23924c1},
+	"seeded/linear/36x1000":    {float: 0xd56ad21e784de465, sign: 0x937e1899998342bd},
+	"seeded/linear/7x130":      {float: 0xb500c1093c1ffd55, sign: 0x9579186517581809},
+	"seeded/linear/64x512":     {float: 0x5a7daab1c657733d, sign: 0x2f6aa73ad592cfcd},
+	"seeded/linear/100x333":    {float: 0x05054583d9423379, sign: 0xd5f258ddfba28e1d},
 }
 
 // goldenEncoder builds the encoder a golden case pins.
@@ -75,8 +76,8 @@ func hashWords(h hash.Hash64, v *hdc.BitVector) {
 }
 
 // goldenDigest encodes 37 rows through every entry point and folds the
-// results into one digest.
-func goldenDigest(t *testing.T, e *Encoder) uint64 {
+// float results and the sign bits into one digest each.
+func goldenDigest(t *testing.T, e *Encoder) (float, sign uint64) {
 	t.Helper()
 	xs := seededTestRows(7, 37, e.InDim)
 	h := fnv.New64a()
@@ -93,7 +94,9 @@ func goldenDigest(t *testing.T, e *Encoder) uint64 {
 		}
 		hashFloats(h, v)
 	}
+	float = h.Sum64()
 
+	h.Reset()
 	for _, r := range [][2]int{{0, e.OutDim}, {35, e.OutDim - 9}} {
 		lo, hi := r[0], r[1]
 		batch := make([]*hdc.BitVector, len(xs))
@@ -114,11 +117,11 @@ func goldenDigest(t *testing.T, e *Encoder) uint64 {
 			hashWords(h, v)
 		}
 	}
-	return h.Sum64()
+	return float, h.Sum64()
 }
 
 // TestGoldenEncodingDigests pins the float encodings and sign bits of
-// both projection modes, for every kind, bit for bit. The geometries
+// both projection modes, for every kind, bit for bit, each half apart. The geometries
 // cover partial sign words, partial dimension tiles and a row count that
 // leaves a remainder after the four-row blocks.
 func TestGoldenEncodingDigests(t *testing.T) {
@@ -126,9 +129,13 @@ func TestGoldenEncodingDigests(t *testing.T) {
 		for _, kind := range []Kind{Nonlinear, RFF, Linear} {
 			for _, g := range []struct{ in, out int }{{36, 1000}, {7, 130}, {64, 512}, {100, 333}} {
 				key := fmt.Sprintf("%v/%v/%dx%d", proj, kind, g.in, g.out)
-				got := goldenDigest(t, goldenEncoder(t, proj, g.in, g.out, kind))
-				if want := goldenDigests[key]; got != want {
-					t.Errorf("%s: digest %#016x, want %#016x", key, got, want)
+				float, sign := goldenDigest(t, goldenEncoder(t, proj, g.in, g.out, kind))
+				want := goldenDigests[key]
+				if float != want.float {
+					t.Errorf("%s: float digest %#016x, want %#016x", key, float, want.float)
+				}
+				if sign != want.sign {
+					t.Errorf("%s: sign digest %#016x, want %#016x", key, sign, want.sign)
 				}
 			}
 		}
