@@ -177,7 +177,7 @@ var benchKernels = map[string][]struct{ dir, fn string }{
 		{"internal/infer", "planeDistance"},
 		{"internal/infer", "planeDistance4"},
 	},
-	"internal/infer.BenchmarkScoreEncodedFloat": {{"internal/boosthd", "learnerScores"}, {"internal/boosthd", "segmentDots"}},
+	"internal/infer.BenchmarkScoreEncodedFloat": {{"internal/boosthd", "learnerScores"}, {"internal/hdc", "Dots"}},
 	"internal/obs.BenchmarkHistogramObserve":    {{"internal/obs", "Observe"}},
 	"internal/obs.BenchmarkSpanStamp":           {{"internal/obs", "Stamp"}},
 	"internal/serve.BenchmarkTenantResolve":     {{"internal/serve", "Resolve"}},

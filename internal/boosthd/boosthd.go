@@ -179,10 +179,6 @@ func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("boosthd: %w", err)
 	}
-	H, err := enc.EncodeBatch(X)
-	if err != nil {
-		return nil, fmt.Errorf("boosthd: %w", err)
-	}
 
 	m := &Model{
 		Cfg:      cfg,
@@ -192,34 +188,34 @@ func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
 		gamma:    gamma,
 		inputDim: len(X[0]),
 	}
-	if err := m.boostFit(H, y); err != nil {
+	if err := m.boostFit(X, y); err != nil {
 		return nil, fmt.Errorf("boosthd: %w", err)
 	}
 	return m, nil
 }
 
-// boostFit runs Algorithm 1's sequential boosting loop over pre-encoded
-// rows H: each round fits a fresh weak learner on its dimension segment
-// under the evolving sample distribution, installs it, and records its
+// boostFit runs Algorithm 1's sequential boosting loop over rows X: each
+// round encodes its learner's dimension segment of every row into one
+// reused buffer (EncodeSegment), fits a fresh weak learner on it under
+// the evolving sample distribution, installs it, and records its
 // importance alpha. Shared by Train and Refit so an in-place refit is
 // bit-identical to a cold retrain from the same encoder stack and data.
 // Not synchronized with serving — run it on a model no reader holds.
-func (m *Model) boostFit(H []hdc.Vector, y []int) error {
+func (m *Model) boostFit(X [][]float64, y []int) error {
 	cfg := m.Cfg
 	rng := rand.New(rand.NewSource(cfg.Seed + 977))
-
-	// Pre-slice every encoding per learner lazily inside the round.
+	var buf []float64
 	results, err := ensemble.Boost(y, cfg.Classes, cfg.NumLearners,
 		func(round int, w []float64) ([]int, error) {
-			seg := m.segs[round]
-			dim := seg.hi - seg.lo
-			hv, err := onlinehd.NewHVClassifier(dim, cfg.Classes, cfg.LR)
+			sub, b, err := m.EncodeSegment(round, X, buf)
 			if err != nil {
 				return nil, err
 			}
-			sub := make([]hdc.Vector, len(H))
-			for i, h := range H {
-				sub[i] = h.Slice(seg.lo, seg.hi)
+			buf = b
+			seg := m.segs[round]
+			hv, err := onlinehd.NewHVClassifier(seg.hi-seg.lo, cfg.Classes, cfg.LR)
+			if err != nil {
+				return nil, err
 			}
 			opt := onlinehd.FitOptions{Epochs: cfg.Epochs, Weights: w, Bootstrap: cfg.Bootstrap}
 			if cfg.Bootstrap {
@@ -310,55 +306,11 @@ func (m *Model) newInferScratch() *inferScratch {
 	}
 }
 
-// segmentDots walks one query segment once, accumulating the squared
-// query norm and the dot product against every class hypervector
-// together. The two- and three-class bodies (the paper's healthcare
-// datasets) hoist the class slices into independent accumulator chains;
-// all variants accumulate in index order, so the scores are bit-identical
-// to separate hdc.Dot / hdc.Norm calls.
-//
-//hd:hotpath
-func segmentDots(hseg hdc.Vector, class []hdc.Vector, dots []float64) (hn2 float64) {
-	n := len(hseg)
-	switch len(class) {
-	case 2:
-		c0, c1 := class[0][:n], class[1][:n]
-		var d0, d1 float64
-		for k, hv := range hseg {
-			hn2 += hv * hv
-			d0 += hv * c0[k]
-			d1 += hv * c1[k]
-		}
-		dots[0], dots[1] = d0, d1
-	case 3:
-		c0, c1, c2 := class[0][:n], class[1][:n], class[2][:n]
-		var d0, d1, d2 float64
-		for k, hv := range hseg {
-			hn2 += hv * hv
-			d0 += hv * c0[k]
-			d1 += hv * c1[k]
-			d2 += hv * c2[k]
-		}
-		dots[0], dots[1], dots[2] = d0, d1, d2
-	default:
-		for c := range dots {
-			dots[c] = 0
-		}
-		for k, hv := range hseg {
-			hn2 += hv * hv
-			for c, cv := range class {
-				dots[c] += hv * cv[k]
-			}
-		}
-	}
-	return hn2
-}
-
-// segmentDotsMasked is segmentDots for a dimension-masked learner: class
+// segmentDotsMasked is hdc.Dots for a dimension-masked learner: class
 // components at untrusted dimensions are read as zero. The query norm
 // still accumulates over every dimension (the query is computed fresh
 // and is never suspect), and the zeroed components go through the same
-// multiply-add sequence as segmentDots over a literally zeroed class
+// multiply-add sequence as hdc.Dots over a literally zeroed class
 // vector, so the scores are bit-identical to a clean model with those
 // components zeroed at the same positions.
 //
@@ -414,26 +366,25 @@ func segmentDotsMasked(hseg hdc.Vector, class []hdc.Vector, dots []float64, heal
 }
 
 // learnerScores writes learner i's cosine similarity to every class into
-// scores (length Classes) for the full-width encoding h: one walk of the
-// learner's dimension segment accumulates the query-segment norm and all
-// per-class dots together, with untrusted components read as zero on a
-// dimension-masked learner, then the zero-norm conventions of
-// HVClassifier.Scores apply. norms are the learner's pinned class norms
-// (pinLearners). It reports whether every score is finite. Serving
-// (classifyEncoded) and the canary probe (EvaluateLearners) both score
-// through it, so a learner is always evaluated the way it serves.
+// scores (length Classes) for hseg, the query's encoding over the
+// learner's dimension segment: one walk of the segment accumulates the
+// query-segment norm and all per-class dots together (hdc.Dots), with
+// untrusted components read as zero on a dimension-masked learner, then
+// the zero-norm conventions of HVClassifier.Scores apply. norms are the
+// learner's pinned class norms (pinLearners). It reports whether every
+// score is finite. Serving (classifyEncoded) and the canary probe
+// (EvaluateLearners) both score through it, so a learner is always
+// evaluated the way it serves.
 //
 //hd:hotpath
-func (m *Model) learnerScores(i int, h hdc.Vector, norms, scores []float64) (finite bool) {
-	seg := m.segs[i]
-	hseg := h[seg.lo:seg.hi]
+func (m *Model) learnerScores(i int, hseg hdc.Vector, norms, scores []float64) (finite bool) {
 	var hn float64
 	if dm := m.DimMask(i); dm != nil {
 		//hdlint:ignore locksafety callers pin the learners (pinLearners) for the whole batch
 		hn = math.Sqrt(segmentDotsMasked(hseg, m.Learners[i].Class, scores, dm))
 	} else {
 		//hdlint:ignore locksafety callers pin the learners (pinLearners) for the whole batch
-		hn = math.Sqrt(segmentDots(hseg, m.Learners[i].Class, scores))
+		hn = math.Sqrt(hdc.Dots(hseg, m.Learners[i].Class, scores))
 	}
 	finite = true
 	for c, cn := range norms {
@@ -467,7 +418,8 @@ func (m *Model) classifyEncoded(h hdc.Vector, norms [][]float64, sc *inferScratc
 			// would poison the aggregate the masking exists to protect.
 			continue
 		}
-		if !m.learnerScores(i, h, norms[i], sc.dots) {
+		seg := m.segs[i]
+		if !m.learnerScores(i, h[seg.lo:seg.hi], norms[i], sc.dots) {
 			// A NaN or infinite cosine (from a corrupted encoder plane,
 			// class word or stored weight) would decide every aggregate
 			// it joins, so the learner sits this query out as a

@@ -111,6 +111,29 @@ func (s *encoderStack) EncodeBatch(xs [][]float64) ([]hdc.Vector, error) {
 	return outs, nil
 }
 
+// EncodeSegment encodes learner i's dimension segment of every row of X
+// through that segment's one-part stack, whose values equal the segment
+// of the full-width encoding. Row r lands in buf[r*w:(r+1)*w], w the
+// segment width; a buf shorter than len(X)*w is replaced, and the buffer
+// used is returned. A loop over learners that passes it back in holds
+// one segment's encodings at a time instead of every row at full width.
+// The rows are views of the buffer, which the next call overwrites.
+func (m *Model) EncodeSegment(i int, X [][]float64, buf []float64) (rows []hdc.Vector, used []float64, err error) {
+	pt := m.Enc.parts[i]
+	w := pt.Hi - pt.Lo
+	if len(buf) < len(X)*w {
+		buf = make([]float64, len(X)*w)
+	}
+	if err := (encoding.Stack{pt}).EncodeBatchInto(X, buf, w, 0); err != nil {
+		return nil, buf, err
+	}
+	rows = make([]hdc.Vector, len(X))
+	for r := range rows {
+		rows[r] = hdc.Vector(buf[r*w : (r+1)*w : (r+1)*w])
+	}
+	return rows, buf, nil
+}
+
 // StateBytes sums the sub-encoders' resident state: projection matrices
 // and planes.
 func (s *encoderStack) StateBytes() int {

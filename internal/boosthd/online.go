@@ -181,36 +181,36 @@ func (m *Model) MaskedView(masked []bool, healthy [][]uint64) (*Model, error) {
 	return v, nil
 }
 
-// EvaluateLearners scores each weak learner standalone on a labeled set:
-// rows are encoded once and every learner predicts from its own dimension
-// segment through the serving path's cosine step (learnerScores, under
-// its dimension mask), unweighted by alpha. This is the reliability
-// canary probe — a learner whose solo accuracy collapses is corrupted
-// (or collapsed) in a way a memory checksum cannot always see, e.g.
-// pre-quantization drift.
+// EvaluateLearners scores each weak learner standalone on a labeled set,
+// learner by learner: the rows' encodings of the learner's dimension
+// segment (EncodeSegment, one buffer reused across learners) go through
+// the serving path's cosine step (learnerScores, under its dimension
+// mask), unweighted by alpha. This is the reliability canary probe — a
+// learner whose solo accuracy collapses is corrupted (or collapsed) in a
+// way a memory checksum cannot always see, e.g. pre-quantization drift.
 func (m *Model) EvaluateLearners(X [][]float64, y []int) ([]float64, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("boosthd: bad learner evaluation set (%d rows, %d labels)", len(X), len(y))
 	}
-	H, err := m.Enc.EncodeBatch(X)
-	if err != nil {
-		return nil, fmt.Errorf("boosthd: %w", err)
-	}
 	norms, unpin := m.pinLearners()
 	defer unpin()
-	right := make([]int, len(m.Learners))
+	acc := make([]float64, len(m.Learners))
 	scores := make([]float64, m.Cfg.Classes)
-	for r, h := range H {
-		for i := range m.Learners {
+	var buf []float64
+	for i := range m.Learners {
+		rows, b, err := m.EncodeSegment(i, X, buf)
+		if err != nil {
+			return nil, fmt.Errorf("boosthd: %w", err)
+		}
+		buf = b
+		right := 0
+		for r, h := range rows {
 			m.learnerScores(i, h, norms[i], scores)
 			if argmax(scores) == y[r] {
-				right[i]++
+				right++
 			}
 		}
-	}
-	acc := make([]float64, len(right))
-	for i, n := range right {
-		acc[i] = float64(n) / float64(len(y))
+		acc[i] = float64(right) / float64(len(y))
 	}
 	return acc, nil
 }
@@ -233,11 +233,7 @@ func (m *Model) Refit(X [][]float64, y []int) error {
 	if len(X[0]) != m.inputDim {
 		return fmt.Errorf("boosthd: refit rows have %d features, model expects %d", len(X[0]), m.inputDim)
 	}
-	H, err := m.Enc.EncodeBatch(X)
-	if err != nil {
-		return fmt.Errorf("boosthd: %w", err)
-	}
-	if err := m.boostFit(H, y); err != nil {
+	if err := m.boostFit(X, y); err != nil {
 		return fmt.Errorf("boosthd: %w", err)
 	}
 	return nil
@@ -254,17 +250,14 @@ func (m *Model) ReweightAlphas(X [][]float64, y []int) error {
 	if len(X) == 0 || len(X) != len(y) {
 		return fmt.Errorf("boosthd: bad reweight set (%d rows, %d labels)", len(X), len(y))
 	}
-	H, err := m.Enc.EncodeBatch(X)
-	if err != nil {
-		return fmt.Errorf("boosthd: %w", err)
-	}
-	sub := make([]hdc.Vector, len(H))
+	var buf []float64
 	results, err := ensemble.Boost(y, m.Cfg.Classes, len(m.Learners),
 		func(round int, w []float64) ([]int, error) {
-			seg := m.segs[round]
-			for i, h := range H {
-				sub[i] = h.Slice(seg.lo, seg.hi)
+			sub, b, err := m.EncodeSegment(round, X, buf)
+			if err != nil {
+				return nil, err
 			}
+			buf = b
 			return m.Learners[round].PredictBatch(sub), nil
 		})
 	if err != nil {

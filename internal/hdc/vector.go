@@ -121,6 +121,55 @@ func Dot(a, b Vector) float64 {
 	return s
 }
 
+// Dots writes the inner product of h with every vector of vs into dots
+// (one per vector) and returns h's squared norm, in one pass over h. The
+// two- and three-vector bodies (the paper's healthcare datasets) hoist
+// the vectors into independent accumulator chains. Every product and the
+// norm accumulate in index order, so the results are bit-identical to
+// separate Dot calls and to Norm(h) squared before its square root. It
+// panics on a dimension mismatch, as Dot does.
+//
+//hd:hotpath
+func Dots(h Vector, vs []Vector, dots []float64) (hn2 float64) {
+	n := len(h)
+	for _, v := range vs {
+		mustSameDim(n, len(v))
+	}
+	switch len(vs) {
+	case 2:
+		v0, v1 := vs[0][:n], vs[1][:n]
+		var d0, d1 float64
+		for k, hv := range h {
+			hn2 += hv * hv
+			d0 += hv * v0[k]
+			d1 += hv * v1[k]
+		}
+		dots[0], dots[1] = d0, d1
+	case 3:
+		v0, v1, v2 := vs[0][:n], vs[1][:n], vs[2][:n]
+		var d0, d1, d2 float64
+		for k, hv := range h {
+			hn2 += hv * hv
+			d0 += hv * v0[k]
+			d1 += hv * v1[k]
+			d2 += hv * v2[k]
+		}
+		dots[0], dots[1], dots[2] = d0, d1, d2
+	default:
+		dots = dots[:len(vs)]
+		for c := range dots {
+			dots[c] = 0
+		}
+		for k, hv := range h {
+			hn2 += hv * hv
+			for c, v := range vs {
+				dots[c] += hv * v[k]
+			}
+		}
+	}
+	return hn2
+}
+
 // Norm returns the Euclidean norm of v.
 func Norm(v Vector) float64 {
 	var s float64

@@ -244,3 +244,33 @@ func TestPermuteFullCycleQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDotsMatchesDotAndNorm: the fused kernel's dots and squared norm
+// are bit-identical to separate Dot calls and Norm, for the two- and
+// three-vector bodies and the general one.
+func TestDotsMatchesDotAndNorm(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= 5; n++ {
+		h := RandomGaussian(97, rng)
+		vs := make([]Vector, n)
+		for i := range vs {
+			vs[i] = RandomGaussian(97, rng)
+		}
+		dots := make([]float64, n)
+		hn2 := Dots(h, vs, dots)
+		if math.Float64bits(math.Sqrt(hn2)) != math.Float64bits(Norm(h)) {
+			t.Fatalf("%d vectors: norm %v, want %v", n, math.Sqrt(hn2), Norm(h))
+		}
+		for i, v := range vs {
+			if math.Float64bits(dots[i]) != math.Float64bits(Dot(h, v)) {
+				t.Fatalf("%d vectors: dot %d is %v, want %v", n, i, dots[i], Dot(h, v))
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Dots accepted a dimension mismatch")
+		}
+	}()
+	Dots(NewVector(4), []Vector{NewVector(4), NewVector(5)}, make([]float64, 2))
+}

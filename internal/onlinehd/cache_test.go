@@ -212,3 +212,47 @@ func TestScoresIntoMatchesScores(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateKeepsNormCacheCurrent: a streaming Update leaves the norm
+// cache at the current version, holding exactly the norms a fresh
+// computation gives, whether or not the sample moved memory, and a
+// moved sample never rewrites a snapshot a reader already holds.
+func TestUpdateKeepsNormCacheCurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c, err := NewHVClassifier(48, 4, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, y := randomTrainingSet(rng, 80, 48, 4)
+	if err := c.Fit(hs[:8], y[:8], FitOptions{Epochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	moves := 0
+	for i, h := range hs {
+		held := c.ClassNorms()
+		heldCopy := append([]float64(nil), held...)
+		moved, err := c.Update(h, y[(i+1)%len(y)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved {
+			moves++
+		}
+		if c.normVer != c.version {
+			t.Fatalf("update %d: cache at version %d, memory at %d", i, c.normVer, c.version)
+		}
+		for l, want := range freshNorms(c) {
+			if math.Float64bits(c.norms[l]) != math.Float64bits(want) {
+				t.Fatalf("update %d class %d: cached norm %v, fresh %v", i, l, c.norms[l], want)
+			}
+		}
+		for l := range held {
+			if math.Float64bits(held[l]) != math.Float64bits(heldCopy[l]) {
+				t.Fatalf("update %d rewrote a held norm snapshot", i)
+			}
+		}
+	}
+	if moves == 0 {
+		t.Fatal("no update moved class memory")
+	}
+}

@@ -8,6 +8,7 @@ package onlinehd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -209,9 +210,7 @@ func (c *HVClassifier) ClassNorms() []float64 {
 	defer c.mu.Unlock()
 	if c.norms == nil || c.normVer != c.version {
 		norms := make([]float64, c.Classes)
-		for l, cv := range c.Class {
-			norms[l] = hdc.Norm(cv)
-		}
+		classNorms(c.Class, norms)
 		c.norms = norms
 		c.normVer = c.version
 	}
@@ -237,23 +236,27 @@ func (c *HVClassifier) PinClass() (norms []float64, unpin func()) {
 	}
 }
 
-// scoresWithNorms writes the cosine similarity of h to every class
-// hypervector into out, given precomputed class norms.
-func scoresWithNorms(h hdc.Vector, class []hdc.Vector, norms, out []float64) {
-	hn := hdc.Norm(h)
-	if hn == 0 {
-		for l := range out {
-			out[l] = 0
-		}
-		return
-	}
-	for l, cv := range class {
-		cn := norms[l]
-		if cn == 0 {
+// cosines writes the cosine similarity of h to every class hypervector
+// into out, given the class norms: one fused pass (hdc.Dots) takes the
+// query norm and every dot together, and a zero query or class norm
+// scores 0. Training, streaming updates and every scoring entry point
+// share it.
+func cosines(h hdc.Vector, class []hdc.Vector, norms, out []float64) {
+	hn := math.Sqrt(hdc.Dots(h, class, out))
+	for l, cn := range norms {
+		if hn == 0 || cn == 0 {
 			out[l] = 0
 			continue
 		}
-		out[l] = hdc.Dot(h, cv) / (hn * cn)
+		out[l] /= hn * cn
+	}
+}
+
+// classNorms writes the Euclidean norm of every class hypervector into
+// norms.
+func classNorms(class []hdc.Vector, norms []float64) {
+	for l, cv := range class {
+		norms[l] = hdc.Norm(cv)
 	}
 }
 
@@ -264,7 +267,7 @@ func scoresWithNorms(h hdc.Vector, class []hdc.Vector, norms, out []float64) {
 func (c *HVClassifier) ScoresInto(h hdc.Vector, out []float64) {
 	norms, unpin := c.PinClass()
 	defer unpin()
-	scoresWithNorms(h, c.Class, norms, out)
+	cosines(h, c.Class, norms, out)
 }
 
 // Scores returns the cosine similarity of h to every class hypervector.
@@ -273,27 +276,6 @@ func (c *HVClassifier) Scores(h hdc.Vector) []float64 {
 	s := make([]float64, c.Classes)
 	c.ScoresInto(h, s)
 	return s
-}
-
-// scoresFresh recomputes the class norms inline — the training path, where
-// class vectors mutate between consecutive calls and the cache would
-// always be stale.
-func (c *HVClassifier) scoresFresh(h hdc.Vector, out []float64) {
-	hn := hdc.Norm(h)
-	if hn == 0 {
-		for l := range out {
-			out[l] = 0
-		}
-		return
-	}
-	for l, cv := range c.Class {
-		cn := hdc.Norm(cv)
-		if cn == 0 {
-			out[l] = 0
-			continue
-		}
-		out[l] = hdc.Dot(h, cv) / (hn * cn)
-	}
 }
 
 // argmax returns the index of the strictly greatest score, ties broken
@@ -361,7 +343,10 @@ func (c *HVClassifier) Fit(hs []hdc.Vector, y []int, opt FitOptions) error {
 		c.mu.Unlock()
 	}()
 
-	scratch := make([]float64, c.Classes)
+	// scores is per-sample scratch; norms holds the class norms across
+	// the run, recomputed only for the classes an update moved.
+	scores, norms := make([]float64, c.Classes), make([]float64, c.Classes)
+	classNorms(c.Class, norms)
 
 	// Pass 0 is the novelty-weighted single pass (onePass); the remaining
 	// epochs run the adaptive similarity-guided refinement. Starting
@@ -383,9 +368,9 @@ func (c *HVClassifier) Fit(hs []hdc.Vector, y []int, opt FitOptions) error {
 			}
 			for _, i := range idx {
 				if epoch == 0 {
-					c.onePass(hs[i], y[i], 1, scratch)
+					c.onePass(hs[i], y[i], 1, scores, norms)
 				} else {
-					c.update(hs[i], y[i], 1, scratch)
+					c.update(hs[i], y[i], 1, scores, norms)
 				}
 			}
 			continue
@@ -399,9 +384,9 @@ func (c *HVClassifier) Fit(hs []hdc.Vector, y []int, opt FitOptions) error {
 				continue
 			}
 			if epoch == 0 {
-				c.onePass(hs[i], y[i], scale, scratch)
+				c.onePass(hs[i], y[i], scale, scores, norms)
 			} else {
-				c.update(hs[i], y[i], scale, scratch)
+				c.update(hs[i], y[i], scale, scores, norms)
 			}
 		}
 	}
@@ -411,19 +396,22 @@ func (c *HVClassifier) Fit(hs []hdc.Vector, y []int, opt FitOptions) error {
 // update applies the OnlineHD adaptive rule for one sample: nothing when
 // the prediction is already correct; otherwise pull the true class toward
 // h by lr*(1-delta_true) and push the mispredicted class away by
-// lr*(1-delta_pred), both scaled by the sample weight. It reports whether
-// the class memory changed, so streaming callers can skip the version
-// bump (and the downstream re-quantization it triggers) on a no-op.
+// lr*(1-delta_pred), both scaled by the sample weight. norms are the
+// current class norms; update recomputes those of the classes it moves.
+// It reports whether the class memory changed, so streaming callers can
+// skip the version bump (and the downstream re-quantization it triggers)
+// on a no-op.
 //
 //hd:mutator writes Class under the caller's write lock; the version bump is the caller's obligation
-func (c *HVClassifier) update(h hdc.Vector, label int, scale float64, scores []float64) bool {
-	c.scoresFresh(h, scores)
+func (c *HVClassifier) update(h hdc.Vector, label int, scale float64, scores, norms []float64) bool {
+	cosines(h, c.Class, norms, scores)
 	pred := argmax(scores)
 	if pred == label {
 		return false
 	}
 	c.Class[label].BundleScaled(h, c.LR*scale*(1-scores[label]))
 	c.Class[pred].BundleScaled(h, -c.LR*scale*(1-scores[pred]))
+	norms[label], norms[pred] = hdc.Norm(c.Class[label]), hdc.Norm(c.Class[pred])
 	return true
 }
 
@@ -431,15 +419,18 @@ func (c *HVClassifier) update(h hdc.Vector, label int, scale float64, scores []f
 // its class proportionally to its novelty (1 - delta_true), and on a
 // misprediction the winning class is pushed away. Unlike the adaptive
 // rule it also reinforces correctly classified samples, which seeds the
-// class geometry the refinement epochs then sharpen.
+// class geometry the refinement epochs then sharpen. Like update it
+// keeps norms current for the classes it moves.
 //
 //hd:mutator writes Class under the caller's write lock; the version bump is the caller's obligation
-func (c *HVClassifier) onePass(h hdc.Vector, label int, scale float64, scores []float64) {
-	c.scoresFresh(h, scores)
+func (c *HVClassifier) onePass(h hdc.Vector, label int, scale float64, scores, norms []float64) {
+	cosines(h, c.Class, norms, scores)
 	pred := argmax(scores)
 	c.Class[label].BundleScaled(h, c.LR*scale*(1-scores[label]))
+	norms[label] = hdc.Norm(c.Class[label])
 	if pred != label {
 		c.Class[pred].BundleScaled(h, -c.LR*scale*(1-scores[pred]))
+		norms[pred] = hdc.Norm(c.Class[pred])
 	}
 }
 
@@ -449,8 +440,10 @@ func (c *HVClassifier) onePass(h hdc.Vector, label int, scale float64, scores []
 // built on them) block for the duration of the step and then observe the
 // fully applied update; the version counter is bumped only when the class
 // memory actually changed, so correctly classified samples do not
-// invalidate derived state (norm caches, binary quantizations). It
-// reports whether the memory changed.
+// invalidate derived state (norm caches, binary quantizations). The step
+// scores against the cached class norms when they are current and
+// leaves the cache current, with the moved classes' norms recomputed.
+// It reports whether the memory changed.
 func (c *HVClassifier) Update(h hdc.Vector, label int) (bool, error) {
 	if len(h) != c.Dim {
 		return false, fmt.Errorf("onlinehd: update sample has dim %d, want %d", len(h), c.Dim)
@@ -458,14 +451,24 @@ func (c *HVClassifier) Update(h hdc.Vector, label int) (bool, error) {
 	if label < 0 || label >= c.Classes {
 		return false, fmt.Errorf("onlinehd: update label %d outside [0,%d)", label, c.Classes)
 	}
-	scores := make([]float64, c.Classes)
+	// One allocation holds the scores and a private copy of the norms:
+	// the cached snapshot is immutable, so the copy is what update
+	// rewrites and what becomes the next snapshot.
+	buf := make([]float64, 2*c.Classes)
+	scores, norms := buf[:c.Classes], buf[c.Classes:]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.update(h, label, 1, scores) {
-		return false, nil
+	if c.norms != nil && c.normVer == c.version {
+		copy(norms, c.norms)
+	} else {
+		classNorms(c.Class, norms)
 	}
-	c.version++
-	return true, nil
+	moved := c.update(h, label, 1, scores, norms)
+	if moved {
+		c.version++
+	}
+	c.norms, c.normVer = norms, c.version
+	return moved, nil
 }
 
 // PredictBatch classifies a batch of encoded samples sequentially, reusing
@@ -481,7 +484,7 @@ func (c *HVClassifier) PredictBatch(hs []hdc.Vector) []int {
 	defer unpin()
 	scores := make([]float64, c.Classes)
 	for i, h := range hs {
-		scoresWithNorms(h, c.Class, norms, scores)
+		cosines(h, c.Class, norms, scores)
 		out[i] = argmax(scores)
 	}
 	return out

@@ -145,7 +145,7 @@ func (m *Model) PredictBatch(X [][]float64) ([]int, error) {
 		for i := lo; i < hi; i++ {
 			h := hdc.Vector(sc.buf[(i-lo)*D : (i-lo+1)*D])
 			//hdlint:ignore locksafety read under the classifier's pin held for the whole batch
-			scoresWithNorms(h, m.HV.Class, norms, sc.scores)
+			cosines(h, m.HV.Class, norms, sc.scores)
 			out[i] = argmax(sc.scores)
 		}
 		return nil

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"boosthd/internal/boosthd"
-	"boosthd/internal/hdc"
 	"boosthd/internal/onlinehd"
 	"boosthd/internal/serve"
 )
@@ -253,8 +252,9 @@ func (t *TenantTrainer) RetrainTenant(tenant string) (serve.RetrainReport, error
 }
 
 // fitDelta builds the tenant's delta over (X, y): worst-K learner
-// selection, per-segment refits, and the alpha reweight through the
-// composed view. The base model is only read (under its learner locks).
+// selection, refits of those learners from their segments' encodings
+// alone, and the alpha reweight through the composed view. The base
+// model is only read (under its learner locks).
 func (t *TenantTrainer) fitDelta(base *boosthd.Model, X [][]float64, y []int) (*boosthd.Delta, error) {
 	acc, err := base.EvaluateLearners(X, y)
 	if err != nil {
@@ -274,25 +274,22 @@ func (t *TenantTrainer) fitDelta(base *boosthd.Model, X [][]float64, y []int) (*
 	picked := append([]int(nil), order[:k]...)
 	sort.Ints(picked)
 
-	H, err := base.Enc.EncodeBatch(X)
-	if err != nil {
-		return nil, err
-	}
 	segs := base.Segments()
 	epochs := t.cfg.Epochs
 	if epochs <= 0 {
 		epochs = base.Cfg.Epochs
 	}
 	d := &boosthd.Delta{Learners: make(map[int]*onlinehd.HVClassifier, k)}
+	var buf []float64
 	for _, i := range picked {
-		lo, hi := segs[i][0], segs[i][1]
-		hv, err := onlinehd.NewHVClassifier(hi-lo, base.Cfg.Classes, base.Cfg.LR)
+		sub, b, err := base.EncodeSegment(i, X, buf)
 		if err != nil {
 			return nil, err
 		}
-		sub := make([]hdc.Vector, len(H))
-		for r, h := range H {
-			sub[r] = h.Slice(lo, hi)
+		buf = b
+		hv, err := onlinehd.NewHVClassifier(segs[i][1]-segs[i][0], base.Cfg.Classes, base.Cfg.LR)
+		if err != nil {
+			return nil, err
 		}
 		opt := onlinehd.FitOptions{Epochs: epochs, Bootstrap: base.Cfg.Bootstrap}
 		if base.Cfg.Bootstrap {
