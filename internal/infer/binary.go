@@ -695,18 +695,33 @@ func (bm *BinaryModel) PredictBatchStaged(X [][]float64, stages *obs.StageTimes)
 // probability: the packed-binary analogue of Model.InjectClassFaults,
 // emulating memory faults in the deployed word-parallel representation.
 // Each (learner, class) pair's sign and mask words are handed to the
-// injector as one bit array, learner-major. Snapshots are immutable
-// (readers score them lock-free), so the faults are applied to a deep
-// copy that is atomically swapped in: in-flight batches finish on the
-// memory they loaded, every later call scores the corrupted planes. The
-// corruption is silent, exactly like hardware: learner versions and the
-// stored mask popcounts are NOT updated, so nothing downstream
-// re-thresholds it away — detection is the reliability scrubber's job.
-// It returns the number of flipped bits.
+// injector as one bit array, learner-major. Flips that land on padding
+// bits past the learner's segment width are discarded: those bits are
+// cleared again and not counted, since they are not model memory (the
+// scoring kernels would count them as dimensions, and a snapshot saved
+// with them set would fail LoadBinary). Every dimension bit still flips
+// independently with the injector's probability. Snapshots are
+// immutable (readers score them lock-free), so the faults are applied
+// to a deep copy that is atomically swapped in: in-flight batches finish
+// on the memory they loaded, every later call scores the corrupted
+// planes. The corruption is silent, exactly like hardware: learner
+// versions and the stored mask popcounts are NOT updated, so nothing
+// downstream re-thresholds it away — detection is the reliability
+// scrubber's job. It returns the number of flipped dimension bits.
 func (bm *BinaryModel) InjectWordFaults(inj *faults.Injector) int {
 	flips := 0
-	bm.ApplyWordRepair(false, func(_, _ int, sign, mask []uint64) {
+	bm.ApplyWordRepair(false, func(learner, _ int, sign, mask []uint64) {
+		last := len(sign) - 1
+		pad := ^uint64(0) << uint(bm.model.Learners[learner].Dim%64)
+		if pad == ^uint64(0) {
+			pad = 0 // the segment fills its last word
+		}
+		was := [2]uint64{sign[last], mask[last]}
 		flips += inj.InjectWords(sign, mask)
+		for k, p := range [2][]uint64{sign, mask} {
+			flips -= popcount((p[last] ^ was[k]) & pad)
+			p[last] ^= (p[last] ^ was[k]) & pad
+		}
 	})
 	return flips
 }

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -264,9 +265,9 @@ func TestSelectBitsEveryRank(t *testing.T) {
 // mask words and every stored mask popcount. A change to how snapshots
 // hold or copy their planes must leave all three unchanged.
 var goldenWordFaultDigests = map[string]uint64{
-	"inject":  0x39069cc1d5b4f9f8,
-	"repair":  0xeba67f63acbe268c,
-	"recount": 0x39c7312761fdaf0e,
+	"inject":  0xf76744c61bec375e,
+	"repair":  0x515ef546dc4206b7,
+	"recount": 0x590998a926624135,
 }
 
 // planeStateDigest folds a binary model's current planes, its stored
@@ -335,4 +336,50 @@ func TestWordFaultGoldenDigest(t *testing.T) {
 	check("repair", flips)
 	bm.ApplyWordRepair(true, wordTransform)
 	check("recount", flips)
+}
+
+// TestWordFaultsSkipPadding: a fault drill flips only dimension bits. On
+// segments of 80 dimensions (48 padding bits in each plane's last
+// word), the returned count equals the number of sign and mask bits
+// within the segments that differ from the pristine planes, every
+// padding bit stays clear, and a snapshot saved after the drill loads.
+func TestWordFaultsSkipPadding(t *testing.T) {
+	m, _, _ := fixture(t, 320, 4)
+	bm, err := Quantize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := bm.snap.Load()
+	inj, err := faults.NewInjector(1e-2, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flips := bm.InjectWordFaults(inj)
+	if flips == 0 {
+		t.Fatal("injector flipped nothing")
+	}
+	diff := 0
+	bm.ReadPlanes(func(learner, class int, _ uint64, sign, mask []uint64) {
+		dim := m.Learners[learner].Dim
+		was, wasMask := before.words(learner, class)
+		for k := 0; k < dim; k++ {
+			w, b := k/64, uint(k%64)
+			diff += int((sign[w]^was[w])>>b&1 + (mask[w]^wasMask[w])>>b&1)
+		}
+		for _, p := range [2][]uint64{sign, mask} {
+			if p[len(p)-1]>>uint(dim%64) != 0 {
+				t.Fatalf("learner %d class %d: a padding bit is set after the drill", learner, class)
+			}
+		}
+	})
+	if diff != flips {
+		t.Fatalf("drill reported %d flips, %d dimension bits differ", flips, diff)
+	}
+	var buf bytes.Buffer
+	if err := bm.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBinary(&buf); err != nil {
+		t.Fatalf("snapshot saved after a drill does not load: %v", err)
+	}
 }
