@@ -14,9 +14,13 @@
 // entirely. Both sweep the projection in tiles of 256 components and
 // write into caller-owned buffers. Only the projection step depends on
 // the mode (see Projection): a GEMM over a stored matrix, or table
-// lookups indexed by the sign bytes of a seeded encoder's plane, with
-// the tables built once per row block for every part of a stack. The
-// activation and sign steps after it are shared.
+// lookups indexed by the sign bytes of a seeded encoder's plane. The
+// float kernel sums float tables built once per row block for every
+// part of a stack, and its activation step is shared by both modes. The
+// sign kernel reads a trigonometric component's sign off its phase held
+// as a wrapping 32-bit count of 2^-32 turns: a seeded part sums integer
+// turn tables built per part and row block, a stored part converts its
+// GEMM output to turns once per component, and both share the sign rule.
 package encoding
 
 import (
@@ -86,24 +90,27 @@ type Encoder struct {
 	mu    sync.Mutex
 }
 
-// plane is an encoder's row-independent state: the phases b_j; for
-// Nonlinear, hsb_j = 0.5*sin(b_j), the constant of the product-to-sum
-// form cos(d+b)*sin(d) = 0.5*sin(2d+b) - 0.5*sin(b), which costs one
-// trigonometric evaluation per component instead of two; and, on a
-// seeded encoder, every component's sign words split into lookup-group
-// byte indexes, group-major: idx[g*OutDim+j] is byte g%8 of sign word
-// g/8 of component j with its bits past InDim cleared, and indexes
-// table g. A seeded plane is never persisted: it is rebuilt from the
-// stream roots at construction and checked against them by Heal.
+// plane is an encoder's row-independent state: the phases b_j, in
+// radians for the float kernel and in bt as wrapping 32-bit counts of
+// 2^-32 turn for the sign kernel; for Nonlinear, hsb_j = 0.5*sin(b_j),
+// the constant of the product-to-sum form cos(d+b)*sin(d) = 0.5*sin(2d+b)
+// - 0.5*sin(b), which costs one trigonometric evaluation per component
+// instead of two; and, on a seeded encoder, every component's sign words
+// split into lookup-group byte indexes, group-major: idx[g*OutDim+j] is
+// byte g%8 of sign word g/8 of component j with its bits past InDim
+// cleared, and indexes table g. A seeded plane is never persisted: it is
+// rebuilt from the stream roots at construction and checked against them
+// by Heal.
 type plane struct {
 	idx    []uint8
 	b, hsb []float64
+	bt     []uint32
 }
 
-// phasePlane returns a plane holding phases b and, for Nonlinear, their
-// half sines.
-func (e *Encoder) phasePlane(b []float64) *plane {
-	p := &plane{b: b}
+// phasePlane returns a plane holding phases b and bt and, for Nonlinear,
+// the half sines of b.
+func (e *Encoder) phasePlane(b []float64, bt []uint32) *plane {
+	p := &plane{b: b, bt: bt}
 	if e.Kind == Nonlinear {
 		p.hsb = make([]float64, len(b))
 		for j, bj := range b {
@@ -151,11 +158,12 @@ func NewWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64) (*Enc
 	for i := range e.w {
 		e.w[i] = rng.NormFloat64()
 	}
-	b := make([]float64, outDim)
+	b, bt := make([]float64, outDim), make([]uint32, outDim)
 	for i := range b {
 		b[i] = rng.Float64() * 2 * math.Pi
+		bt[i] = toTurns(b[i] / twoPi)
 	}
-	e.plane.Store(e.phasePlane(b))
+	e.plane.Store(e.phasePlane(b, bt))
 	return e, nil
 }
 
@@ -355,33 +363,35 @@ func (e *Encoder) activate(s, b, hsb, d []float64) {
 	}
 }
 
-const invTwoPi = 1 / (2 * math.Pi)
-
-// phaseFrac returns t/(2*pi) mod 1 in [0,1) — the quadrant information the
-// sign-only encoder needs, at the cost of a multiply and a floor instead
-// of a full trigonometric evaluation.
+// toTurns returns the phase v, in turns, as a wrapping count of 2^-32
+// turn: v mod 1 scaled by 2^32 and rounded down, a whole turn reading as
+// 0. The scaling is exact, so the result is the floor of the scaled
+// fraction. Every float64 of magnitude 2^52 or more is a whole number of
+// turns, so it returns 0 for those without converting them, and every
+// conversion it makes is in range.
 //
 //hd:hotpath
-func phaseFrac(t float64) float64 {
-	f := t * invTwoPi
-	return f - math.Floor(f)
+func toTurns(v float64) uint32 {
+	if !(math.Abs(v) < 1<<52) {
+		return 0
+	}
+	return uint32(uint64((v - math.Floor(v)) * (1 << 32)))
 }
 
-// phaseSign returns the sign bit, 1 for >= 0, of cos(p+b)*sin(p) from the
-// phase fractions f of p and fc of p+b: positive when the two factors'
-// signs agree, cos(p+b) being negative for fc strictly between the
-// quarter and three-quarter turns and sin(p) past the half turn. It is
-// the comparison form (f > 0.5) == (fc > 0.25 && fc < 0.75) without a
-// branch: for finite a and b the rounded difference b-a carries the sign
-// of the exact one and is +0 when a == b (the bounds are nonzero, so
-// never -0), so its IEEE sign bit is set exactly when a > b. f = 0 drops
-// the sin factor, giving the sign of cos(p+b) alone.
+// turnSign returns the sign bit, 1 for >= 0, of cos(2πq)*sin(2πu) for
+// phases u and q in units of 2^-32 turn: positive when the two factors'
+// signs agree, sin being negative only for u strictly past the half
+// turn and cos only for q strictly between the quarter and three-quarter
+// turns, so a phase exactly on a quadrant boundary never reads as
+// negative. Each comparison is a difference taken in 64 bits, whose
+// sign bit is set exactly when it holds, so the sign needs no branch.
+// u = 0 drops the sin factor, giving the sign of cos(2πq) alone.
 //
 //hd:hotpath
-func phaseSign(f, fc float64) uint64 {
-	sinNeg := math.Float64bits(0.5 - f)
-	cosNeg := math.Float64bits(0.25-fc) & math.Float64bits(fc-0.75)
-	return 1 ^ (sinNeg^cosNeg)>>63
+func turnSign(u, q uint32) uint64 {
+	sinNeg := (1<<31 - uint64(u)) >> 63
+	cosNeg := (uint64(q-(1<<30+1)) - (1<<31 - 1)) >> 63
+	return 1 ^ sinNeg ^ cosNeg
 }
 
 // linearSign is the sign bit of p, 1 for p >= 0. Adding +0 folds -0 into
@@ -392,48 +402,70 @@ func linearSign(p float64) uint64 {
 	return 1 ^ math.Float64bits(p+0)>>63
 }
 
-// signWords packs the sign bits of one row's tile of raw projections s
-// with phases b into d, word c holding components 64c..64c+63: bit j is
-// 1 when component j of the encoding is >= 0, read off the phase
-// quadrants of p = Gamma*s[j] and b[j] — the sign of cos(p+b) for RFF,
-// times the sign of sin(p) for Nonlinear, and the sign of p for Linear.
-// It is the sign-bit kernel's last step, shared by both projection
-// modes, and p must be finite, which the encoder's input check
-// guarantees. The kind switch sits outside the component loops so the
-// per-component sign inlines.
+// signTurns packs the sign bits of one row's tile of a trigonometric
+// encoding into d, word c holding components 64c..64c+63: bit j is 1
+// when component j is >= 0, read off its projection phase u[j] and its
+// phase q = u[j]+b[j], both in turns and wrapping — the sign of
+// cos(2πq) for RFF, times the sign of sin(2πu) for Nonlinear. It is the
+// sign kernel's last step for every trigonometric part.
 //
 //hd:hotpath
-func (e *Encoder) signWords(s, b []float64, d []uint64) {
-	g := e.Gamma
-	s = s[:len(b)]
+func (e *Encoder) signTurns(u, b []uint32, d []uint64) {
+	u = u[:len(b)]
 	for c := 0; c*64 < len(b); c++ {
 		lo, hi := c*64, min(c*64+64, len(b))
 		var word uint64
-		switch e.Kind {
-		case Nonlinear:
+		if e.Kind == Nonlinear {
 			for j := lo; j < hi; j++ {
-				p := s[j] * g
-				word |= phaseSign(phaseFrac(p), phaseFrac(p+b[j])) << uint(j-lo)
+				word |= turnSign(u[j], u[j]+b[j]) << uint(j-lo)
 			}
-		case RFF:
+		} else {
 			for j := lo; j < hi; j++ {
-				word |= phaseSign(0, phaseFrac(s[j]*g+b[j])) << uint(j-lo)
-			}
-		default:
-			for j := lo; j < hi; j++ {
-				word |= linearSign(s[j]*g) << uint(j-lo)
+				word |= turnSign(0, u[j]+b[j]) << uint(j-lo)
 			}
 		}
 		d[c] = word
 	}
 }
 
+// signWords packs the sign bits of one row's tile of float projections s
+// into d, as signTurns does: the sign kernel's last step for a stored
+// part, and for a seeded Linear part. A trigonometric kind converts each
+// projection Gamma*s[j] to turns once and takes signTurns' rule with the
+// phases b; Linear, whose wrapped phase would lose the sign, packs the
+// sign of Gamma*s[j]. s must be finite, which the encoder's input check
+// guarantees.
+//
+//hd:hotpath
+func (e *Encoder) signWords(s []float64, b []uint32, d []uint64) {
+	if e.Kind != Linear {
+		var u [encodeDimBlock]uint32
+		c := e.Gamma / twoPi
+		for j, sj := range s[:len(b)] {
+			u[j] = toTurns(sj * c)
+		}
+		e.signTurns(u[:len(b)], b, d)
+		return
+	}
+	g := e.Gamma
+	s = s[:len(b)]
+	for c := 0; c*64 < len(b); c++ {
+		lo, hi := c*64, min(c*64+64, len(b))
+		var word uint64
+		for j := lo; j < hi; j++ {
+			word |= linearSign(s[j]*g) << uint(j-lo)
+		}
+		d[c] = word
+	}
+}
+
 // EncodeBitsRange writes the sign bits of encoding components [lo,hi) of x
-// into dst: bit k of dst is set iff component lo+k of the real encoding is
+// into dst: bit k of dst is set iff component lo+k of the encoding is
 // >= 0. For the trigonometric kinds the sign is derived from the phase
 // quadrants directly — sign(cos(d+b)*sin(d)) = sign(cos(d+b))*sign(sin(d))
-// — so the packed-binary backend never evaluates sin or cos at all. It is
-// the one-part case of Stack.EncodeBits, and allocation-free once warm.
+// — with the phases held as wrapping counts of 2^-32 turn, so the
+// packed-binary backend never evaluates sin or cos at all. It is the
+// one-part case of Stack.EncodeBits, and allocation-free once warm.
 func (e *Encoder) EncodeBitsRange(x []float64, lo, hi int, dst *hdc.BitVector) error {
 	s, ds := e.onePart(lo, hi), [1]*hdc.BitVector{dst}
 	return Stack(s[:]).EncodeBits(x, ds[:])

@@ -3,6 +3,7 @@ package encoding
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"boosthd/internal/hdc"
@@ -210,99 +211,211 @@ func TestEncodeBitsRangeBatchMatchesPerRow(t *testing.T) {
 	}
 }
 
-// signBit is the sign bit signWords packs for one component with
-// projection p and phase b: the reference the bit tests compare against.
-func (e *Encoder) signBit(p, b float64) uint64 {
-	switch e.Kind {
-	case Nonlinear:
-		return phaseSign(phaseFrac(p), phaseFrac(p+b))
-	case RFF:
-		return phaseSign(0, phaseFrac(p+b))
-	default:
-		return linearSign(p)
-	}
+// invTwoPi and phaseFrac give the float form of the sign rule: the
+// fidelity tests hold the turn kernel to it.
+const invTwoPi = 1 / (2 * math.Pi)
+
+// phaseFrac returns t/(2*pi) mod 1 in [0,1).
+func phaseFrac(t float64) float64 {
+	f := t * invTwoPi
+	return f - math.Floor(f)
 }
 
-// signByComparison is the comparison form of the component sign that the
-// branch-free phaseSign and linearSign replace.
-func signByComparison(kind Kind, p, b float64) bool {
+// floatSign is the sign, true for >= 0, of the encoding of projection p
+// under phase b, read off float phase fractions in the comparison form,
+// with strict inequalities at the quadrant boundaries.
+func floatSign(kind Kind, p, b float64) bool {
+	fc := phaseFrac(p + b)
+	cosNeg := fc > 0.25 && fc < 0.75
 	switch kind {
 	case Nonlinear:
-		fc := phaseFrac(p + b)
-		return (phaseFrac(p) > 0.5) == (fc > 0.25 && fc < 0.75)
+		return (phaseFrac(p) > 0.5) == cosNeg
 	case RFF:
-		fc := phaseFrac(p + b)
-		return !(fc > 0.25 && fc < 0.75)
+		return !cosNeg
 	}
 	return p >= 0
 }
 
-// onFraction walks x outward ulp by ulp from start and collects every
-// value whose phase fraction under frac is exactly q.
-func onFraction(start, q float64, frac func(float64) float64) []float64 {
-	var out []float64
-	up, down := start, start
-	for i := 0; i < 256; i++ {
-		for _, v := range []float64{up, down} {
-			if frac(v) == q {
-				out = append(out, v)
-			}
-		}
-		up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+// refTurns is toTurns computed another way: v mod 1 from math.Mod, moved
+// into [0,1], scaled by 2^32 and truncated.
+func refTurns(v float64) uint32 {
+	f := math.Mod(v, 1)
+	if f < 0 {
+		f++
 	}
-	return out
+	return uint32(uint64(f * (1 << 32)))
 }
 
-// TestSignBitMatchesComparison pins the branch-free sign against the
-// comparison form it replaced, for every kind: random projections over
-// twelve decades and random phases, projections and phases that put a
-// phase fraction exactly on a quadrant boundary, and the fraction grid
-// around every boundary fed to phaseSign directly.
+// turnSignRef is the sign, true for >= 0, of a trigonometric component
+// with phases u and q in turns, in the comparison form: sin negative
+// only for u strictly past the half turn, cos only for q strictly
+// between the quarter and three-quarter turns.
+func turnSignRef(kind Kind, u, q uint32) bool {
+	cosNeg := q > 1<<30 && q < 3<<30
+	if kind == RFF {
+		return !cosNeg
+	}
+	return (u > 1<<31) == cosNeg
+}
+
+// turnBitRef is the sign bit of trigonometric component j of x computed
+// the slow way in turns, sharing no kernel code but the plane's stored
+// phases: u is, on a seeded encoder, the wrapping sum over features of
+// ±refTurns(x_k*Gamma/2π) under the signs of row j of the projection m,
+// and, on a stored one, refTurns of Gamma/2π times the index-order dot
+// with row j; q adds the phase in turns, from the stream on a seeded
+// encoder and converted from the stored radians on a stored one.
+func turnBitRef(e *Encoder, m, x []float64, j int) bool {
+	c := e.Gamma / twoPi
+	var u, bt uint32
+	if e.w == nil {
+		for k, xv := range x {
+			t := refTurns(xv * c)
+			if m[j*e.InDim+k] < 0 {
+				t = -t
+			}
+			u += t
+		}
+		_, bt = e.phaseAt(j)
+	} else {
+		var s float64
+		for k, xv := range x {
+			s += m[j*e.InDim+k] * xv
+		}
+		u, bt = refTurns(s*c), refTurns(e.plane.Load().b[j]/twoPi)
+	}
+	return turnSignRef(e.Kind, u, u+bt)
+}
+
+// TestSignBitMatchesComparison pins the sign kernel's two turn-domain
+// steps against their comparison forms. toTurns must equal refTurns on
+// random phases over twelve decades and on whole, half and quarter
+// turns, signed zeros, subnormals, the 2^52 edge and values up to
+// ±MaxFeature. turnSign must equal the comparison form, for Nonlinear
+// and for RFF (u = 0), on every quadrant boundary of u and q, one count
+// either side of each, and random phases.
 func TestSignBitMatchesComparison(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	type pb struct{ p, b float64 }
-	var cases []pb
+	vs := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-20, -1e-20, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75,
+		1, -1, math.Nextafter(1, 0), -math.Nextafter(1, 0), 1e9 + 0.25, -1e9 - 0.25,
+		1<<52 - 0.5, -(1<<52 - 0.5), 1 << 52, -(1 << 52), 1e300, MaxFeature, -MaxFeature}
 	for i := 0; i < 20000; i++ {
-		cases = append(cases, pb{rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-4)), rng.Float64() * 2 * math.Pi})
+		vs = append(vs, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(12)-4)))
 	}
-	boundary := 0
-	for k := -3; k <= 3; k++ {
-		for _, q := range []float64{0, 0.25, 0.5, 0.75} {
-			ps := onFraction((float64(k)+q)/invTwoPi, q, phaseFrac)
-			b := rng.Float64() * 2 * math.Pi
-			for _, p := range ps {
-				cases = append(cases, pb{p, b}, pb{math.Nextafter(p, 1e300), b}, pb{math.Nextafter(p, -1e300), b})
-				// A phase that lands p+b itself on the boundary.
-				for _, b := range onFraction((float64(k+1)+q)/invTwoPi-p, q, func(b float64) float64 { return phaseFrac(p + b) }) {
-					cases = append(cases, pb{p, b})
+	for _, v := range vs {
+		if got, want := toTurns(v), refTurns(v); got != want {
+			t.Fatalf("toTurns(%v) = %#x, reference %#x", v, got, want)
+		}
+	}
+	for v, want := range map[float64]uint32{0.25: 1 << 30, -0.25: 3 << 30, 0.5: 1 << 31, -0.5: 1 << 31, 1e9 + 0.25: 1 << 30, 1 << 52: 0, -1e-20: 0} {
+		if got := toTurns(v); got != want {
+			t.Fatalf("toTurns(%v) = %#x, want %#x", v, got, want)
+		}
+	}
+	var grid []uint32
+	for _, q := range []uint32{0, 1 << 30, 1 << 31, 3 << 30} {
+		grid = append(grid, q-1, q, q+1)
+	}
+	for i := 0; i < 200; i++ {
+		grid = append(grid, rng.Uint32())
+	}
+	for _, u := range grid {
+		for _, q := range grid {
+			if got, want := turnSign(u, q) == 1, turnSignRef(Nonlinear, u, q); got != want {
+				t.Fatalf("turnSign(%#x, %#x) = %v, comparison %v", u, q, got, want)
+			}
+			if got, want := turnSign(0, q) == 1, turnSignRef(RFF, u, q); got != want {
+				t.Fatalf("turnSign(0, %#x) = %v, comparison %v", q, got, want)
+			}
+		}
+	}
+}
+
+// onTurn returns a feature value x with toTurns(x*c) == t exactly.
+func onTurn(t *testing.T, c float64, turn uint32) float64 {
+	t.Helper()
+	x := (float64(turn) + 0.5) / (1 << 32) / c
+	for i := 0; i < 64; i++ {
+		switch got := refTurns(x * c); {
+		case got == turn:
+			return x
+		case got-turn < 1<<31:
+			x = math.Nextafter(x, math.Inf(-1))
+		default:
+			x = math.Nextafter(x, math.Inf(1))
+		}
+	}
+	t.Fatalf("no feature value lands on turn %#x", turn)
+	return 0
+}
+
+// TestSignBitsExtremeRows runs the sign kernel on the rows where the
+// turn domain is exact: features at ±MaxFeature, at ±1e9 and mixed with
+// ordinary values, and rows whose phases sit exactly on a quadrant
+// boundary. The zero row puts every u at 0; a row whose first feature is
+// half a turn puts every u at the half turn; and rows whose first
+// feature moves q of a chosen component onto the quarter or
+// three-quarter turn. On every seeded and stored kind, batch bits equal
+// single-row bits, which equal the slow turn-domain reference (for
+// Linear, the sign of the float reference projection), and nothing
+// panics.
+func TestSignBitsExtremeRows(t *testing.T) {
+	const f = 9
+	for _, proj := range []Projection{ProjSeeded, ProjStored} {
+		for _, kind := range []Kind{Nonlinear, RFF, Linear} {
+			e := goldenEncoder(t, proj, f, 200, kind)
+			m := e.ProjectionMatrix()
+			c := e.Gamma / twoPi
+			row := func(x0 float64, rest ...float64) []float64 {
+				x := make([]float64, f)
+				x[0] = x0
+				copy(x[1:], rest)
+				return x
+			}
+			xs := [][]float64{
+				row(MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature),
+				row(-MaxFeature, MaxFeature, -MaxFeature, MaxFeature, -MaxFeature, MaxFeature, -MaxFeature, MaxFeature, -MaxFeature),
+				row(MaxFeature, 0.3, -1.2, 2, 0.7, -0.1, 1.5, -2.2, 0.9),
+				row(1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9),
+				row(-1e9, 0.3, 1e9, -1.2, 2, -1e9, 0.7, 1e9, -0.4),
+				row(0),
+				row(onTurn(t, c, 1<<31)),
+			}
+			if kind != Linear && proj == ProjSeeded {
+				for j := 0; j < 8; j++ {
+					_, bt := e.phaseAt(j)
+					for _, q := range []uint32{1 << 30, 3 << 30} {
+						turn := q - bt // u = +turn under a +1 weight
+						if m[j*f] < 0 {
+							turn = -turn
+						}
+						xs = append(xs, row(onTurn(t, c, turn)))
+					}
 				}
 			}
-			boundary += len(ps)
-		}
-	}
-	if boundary == 0 {
-		t.Fatal("found no projection on a quadrant boundary")
-	}
-	t.Logf("%d cases, %d projections exactly on a quadrant boundary", len(cases), boundary)
-	cases = append(cases, pb{0, 0}, pb{math.Copysign(0, -1), 1}, pb{5e-324, 2}, pb{-5e-324, 2}, pb{1e300, 3}, pb{-1e300, 3})
-	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
-		e := &Encoder{Kind: kind}
-		for _, c := range cases {
-			if got, want := e.signBit(c.p, c.b) == 1, signByComparison(kind, c.p, c.b); got != want {
-				t.Fatalf("kind=%v p=%v b=%v: branch-free sign %v, comparison %v", kind, c.p, c.b, got, want)
-			}
-		}
-	}
-	var grid []float64
-	for _, q := range []float64{0, 0.25, 0.5, 0.75} {
-		grid = append(grid, q, math.Nextafter(q, 1), math.Nextafter(q, -1))
-	}
-	grid = append(grid, 0.1, 0.4, 0.6, 0.9, math.Nextafter(1, 0))
-	for _, f := range grid {
-		for _, fc := range grid {
-			want := (f > 0.5) == (fc > 0.25 && fc < 0.75)
-			if got := phaseSign(f, fc) == 1; got != want {
-				t.Fatalf("phaseSign(%v, %v) = %v, comparison %v", f, fc, got, want)
+			for _, lo := range []int{0, 35} {
+				width := e.OutDim - lo
+				batch := make([]*hdc.BitVector, len(xs))
+				for i := range batch {
+					batch[i] = hdc.NewBitVector(width)
+				}
+				if err := e.EncodeBitsRangeBatch(xs, lo, e.OutDim, batch); err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range xs {
+					one := hdc.NewBitVector(width)
+					if err := e.EncodeBitsRange(x, lo, e.OutDim, one); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(one.Words, batch[i].Words) {
+						t.Fatalf("%v/%v row %d from %d: batch bits differ from single-row bits", proj, kind, i, lo)
+					}
+					for j := lo; j < e.OutDim; j++ {
+						if _, want := refEncoding(e, m, x, j); one.Get(j-lo) != want {
+							t.Fatalf("%v/%v row %d comp %d: kernel bit %v, reference %v", proj, kind, i, j, !want, want)
+						}
+					}
+				}
 			}
 		}
 	}

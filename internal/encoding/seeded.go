@@ -133,9 +133,11 @@ func (e *Encoder) signWord(j, t int) uint64 {
 }
 
 // phaseAt returns the phase offset of output component j from the phase
-// counter stream.
-func (e *Encoder) phaseAt(j int) float64 {
-	return twoPi * toUnit(counterRand(e.bBase, uint64(j)))
+// counter stream, in radians and, from the top 32 bits of the same
+// stream word, in units of 2^-32 turn: the two agree to 2^-32 turn.
+func (e *Encoder) phaseAt(j int) (float64, uint32) {
+	r := counterRand(e.bBase, uint64(j))
+	return twoPi * toUnit(r), uint32(r >> 32)
 }
 
 // indexByte returns the plane's index byte for component j and lookup
@@ -151,11 +153,11 @@ func (e *Encoder) indexByte(j, g int) uint8 {
 // newPlane builds a seeded encoder's plane from its stream roots.
 func (e *Encoder) newPlane() *plane {
 	D, groups := e.OutDim, (e.InDim+7)/8
-	b := make([]float64, D)
+	b, bt := make([]float64, D), make([]uint32, D)
 	for j := range b {
-		b[j] = e.phaseAt(j)
+		b[j], bt[j] = e.phaseAt(j)
 	}
-	p := e.phasePlane(b)
+	p := e.phasePlane(b, bt)
 	p.idx = make([]uint8, groups*D)
 	for g := 0; g < groups; g++ {
 		for j := 0; j < D; j++ {
@@ -183,8 +185,8 @@ func (e *Encoder) Heal() []int {
 	D, groups := e.OutDim, (e.InDim+7)/8
 	var bad []int
 	for j := 0; j < D; j++ {
-		b := e.phaseAt(j)
-		ok := math.Float64bits(p.b[j]) == math.Float64bits(b) &&
+		b, bt := e.phaseAt(j)
+		ok := math.Float64bits(p.b[j]) == math.Float64bits(b) && p.bt[j] == bt &&
 			(p.hsb == nil || math.Float64bits(p.hsb[j]) == math.Float64bits(0.5*math.Sin(b)))
 		for g := 0; ok && g < groups; g++ {
 			ok = p.idx[g*D+j] == e.indexByte(j, g)
@@ -200,11 +202,11 @@ func (e *Encoder) Heal() []int {
 }
 
 // InjectFaults flips bits of a seeded encoder's plane (index bytes,
-// phases and half sines) under the injector's per-bit probability,
-// emulating memory faults in the state every query reads. It works copy
-// on write: the flips land in a copy that is swapped in, so kernel calls
-// in flight finish on the plane they loaded. A stored encoder is left
-// alone. It returns the number of flipped bits.
+// phases, half sines and phases in turns) under the injector's per-bit
+// probability, emulating memory faults in the state every query reads.
+// It works copy on write: the flips land in a copy that is swapped in,
+// so kernel calls in flight finish on the plane they loaded. A stored
+// encoder is left alone. It returns the number of flipped bits.
 func (e *Encoder) InjectFaults(inj *faults.Injector) int {
 	if e.w != nil {
 		return 0
@@ -212,23 +214,31 @@ func (e *Encoder) InjectFaults(inj *faults.Injector) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	p := e.plane.Load()
-	q := &plane{idx: slices.Clone(p.idx), b: slices.Clone(p.b), hsb: slices.Clone(p.hsb)}
-	flips := inj.InjectBytes(q.idx) + inj.InjectFloat64(q.b) + inj.InjectFloat64(q.hsb)
+	q := &plane{idx: slices.Clone(p.idx), b: slices.Clone(p.b), hsb: slices.Clone(p.hsb), bt: slices.Clone(p.bt)}
+	flips := inj.InjectBytes(q.idx) + inj.InjectFloat64(q.b) + inj.InjectFloat64(q.hsb) + inj.InjectUint32(q.bt)
 	e.plane.Store(q)
 	return flips
 }
 
-// lookup holds the seeded kernels' tables. For a block of rows it holds
-// ⌈InDim/8⌉ tables of 256 signed partial sums per row: entry b of table
-// g is the index-order sum over features 8g..8g+7 of +x_k where bit k-8g
-// of b is set and -x_k where it is clear. A component's projection is
-// then ⌈InDim/8⌉ table lookups, indexed by its plane bytes and summed in
-// group order, instead of InDim multiply-adds. That order defines the
-// seeded encoder's projection. The tables depend only on the rows and
-// InDim, so every seeded part of a stack reads the same ones.
+// lookup holds the seeded kernels' tables for a block of rows:
+// ⌈InDim/8⌉ tables of 256 entries per row. Entry b of table g is the sum
+// over features 8g..8g+7 of +x_k where bit k-8g of b is set and -x_k
+// where it is clear. A component's projection is then ⌈InDim/8⌉ table
+// lookups, indexed by its plane bytes and summed, instead of InDim
+// multiply-adds. The float tables (tabs) sum in index order within a
+// group and in group order across groups; that order defines the seeded
+// encoder's float projection. They depend only on the rows and InDim,
+// so every seeded part of a stack reads the same ones. The turn tables
+// (turns) hold the same sums over t_k, the wrapping count of 2^-32 turn
+// of x_k*Gamma/2π, for the sign kernel: integer addition is exact, so
+// their order does not matter, but they depend on Gamma, so they are
+// built per part, and kept while the next part shares its Gamma.
 type lookup struct {
-	groups int
-	tabs   []float64 // [row][group][256]
+	groups     int
+	tabs       []float64 // [row][group][256]; built when groups > 0
+	turns      []uint32  // [row][group][256]; built when turnGroups > 0
+	turnScale  float64   // Gamma/2π the turn tables hold, 0 for none
+	turnGroups int
 }
 
 // scratch is one kernel call's pooled state: every part's plane, loaded
@@ -239,9 +249,10 @@ type scratch struct {
 	lookup
 }
 
-// lookupBytes bounds a lookup block's tables, so they stay cache
-// resident: a block holds as many rows as fit (16 at InDim=36), capped
-// at encodeRowBlock and never sized by the request.
+// lookupBytes bounds a lookup block's tables of each kind, so they stay
+// cache resident: a block holds as many rows as fit (16 float rows or
+// 32 turn rows at InDim=36), capped at encodeRowBlock and never sized
+// by the request.
 const lookupBytes = 160 << 10
 
 // scratchPool recycles kernel scratch across calls: a single-row call
@@ -249,30 +260,51 @@ const lookupBytes = 160 << 10
 var scratchPool sync.Pool
 
 // getScratch returns pooled scratch holding the parts' planes, and the
-// rows per block. A stack without a seeded part builds no tables and
-// sweeps all n rows per tile; otherwise a block is a lookup block, sized
+// rows per block. Seeded parts read float tables, except the
+// trigonometric parts of a sign-bit call (bits), which read turn
+// tables. A stack that needs no tables sweeps all n rows per tile;
+// otherwise a block is a lookup block of the larger table kind, sized
 // for n rows at most.
-func (s Stack) getScratch(n int) (*scratch, int) {
+func (s Stack) getScratch(n int, bits bool) (*scratch, int) {
 	sc, _ := scratchPool.Get().(*scratch)
 	if sc == nil {
 		sc = new(scratch)
 	}
-	seeded := false
+	floats, turns := false, false
 	for _, pt := range s {
 		sc.planes = append(sc.planes, pt.Enc.plane.Load())
-		seeded = seeded || pt.Enc.w == nil
+		if pt.Enc.w == nil {
+			if bits && pt.Enc.Kind != Linear {
+				turns = true
+			} else {
+				floats = true
+			}
+		}
 	}
-	if !seeded {
-		sc.groups = 0
+	sc.groups, sc.turnGroups, sc.turnScale = 0, 0, 0
+	if !floats && !turns {
 		return sc, n
 	}
-	groups := (s[0].Enc.InDim + 7) / 8
-	rows := max(min(lookupBytes/(groups*256*8), encodeRowBlock, n), 1)
-	sc.groups = groups
-	if cap(sc.tabs) < rows*groups*256 {
-		sc.tabs = make([]float64, rows*groups*256)
+	groups, entry := (s[0].Enc.InDim+7)/8, 4
+	if floats {
+		entry = 8
 	}
-	sc.tabs = sc.tabs[:rows*groups*256]
+	rows := max(min(lookupBytes/(groups*256*entry), encodeRowBlock, n), 1)
+	size := rows * groups * 256
+	if floats {
+		sc.groups = groups
+		if cap(sc.tabs) < size {
+			sc.tabs = make([]float64, size)
+		}
+		sc.tabs = sc.tabs[:size]
+	}
+	if turns {
+		sc.turnGroups = groups
+		if cap(sc.turns) < size {
+			sc.turns = make([]uint32, size)
+		}
+		sc.turns = sc.turns[:size]
+	}
 	return sc, rows
 }
 
@@ -306,6 +338,92 @@ func (lk *lookup) buildTables(xs [][]float64) {
 				}
 				n *= 2
 			}
+		}
+	}
+}
+
+// buildTurns fills the turn tables of rows xs, at most one lookup
+// block, for bandwidth gamma, unless they already hold it. Each feature
+// becomes t = toTurns(x*gamma/2π) once, and each table doubles feature
+// by feature as buildTables does: after feature k, entries b < 2^(k+1)
+// hold the wrapping sums of ±t over the group's first k+1 features.
+//
+//hd:hotpath
+func (lk *lookup) buildTurns(xs [][]float64, gamma float64) {
+	c := gamma / twoPi
+	if c == lk.turnScale {
+		return
+	}
+	lk.turnScale = c
+	for r, x := range xs {
+		for g := 0; g < lk.turnGroups; g++ {
+			tab := (*[256]uint32)(lk.turns[(r*lk.turnGroups+g)*256:])
+			grp := x[8*g : min(8*g+8, len(x))]
+			t := toTurns(grp[0] * c)
+			tab[0], tab[1] = -t, t
+			n := 2
+			for _, v := range grp[1:] {
+				t := toTurns(v * c)
+				lo, hi := tab[:n], tab[n:2*n]
+				for b, s := range lo {
+					lo[b], hi[b] = s-t, s+t
+				}
+				n *= 2
+			}
+		}
+	}
+}
+
+// sumTurns writes row r's projection phases of len(acc) consecutive
+// components into acc, in turns: acc[t] is the wrapping sum over groups
+// g of turn table g's entry ix[g*stride+t], where ix is the plane's
+// index bytes from the first component on and stride the plane's row
+// length, OutDim. It makes the passes sumTables makes, up to five groups
+// (InDim <= 40) in one; integer addition is exact and associative, so
+// the passes need no fixed order or start.
+//
+//hd:hotpath
+func (lk *lookup) sumTurns(r int, ix []uint8, stride int, acc []uint32) {
+	n, G := len(acc), lk.turnGroups
+	tabs := lk.turns[r*G*256:]
+	w := (G-1)%4 + 1
+	if w == 1 && G > 1 {
+		w = 5
+	}
+	i0 := ix[:n]
+	switch w {
+	case 1:
+		tb := (*[256]uint32)(tabs)
+		for t := range acc {
+			acc[t] = tb[i0[t]]
+		}
+	case 2:
+		tb, i1 := (*[2 * 256]uint32)(tabs), ix[stride:][:n]
+		for t := range acc {
+			acc[t] = tb[i0[t]] + tb[256+int(i1[t])]
+		}
+	case 3:
+		tb, i1, i2 := (*[3 * 256]uint32)(tabs), ix[stride:][:n], ix[2*stride:][:n]
+		for t := range acc {
+			acc[t] = tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])]
+		}
+	case 4:
+		tb, i1, i2, i3 := (*[4 * 256]uint32)(tabs), ix[stride:][:n], ix[2*stride:][:n], ix[3*stride:][:n]
+		for t := range acc {
+			acc[t] = tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])] + tb[768+int(i3[t])]
+		}
+	default:
+		tb, i1, i2, i3 := (*[5 * 256]uint32)(tabs), ix[stride:][:n], ix[2*stride:][:n], ix[3*stride:][:n]
+		i4 := ix[4*stride:][:n]
+		for t := range acc {
+			acc[t] = tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])] + tb[768+int(i3[t])] + tb[1024+int(i4[t])]
+		}
+	}
+	for g := w; g < G; g += 4 {
+		tb, i0, i1 := (*[4 * 256]uint32)(tabs[g*256:]), ix[g*stride:][:n], ix[(g+1)*stride:][:n]
+		i2, i3 := ix[(g+2)*stride:][:n], ix[(g+3)*stride:][:n]
+		for t := range acc {
+			acc[t] += tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])] + tb[768+int(i3[t])]
 		}
 	}
 }
@@ -371,12 +489,12 @@ func (lk *lookup) sumTables(r int, ix []uint8, stride int, acc []float64) {
 
 // StateBytes reports the encoder's resident state in bytes: the struct
 // scalars, a stored encoder's projection matrix, and the plane: 8 bytes
-// per phase, 8 per half sine for Nonlinear and, on a seeded encoder, one
-// index byte per component and 8-feature group. This is the number the
-// -exp infer sweep sizes encoder memory by. A seeded checkpoint carries
-// none of it beyond the seed.
+// per phase, 4 per phase in turns, 8 per half sine for Nonlinear and, on
+// a seeded encoder, one index byte per component and 8-feature group.
+// This is the number the -exp infer sweep sizes encoder memory by. A
+// seeded checkpoint carries none of it beyond the seed.
 func (e *Encoder) StateBytes() int {
 	const header = 64 // struct scalars
 	p := e.plane.Load()
-	return header + 8*(len(e.w)+len(p.b)+len(p.hsb)) + len(p.idx)
+	return header + 8*(len(e.w)+len(p.b)+len(p.hsb)) + 4*len(p.bt) + len(p.idx)
 }

@@ -38,7 +38,8 @@ func seededReference(e *Encoder, m, x []float64, j int) (p, b float64) {
 		}
 		s += part
 	}
-	return s * e.Gamma, e.phaseAt(j)
+	b, _ = e.phaseAt(j)
+	return s * e.Gamma, b
 }
 
 // indexOrderReference is the seeded projection as it was defined before
@@ -48,7 +49,8 @@ func indexOrderReference(e *Encoder, m, x []float64, j int) (p, b float64) {
 	for k, xv := range x {
 		s += m[j*e.InDim+k] * xv
 	}
-	return s * e.Gamma, e.phaseAt(j)
+	b, _ = e.phaseAt(j)
+	return s * e.Gamma, b
 }
 
 // activation is the float encoding of projection p under phase b.
@@ -107,8 +109,9 @@ func TestSeededModesBitIdenticalFloat(t *testing.T) {
 }
 
 // TestSeededModesBitIdenticalBits pins the seeded sign-bit kernel against
-// the same reference: packed bits from the 4-row blocked body, the one-row
-// body and the single-row entry point must all match, including
+// the slow references: the turn-domain sign of the trigonometric kinds
+// and the float sign of Linear's table-order projection. Packed bits
+// from the batch and single-row entry points must all match, including
 // sub-ranges that model BoostHD's per-learner segments.
 func TestSeededModesBitIdenticalBits(t *testing.T) {
 	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
@@ -133,7 +136,7 @@ func TestSeededModesBitIdenticalBits(t *testing.T) {
 			}
 			for i, x := range xs {
 				for j := rng.lo; j < rng.hi; j++ {
-					want := e.signBit(seededReference(e, m, x, j)) == 1
+					_, want := refEncoding(e, m, x, j)
 					if batch[i].Get(j-rng.lo) != want {
 						t.Fatalf("kind=%v range=[%d,%d): row %d comp %d: batch bit differs from reference",
 							kind, rng.lo, rng.hi, i, j)
@@ -183,8 +186,8 @@ func TestProjectionMatrixOnDemand(t *testing.T) {
 
 // TestSeededStateShrink pins the seeded encoder's resident state byte
 // for byte: the struct scalars, one plane index byte per component and
-// 8-feature group, a phase per component and, for Nonlinear, a half sine
-// per component. At paper scale that stays at least 10x under a stored
+// 8-feature group, a phase per component in radians (8 bytes) and in
+// turns (4 bytes) and, for Nonlinear, a half sine per component. At paper scale that stays at least 10x under a stored
 // projection's.
 func TestSeededStateShrink(t *testing.T) {
 	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
@@ -193,7 +196,7 @@ func TestSeededStateShrink(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := 64 + (geom.in+7)/8*geom.out + 8*geom.out
+			want := 64 + (geom.in+7)/8*geom.out + 8*geom.out + 4*geom.out
 			if kind == Nonlinear {
 				want += 8 * geom.out
 			}
@@ -218,8 +221,9 @@ func TestSeededStateShrink(t *testing.T) {
 // TestSeededPlaneMatchesRegeneration: every value of a seeded plane is
 // its regeneration from the stream roots. Index byte g of component j is
 // byte g%8 of sign word g/8 with the bits of features past InDim
-// cleared, the phase is phaseAt(j), and the half sine is 0.5*sin of it
-// (Nonlinear only), for feature widths that leave partial groups and
+// cleared, the phase is 2π times the 53-bit fraction of the phase
+// stream's word j, the phase in turns is that word's top 32 bits, and
+// the half sine is 0.5*sin of the phase (Nonlinear only), for feature widths that leave partial groups and
 // words and an output width that is not a multiple of 64.
 func TestSeededPlaneMatchesRegeneration(t *testing.T) {
 	const out = 333
@@ -231,9 +235,9 @@ func TestSeededPlaneMatchesRegeneration(t *testing.T) {
 			}
 			p := e.plane.Load()
 			groups := (in + 7) / 8
-			if len(p.idx) != groups*out || len(p.b) != out {
-				t.Fatalf("kind=%v in=%d: plane holds %d index bytes and %d phases, want %d and %d",
-					kind, in, len(p.idx), len(p.b), groups*out, out)
+			if len(p.idx) != groups*out || len(p.b) != out || len(p.bt) != out {
+				t.Fatalf("kind=%v in=%d: plane holds %d index bytes, %d phases and %d turns, want %d, %d and %d",
+					kind, in, len(p.idx), len(p.b), len(p.bt), groups*out, out, out)
 			}
 			if (kind == Nonlinear) != (p.hsb != nil) {
 				t.Fatalf("kind=%v in=%d: half sines present = %v", kind, in, p.hsb != nil)
@@ -249,9 +253,13 @@ func TestSeededPlaneMatchesRegeneration(t *testing.T) {
 						t.Fatalf("kind=%v in=%d: index byte group %d comp %d is %#x, want %#x", kind, in, g, j, got, want)
 					}
 				}
-				b := e.phaseAt(j)
+				r := counterRand(e.bBase, uint64(j))
+				b := twoPi * toUnit(r)
 				if math.Float64bits(p.b[j]) != math.Float64bits(b) {
 					t.Fatalf("kind=%v in=%d: phase %d is %v, want %v", kind, in, j, p.b[j], b)
+				}
+				if p.bt[j] != uint32(r>>32) {
+					t.Fatalf("kind=%v in=%d: phase %d in turns is %#x, want %#x", kind, in, j, p.bt[j], r>>32)
 				}
 				if p.hsb != nil && math.Float64bits(p.hsb[j]) != math.Float64bits(0.5*math.Sin(b)) {
 					t.Fatalf("kind=%v in=%d: half sine %d is %v, want %v", kind, in, j, p.hsb[j], 0.5*math.Sin(b))
@@ -266,7 +274,7 @@ func TestSeededPlaneMatchesRegeneration(t *testing.T) {
 func planeDiff(a, b *plane, out int) []int {
 	var diff []int
 	for j := 0; j < out; j++ {
-		same := math.Float64bits(a.b[j]) == math.Float64bits(b.b[j]) &&
+		same := math.Float64bits(a.b[j]) == math.Float64bits(b.b[j]) && a.bt[j] == b.bt[j] &&
 			(a.hsb == nil || math.Float64bits(a.hsb[j]) == math.Float64bits(b.hsb[j]))
 		for g := 0; same && g < len(a.idx)/out; g++ {
 			same = a.idx[g*out+j] == b.idx[g*out+j]
@@ -542,7 +550,7 @@ func TestSeededLookupMatchesIndexOrderDot(t *testing.T) {
 							kind, geom.in, geom.out, i, j, d)
 					}
 					drift = max(drift, d)
-					if bits[i].Get(j) != (e.signBit(p, b) == 1) {
+					if bits[i].Get(j) != floatSign(kind, p, b) {
 						flips++
 					}
 					comps++

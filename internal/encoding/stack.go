@@ -146,7 +146,7 @@ func (s Stack) EncodeBitsBatch(xs [][]float64, dst [][]*hdc.BitVector) error {
 //hd:hotpath
 func (s Stack) encodeRows(xs [][]float64, out []float64, stride, offset int) {
 	var acc [4][encodeDimBlock]float64
-	sc, step := s.getScratch(len(xs))
+	sc, step := s.getScratch(len(xs), false)
 	defer putScratch(sc)
 	for r0 := 0; r0 < len(xs); r0 += step {
 		blk := xs[r0:min(r0+step, len(xs))]
@@ -168,23 +168,41 @@ func (s Stack) encodeRows(xs [][]float64, out []float64, stride, offset int) {
 }
 
 // encodeBitsRows is the blocked sign-bit kernel behind every bit entry
-// point: encodeRows' loops with signWords as the last step, part i of
-// row r into dst[r][i]. Tiles span whole 64-bit words, so each row
-// stores complete words.
+// point, part i of row r into dst[r][i]. Rows run in blocks as in
+// encodeRows. A seeded trigonometric part builds its turn tables for the
+// block (kept for the next part when it shares the bandwidth), then each
+// row's phases of a dimension tile are summed as wrapping turns and
+// packed by signTurns. A stored part, or a seeded Linear one, projects
+// four rows at a time in float as encodeRows does, and signWords packs
+// the signs. Tiles span whole 64-bit words, so each row stores complete
+// words.
 //
 //hd:hotpath
 func (s Stack) encodeBitsRows(xs [][]float64, dst [][]*hdc.BitVector) {
 	var acc [4][encodeDimBlock]float64
-	sc, step := s.getScratch(len(xs))
+	var u [encodeDimBlock]uint32
+	sc, step := s.getScratch(len(xs), true)
 	defer putScratch(sc)
 	for r0 := 0; r0 < len(xs); r0 += step {
 		blk := xs[r0:min(r0+step, len(xs))]
 		sc.buildTables(blk)
+		sc.turnScale = 0
 		for pi, pt := range s {
 			e, p := pt.Enc, sc.planes[pi]
+			turns := e.w == nil && e.Kind != Linear
+			if turns {
+				sc.buildTurns(blk, e.Gamma)
+			}
 			for t0 := pt.Lo; t0 < pt.Hi; t0 += encodeDimBlock {
-				b, _ := p.tile(t0, min(t0+encodeDimBlock, pt.Hi))
-				word := (t0 - pt.Lo) / 64
+				t1 := min(t0+encodeDimBlock, pt.Hi)
+				b, word := p.bt[t0:t1], (t0-pt.Lo)/64
+				if turns {
+					for r := range blk {
+						sc.sumTurns(r, p.idx[t0:], e.OutDim, u[:len(b)])
+						e.signTurns(u[:len(b)], b, dst[r0+r][pi].Words[word:])
+					}
+					continue
+				}
 				for i := 0; i < len(blk); i += 4 {
 					for k := range e.project(p, &sc.lookup, blk, i, t0, len(b), &acc) {
 						e.signWords(acc[k][:len(b)], b, dst[r0+i+k][pi].Words[word:])

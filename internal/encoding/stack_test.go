@@ -74,7 +74,9 @@ func stackRows(s Stack) [][]float64 {
 // refEncoding is component j of x's float encoding and sign bit
 // computed the slow way: a seeded projection summed by lookup group, a
 // stored one as a dot in feature index order, both from +0, with the
-// phase read from the plane.
+// phase read from the plane. The sign bit of a trigonometric kind comes
+// from the turn-domain reference, and Linear's from the float
+// projection.
 func refEncoding(e *Encoder, m, x []float64, j int) (float64, bool) {
 	p, b := seededReference(e, m, x, j)
 	if e.w != nil {
@@ -84,7 +86,11 @@ func refEncoding(e *Encoder, m, x []float64, j int) (float64, bool) {
 		}
 		p, b = s*e.Gamma, e.plane.Load().b[j]
 	}
-	return activation(e.Kind, p, b), e.signBit(p, b) == 1
+	bit := p >= 0
+	if e.Kind != Linear {
+		bit = turnBitRef(e, m, x, j)
+	}
+	return activation(e.Kind, p, b), bit
 }
 
 // TestStackMatchesOneParts is the stack kernels' contract: for every

@@ -88,15 +88,22 @@ func (in *Injector) InjectFloat64(data []float64) int {
 
 // InjectBytes flips bits of byte storage, such as a seeded encoder's
 // index plane. It returns the number of flipped bits.
-func (in *Injector) InjectBytes(data []uint8) int {
+func (in *Injector) InjectBytes(data []uint8) int { return injectUints(in, data, 8) }
+
+// InjectUint32 flips bits of 32-bit word storage, such as a seeded
+// encoder's phases in turns. It returns the number of flipped bits.
+func (in *Injector) InjectUint32(data []uint32) int { return injectUints(in, data, 32) }
+
+// injectUints flips bits of width-bit unsigned storage.
+func injectUints[T uint8 | uint32](in *Injector, data []T, width int) int {
 	if in.Pb <= 0 || len(data) == 0 {
 		return 0
 	}
-	totalBits := len(data) * 8
+	totalBits := len(data) * width
 	flips := 0
 	pos := geometricSkip(in.Pb, in.Rng)
 	for pos < totalBits {
-		data[pos/8] ^= 1 << uint(pos%8)
+		data[pos/width] ^= T(1) << uint(pos%width)
 		flips++
 		pos += 1 + geometricSkip(in.Pb, in.Rng)
 	}

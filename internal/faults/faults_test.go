@@ -245,3 +245,29 @@ func TestInjectWordsEdgeCases(t *testing.T) {
 		t.Errorf("empty planes injected %d flips", n)
 	}
 }
+
+// TestInjectUint32FlipsExactly: the returned count equals the number of
+// bits that differ afterwards, for byte and 32-bit word storage, and
+// the counts sit near pb times the bits held.
+func TestInjectUint32FlipsExactly(t *testing.T) {
+	in, err := NewInjector(0.01, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := make([]uint32, 4000)
+	flips, diff := in.InjectUint32(words), 0
+	for _, w := range words {
+		diff += bits.OnesCount32(w)
+	}
+	bytes := make([]uint8, 16000)
+	bflips, bdiff := in.InjectBytes(bytes), 0
+	for _, b := range bytes {
+		bdiff += bits.OnesCount8(b)
+	}
+	if flips != diff || bflips != bdiff {
+		t.Fatalf("uint32: %d flips, %d bits differ; bytes: %d flips, %d bits differ", flips, diff, bflips, bdiff)
+	}
+	if want := 0.01 * 4000 * 32; math.Abs(float64(flips)-want) > 0.2*want {
+		t.Fatalf("uint32: %d flips, want about %v", flips, want)
+	}
+}
