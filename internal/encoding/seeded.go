@@ -344,9 +344,11 @@ func (lk *lookup) buildTables(xs [][]float64) {
 
 // buildTurns fills the turn tables of rows xs, at most one lookup
 // block, for bandwidth gamma, unless they already hold it. Each feature
-// becomes t = toTurns(x*gamma/2π) once, and each table doubles feature
-// by feature as buildTables does: after feature k, entries b < 2^(k+1)
-// hold the wrapping sums of ±t over the group's first k+1 features.
+// becomes t = toTurns(x*gamma/2π) once. Entry 16h+l of a group's table
+// is then lo[l] + hi[h], where lo and hi hold the signed wrapping sums
+// of ±t over the group's first four features and over the rest, each
+// built by doubling as buildTables does: 256 adds per group instead of
+// a doubling pass over the whole table.
 //
 //hd:hotpath
 func (lk *lookup) buildTurns(xs [][]float64, gamma float64) {
@@ -357,21 +359,41 @@ func (lk *lookup) buildTurns(xs [][]float64, gamma float64) {
 	lk.turnScale = c
 	for r, x := range xs {
 		for g := 0; g < lk.turnGroups; g++ {
-			tab := (*[256]uint32)(lk.turns[(r*lk.turnGroups+g)*256:])
+			tab := lk.turns[(r*lk.turnGroups+g)*256:][:256]
 			grp := x[8*g : min(8*g+8, len(x))]
-			t := toTurns(grp[0] * c)
-			tab[0], tab[1] = -t, t
-			n := 2
-			for _, v := range grp[1:] {
-				t := toTurns(v * c)
-				lo, hi := tab[:n], tab[n:2*n]
-				for b, s := range lo {
-					lo[b], hi[b] = s-t, s+t
+			var lo, hi [16]uint32
+			nl := halfTable(&lo, grp[:min(4, len(grp))], c)
+			nh := 1
+			if len(grp) > 4 {
+				nh = halfTable(&hi, grp[4:], c)
+			}
+			for h, hv := range hi[:nh] {
+				row := (*[16]uint32)(tab[16*h:])
+				for l, lv := range lo[:nl] {
+					row[l] = lv + hv
 				}
-				n *= 2
 			}
 		}
 	}
+}
+
+// halfTable fills tab with the signed wrapping sums of the turns of up
+// to four features and returns how many entries it filled.
+//
+//hd:hotpath
+func halfTable(tab *[16]uint32, grp []float64, c float64) int {
+	t := toTurns(grp[0] * c)
+	tab[0], tab[1] = -t, t
+	n := 2
+	for _, v := range grp[1:] {
+		t := toTurns(v * c)
+		for b := 0; b < n; b++ {
+			s := tab[b]
+			tab[b], tab[b+n] = s-t, s+t
+		}
+		n *= 2
+	}
+	return n
 }
 
 // sumTurns writes row r's projection phases of len(acc) consecutive
