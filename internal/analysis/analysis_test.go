@@ -158,14 +158,17 @@ var benchKernels = map[string][]struct{ dir, fn string }{
 	},
 	"internal/encoding.BenchmarkEncodeBitsRemat": {
 		{"internal/encoding", "encodeBitsRows"},
-		{"internal/encoding", "buildTables"},
-		{"internal/encoding", "sumTables"},
-		{"internal/encoding", "signWords"},
+		{"internal/encoding", "buildTurns"},
+		{"internal/encoding", "sumTurns"},
+		{"internal/encoding", "signTurns"},
+		{"internal/encoding", "turnWord"},
 	},
 	"internal/encoding.BenchmarkEncodeBitsStored": {
 		{"internal/encoding", "encodeBitsRows"},
 		{"internal/encoding", "dots4"},
 		{"internal/encoding", "signWords"},
+		{"internal/encoding", "signTurns"},
+		{"internal/encoding", "turnWord"},
 	},
 	"internal/encoding.BenchmarkEncodeLinear":    {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},
 	"internal/encoding.BenchmarkEncodeNonlinear": {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},

@@ -389,9 +389,9 @@ func toTurns(v float64) uint32 {
 //
 //hd:hotpath
 func turnSign(u, q uint32) uint64 {
-	sinNeg := (1<<31 - uint64(u)) >> 63
-	cosNeg := (uint64(q-(1<<30+1)) - (1<<31 - 1)) >> 63
-	return 1 ^ sinNeg ^ cosNeg
+	sinNeg := 1<<31 - uint64(u)
+	cosNeg := uint64(q-(1<<30+1)) - (1<<31 - 1)
+	return 1 ^ (sinNeg^cosNeg)>>63
 }
 
 // linearSign is the sign bit of p, 1 for p >= 0. Adding +0 folds -0 into
@@ -411,21 +411,31 @@ func linearSign(p float64) uint64 {
 //
 //hd:hotpath
 func (e *Encoder) signTurns(u, b []uint32, d []uint64) {
-	u = u[:len(b)]
+	rff := e.Kind != Nonlinear
 	for c := 0; c*64 < len(b); c++ {
-		lo, hi := c*64, min(c*64+64, len(b))
-		var word uint64
-		if e.Kind == Nonlinear {
-			for j := lo; j < hi; j++ {
-				word |= turnSign(u[j], u[j]+b[j]) << uint(j-lo)
-			}
-		} else {
-			for j := lo; j < hi; j++ {
-				word |= turnSign(0, u[j]+b[j]) << uint(j-lo)
-			}
-		}
-		d[c] = word
+		bw := b[c*64 : min(c*64+64, len(b))]
+		d[c] = turnWord(u[c*64:][:len(bw)], bw, rff)
 	}
+}
+
+// turnWord returns the sign bits of up to 64 components with phases u
+// and b, component j in bit j, shifted in from the last component down
+// so every shift is by one; rff drops the sin factor.
+//
+//hd:hotpath
+func turnWord(u, b []uint32, rff bool) uint64 {
+	u = u[:len(b)]
+	var word uint64
+	if rff {
+		for j := len(b) - 1; j >= 0; j-- {
+			word = word<<1 | turnSign(0, u[j]+b[j])
+		}
+		return word
+	}
+	for j := len(b) - 1; j >= 0; j-- {
+		word = word<<1 | turnSign(u[j], u[j]+b[j])
+	}
+	return word
 }
 
 // signWords packs the sign bits of one row's tile of float projections s

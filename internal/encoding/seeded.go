@@ -348,7 +348,8 @@ func (lk *lookup) buildTables(xs [][]float64) {
 // is then lo[l] + hi[h], where lo and hi hold the signed wrapping sums
 // of ±t over the group's first four features and over the rest, each
 // built by doubling as buildTables does: 256 adds per group instead of
-// a doubling pass over the whole table.
+// a doubling pass over the whole table. A short group leaves the tail
+// of lo or hi at 0, so it fills entries its index bytes never select.
 //
 //hd:hotpath
 func (lk *lookup) buildTurns(xs [][]float64, gamma float64) {
@@ -359,17 +360,16 @@ func (lk *lookup) buildTurns(xs [][]float64, gamma float64) {
 	lk.turnScale = c
 	for r, x := range xs {
 		for g := 0; g < lk.turnGroups; g++ {
-			tab := lk.turns[(r*lk.turnGroups+g)*256:][:256]
 			grp := x[8*g : min(8*g+8, len(x))]
 			var lo, hi [16]uint32
-			nl := halfTable(&lo, grp[:min(4, len(grp))], c)
-			nh := 1
+			halfTable(&lo, grp[:min(4, len(grp))], c)
 			if len(grp) > 4 {
-				nh = halfTable(&hi, grp[4:], c)
+				halfTable(&hi, grp[4:], c)
 			}
-			for h, hv := range hi[:nh] {
+			tab := (*[256]uint32)(lk.turns[(r*lk.turnGroups+g)*256:])
+			for h, hv := range hi {
 				row := (*[16]uint32)(tab[16*h:])
-				for l, lv := range lo[:nl] {
+				for l, lv := range lo {
 					row[l] = lv + hv
 				}
 			}
@@ -377,11 +377,11 @@ func (lk *lookup) buildTurns(xs [][]float64, gamma float64) {
 	}
 }
 
-// halfTable fills tab with the signed wrapping sums of the turns of up
-// to four features and returns how many entries it filled.
+// halfTable fills the first 2^len(grp) entries of tab with the signed
+// wrapping sums of the turns of grp, up to four features, by doubling.
 //
 //hd:hotpath
-func halfTable(tab *[16]uint32, grp []float64, c float64) int {
+func halfTable(tab *[16]uint32, grp []float64, c float64) {
 	t := toTurns(grp[0] * c)
 	tab[0], tab[1] = -t, t
 	n := 2
@@ -393,7 +393,6 @@ func halfTable(tab *[16]uint32, grp []float64, c float64) int {
 		}
 		n *= 2
 	}
-	return n
 }
 
 // sumTurns writes row r's projection phases of len(acc) consecutive
