@@ -17,11 +17,13 @@ type Part struct {
 // float entry points lay the parts out back to back, and the sign-bit
 // entry points write part i into destination i. A BoostHD model is a
 // stack with one part per learner, each the whole output of its own
-// encoder or a range of one shared encoder. The seeded kernels' lookup
+// encoder or a range of one shared encoder. The float kernel's lookup
 // tables depend only on the row and the input width, so a stack builds
-// them once per row block and every seeded part reads them; a stored
-// part runs its GEMM. A lone Encoder's entry points are the one-part
-// case, so each output kind has exactly one kernel.
+// them once per row block and every seeded part reads them; the sign
+// kernel's turn tables also depend on the part's bandwidth, so it builds
+// them per part, reusing them while consecutive parts share one. A
+// stored part runs its GEMM. A lone Encoder's entry points are the
+// one-part case, so each output kind has exactly one kernel.
 type Stack []Part
 
 // width validates the stack, at least one part, each a component range
