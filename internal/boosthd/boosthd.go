@@ -246,23 +246,31 @@ func (m *Model) boostFit(X [][]float64, y []int) error {
 func (m *Model) pinLearners() (norms [][]float64, unpin func()) {
 	norms = make([][]float64, len(m.Learners))
 	unpins := make([]func(), len(m.Learners))
-	for i, l := range m.Learners {
-		norms[i], unpins[i] = l.PinClass()
-		if dm := m.DimMask(i); dm != nil {
-			// A dimension-masked learner scores against class memory with
-			// its untrusted components treated as zero, so the cached
-			// full-width norms do not apply. The class vectors are pinned
-			// for the whole batch, so the masked norms computed here stay
-			// coherent with every row the batch scores.
-			//hdlint:ignore locksafety read under the learner's pin taken on the line above
-			norms[i] = maskedClassNorms(l.Class, dm)
-		}
+	for i := range m.Learners {
+		norms[i], unpins[i] = m.pinLearner(i)
 	}
 	return norms, func() {
 		for _, u := range unpins {
 			u()
 		}
 	}
+}
+
+// pinLearner pins learner i's class vectors and norm cache, returning
+// the norms it scores against and an unpin func.
+func (m *Model) pinLearner(i int) (norms []float64, unpin func()) {
+	l := m.Learners[i]
+	norms, unpin = l.PinClass()
+	if dm := m.DimMask(i); dm != nil {
+		// A dimension-masked learner scores against class memory with
+		// its untrusted components treated as zero, so the cached
+		// full-width norms do not apply. The class vectors stay pinned
+		// until unpin, so the masked norms computed here stay coherent
+		// with every row scored meanwhile.
+		//hdlint:ignore locksafety read under the learner's pin taken on the line above
+		norms = maskedClassNorms(l.Class, dm)
+	}
+	return norms, unpin
 }
 
 // maskedBit reports whether dimension k is trusted under healthy.
@@ -380,10 +388,10 @@ func segmentDotsMasked(hseg hdc.Vector, class []hdc.Vector, dots []float64, heal
 func (m *Model) learnerScores(i int, hseg hdc.Vector, norms, scores []float64) (finite bool) {
 	var hn float64
 	if dm := m.DimMask(i); dm != nil {
-		//hdlint:ignore locksafety callers pin the learners (pinLearners) for the whole batch
+		//hdlint:ignore locksafety callers pin the learner (pinLearner, or pinLearners for a batch)
 		hn = math.Sqrt(segmentDotsMasked(hseg, m.Learners[i].Class, scores, dm))
 	} else {
-		//hdlint:ignore locksafety callers pin the learners (pinLearners) for the whole batch
+		//hdlint:ignore locksafety callers pin the learner (pinLearner, or pinLearners for a batch)
 		hn = math.Sqrt(hdc.Dots(hseg, m.Learners[i].Class, scores))
 	}
 	finite = true

@@ -185,15 +185,15 @@ func (m *Model) MaskedView(masked []bool, healthy [][]uint64) (*Model, error) {
 // learner by learner: the rows' encodings of the learner's dimension
 // segment (EncodeSegment, one buffer reused across learners) go through
 // the serving path's cosine step (learnerScores, under its dimension
-// mask), unweighted by alpha. This is the reliability canary probe — a
-// learner whose solo accuracy collapses is corrupted (or collapsed) in a
-// way a memory checksum cannot always see, e.g. pre-quantization drift.
+// mask), unweighted by alpha. Each learner is pinned only while its rows
+// are scored, so the encoding holds no lock. This is the reliability
+// canary probe — a learner whose solo accuracy collapses is corrupted
+// (or collapsed) in a way a memory checksum cannot always see, e.g.
+// pre-quantization drift.
 func (m *Model) EvaluateLearners(X [][]float64, y []int) ([]float64, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("boosthd: bad learner evaluation set (%d rows, %d labels)", len(X), len(y))
 	}
-	norms, unpin := m.pinLearners()
-	defer unpin()
 	acc := make([]float64, len(m.Learners))
 	scores := make([]float64, m.Cfg.Classes)
 	var buf []float64
@@ -203,13 +203,15 @@ func (m *Model) EvaluateLearners(X [][]float64, y []int) ([]float64, error) {
 			return nil, fmt.Errorf("boosthd: %w", err)
 		}
 		buf = b
+		norms, unpin := m.pinLearner(i)
 		right := 0
 		for r, h := range rows {
-			m.learnerScores(i, h, norms[i], scores)
+			m.learnerScores(i, h, norms, scores)
 			if argmax(scores) == y[r] {
 				right++
 			}
 		}
+		unpin()
 		acc[i] = float64(right) / float64(len(y))
 	}
 	return acc, nil
