@@ -287,24 +287,28 @@ func turnBitRef(e *Encoder, m, x []float64, j int) bool {
 	return turnSignRef(e.Kind, u, u+bt)
 }
 
-// TestSignBitMatchesComparison pins the sign kernel's two turn-domain
-// steps against their comparison forms. toTurns must equal refTurns on
-// random phases over twelve decades and on whole, half and quarter
-// turns, signed zeros, subnormals, the 2^52 edge and values up to
-// ±MaxFeature. turnSign must equal the comparison form, for Nonlinear
-// and for RFF (u = 0), on every quadrant boundary of u and q, one count
-// either side of each, and random phases.
+// TestSignBitMatchesComparison pins the sign kernel's branch-free steps
+// against their comparison forms. toTurns must equal refTurns, and
+// Linear's linearSign the comparison p >= 0, on random values over
+// twelve decades and on whole, half and quarter turns, signed zeros,
+// subnormals, the 2^52 edge and values up to ±MaxFeature. turnSign must
+// equal the comparison form, for Nonlinear and for RFF (u = 0), on every
+// quadrant boundary of u and q, one count either side of each, and
+// random phases.
 func TestSignBitMatchesComparison(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vs := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-20, -1e-20, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75,
 		1, -1, math.Nextafter(1, 0), -math.Nextafter(1, 0), 1e9 + 0.25, -1e9 - 0.25,
-		1<<52 - 0.5, -(1<<52 - 0.5), 1 << 52, -(1 << 52), 1e300, MaxFeature, -MaxFeature}
+		1<<52 - 0.5, -(1<<52 - 0.5), 1 << 52, -(1 << 52), 1e300, -1e300, MaxFeature, -MaxFeature}
 	for i := 0; i < 20000; i++ {
 		vs = append(vs, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(12)-4)))
 	}
 	for _, v := range vs {
 		if got, want := toTurns(v), refTurns(v); got != want {
 			t.Fatalf("toTurns(%v) = %#x, reference %#x", v, got, want)
+		}
+		if got, want := linearSign(v) == 1, v >= 0; got != want {
+			t.Fatalf("linearSign(%v) = %v, comparison %v", v, got, want)
 		}
 	}
 	for v, want := range map[float64]uint32{0.25: 1 << 30, -0.25: 3 << 30, 0.5: 1 << 31, -0.5: 1 << 31, 1e9 + 0.25: 1 << 30, 1 << 52: 0, -1e-20: 0} {
@@ -355,7 +359,10 @@ func onTurn(t *testing.T, c float64, turn uint32) float64 {
 // boundary. The zero row puts every u at 0; a row whose first feature is
 // half a turn puts every u at the half turn; and rows whose first
 // feature moves q of a chosen component onto the quarter or
-// three-quarter turn. On every seeded and stored kind, batch bits equal
+// three-quarter turn. Each encoder runs at the default bandwidth and
+// then at the smallest positive one, whose Gamma/2π rounds to 0, so
+// every u is 0 while the pooled scratch still holds the first
+// encoder's tables. On every seeded and stored kind, batch bits equal
 // single-row bits, which equal the slow turn-domain reference (for
 // Linear, the sign of the float reference projection), and nothing
 // panics.
@@ -363,58 +370,73 @@ func TestSignBitsExtremeRows(t *testing.T) {
 	const f = 9
 	for _, proj := range []Projection{ProjSeeded, ProjStored} {
 		for _, kind := range []Kind{Nonlinear, RFF, Linear} {
-			e := goldenEncoder(t, proj, f, 200, kind)
-			m := e.ProjectionMatrix()
-			c := e.Gamma / twoPi
-			row := func(x0 float64, rest ...float64) []float64 {
-				x := make([]float64, f)
-				x[0] = x0
-				copy(x[1:], rest)
-				return x
+			for _, gamma := range []float64{DefaultGamma(f), 5e-324} {
+				checkExtremeRows(t, proj, kind, gamma)
 			}
-			xs := [][]float64{
-				row(MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature),
-				row(-MaxFeature, MaxFeature, -MaxFeature, MaxFeature, -MaxFeature, MaxFeature, -MaxFeature, MaxFeature, -MaxFeature),
-				row(MaxFeature, 0.3, -1.2, 2, 0.7, -0.1, 1.5, -2.2, 0.9),
-				row(1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9),
-				row(-1e9, 0.3, 1e9, -1.2, 2, -1e9, 0.7, 1e9, -0.4),
-				row(0),
-				row(onTurn(t, c, 1<<31)),
+		}
+	}
+}
+
+func checkExtremeRows(t *testing.T, proj Projection, kind Kind, gamma float64) {
+	const f = 9
+	e, err := NewWithGamma(f, 200, kind, gamma, 42)
+	if proj == ProjSeeded {
+		e, err = NewSeededWithGamma(f, 200, kind, gamma, 42)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := e.ProjectionMatrix()
+	c := e.Gamma / twoPi
+	row := func(x0 float64, rest ...float64) []float64 {
+		x := make([]float64, f)
+		x[0] = x0
+		copy(x[1:], rest)
+		return x
+	}
+	xs := [][]float64{
+		row(MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature, MaxFeature),
+		row(-MaxFeature, MaxFeature, -MaxFeature, MaxFeature, -MaxFeature, MaxFeature, -MaxFeature, MaxFeature, -MaxFeature),
+		row(MaxFeature, 0.3, -1.2, 2, 0.7, -0.1, 1.5, -2.2, 0.9),
+		row(1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9),
+		row(-1e9, 0.3, 1e9, -1.2, 2, -1e9, 0.7, 1e9, -0.4),
+		row(0),
+	}
+	if c > 0 {
+		xs = append(xs, row(onTurn(t, c, 1<<31)))
+	}
+	if kind != Linear && proj == ProjSeeded && c > 0 {
+		for j := 0; j < 8; j++ {
+			_, bt := e.phaseAt(j)
+			for _, q := range []uint32{1 << 30, 3 << 30} {
+				turn := q - bt // u = +turn under a +1 weight
+				if m[j*f] < 0 {
+					turn = -turn
+				}
+				xs = append(xs, row(onTurn(t, c, turn)))
 			}
-			if kind != Linear && proj == ProjSeeded {
-				for j := 0; j < 8; j++ {
-					_, bt := e.phaseAt(j)
-					for _, q := range []uint32{1 << 30, 3 << 30} {
-						turn := q - bt // u = +turn under a +1 weight
-						if m[j*f] < 0 {
-							turn = -turn
-						}
-						xs = append(xs, row(onTurn(t, c, turn)))
-					}
-				}
+		}
+	}
+	for _, lo := range []int{0, 35} {
+		width := e.OutDim - lo
+		batch := make([]*hdc.BitVector, len(xs))
+		for i := range batch {
+			batch[i] = hdc.NewBitVector(width)
+		}
+		if err := e.EncodeBitsRangeBatch(xs, lo, e.OutDim, batch); err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range xs {
+			one := hdc.NewBitVector(width)
+			if err := e.EncodeBitsRange(x, lo, e.OutDim, one); err != nil {
+				t.Fatal(err)
 			}
-			for _, lo := range []int{0, 35} {
-				width := e.OutDim - lo
-				batch := make([]*hdc.BitVector, len(xs))
-				for i := range batch {
-					batch[i] = hdc.NewBitVector(width)
-				}
-				if err := e.EncodeBitsRangeBatch(xs, lo, e.OutDim, batch); err != nil {
-					t.Fatal(err)
-				}
-				for i, x := range xs {
-					one := hdc.NewBitVector(width)
-					if err := e.EncodeBitsRange(x, lo, e.OutDim, one); err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(one.Words, batch[i].Words) {
-						t.Fatalf("%v/%v row %d from %d: batch bits differ from single-row bits", proj, kind, i, lo)
-					}
-					for j := lo; j < e.OutDim; j++ {
-						if _, want := refEncoding(e, m, x, j); one.Get(j-lo) != want {
-							t.Fatalf("%v/%v row %d comp %d: kernel bit %v, reference %v", proj, kind, i, j, !want, want)
-						}
-					}
+			if !slices.Equal(one.Words, batch[i].Words) {
+				t.Fatalf("%v/%v gamma %v row %d from %d: batch bits differ from single-row bits", proj, kind, gamma, i, lo)
+			}
+			for j := lo; j < e.OutDim; j++ {
+				if _, want := refEncoding(e, m, x, j); one.Get(j-lo) != want {
+					t.Fatalf("%v/%v gamma %v row %d comp %d: kernel bit %v, reference %v", proj, kind, gamma, i, j, !want, want)
 				}
 			}
 		}

@@ -232,12 +232,11 @@ func (e *Encoder) InjectFaults(inj *faults.Injector) int {
 // (turns) hold the same sums over t_k, the wrapping count of 2^-32 turn
 // of x_k*Gamma/2π, for the sign kernel: integer addition is exact, so
 // their order does not matter, but they depend on Gamma, so they are
-// built per part, and kept while the next part shares its Gamma.
+// built per part.
 type lookup struct {
 	groups     int
 	tabs       []float64 // [row][group][256]; built when groups > 0
 	turns      []uint32  // [row][group][256]; built when turnGroups > 0
-	turnScale  float64   // Gamma/2π the turn tables hold, 0 for none
 	turnGroups int
 }
 
@@ -281,7 +280,7 @@ func (s Stack) getScratch(n int, bits bool) (*scratch, int) {
 			}
 		}
 	}
-	sc.groups, sc.turnGroups, sc.turnScale = 0, 0, 0
+	sc.groups, sc.turnGroups = 0, 0
 	if !floats && !turns {
 		return sc, n
 	}
@@ -343,7 +342,7 @@ func (lk *lookup) buildTables(xs [][]float64) {
 }
 
 // buildTurns fills the turn tables of rows xs, at most one lookup
-// block, for bandwidth gamma, unless they already hold it. Each feature
+// block, for bandwidth gamma. Each feature
 // becomes t = toTurns(x*gamma/2π) once. Entry 16h+l of a group's table
 // is then lo[l] + hi[h], where lo and hi hold the signed wrapping sums
 // of ±t over the group's first four features and over the rest, each
@@ -354,10 +353,6 @@ func (lk *lookup) buildTables(xs [][]float64) {
 //hd:hotpath
 func (lk *lookup) buildTurns(xs [][]float64, gamma float64) {
 	c := gamma / twoPi
-	if c == lk.turnScale {
-		return
-	}
-	lk.turnScale = c
 	for r, x := range xs {
 		for g := 0; g < lk.turnGroups; g++ {
 			grp := x[8*g : min(8*g+8, len(x))]

@@ -21,9 +21,9 @@ type Part struct {
 // tables depend only on the row and the input width, so a stack builds
 // them once per row block and every seeded part reads them; the sign
 // kernel's turn tables also depend on the part's bandwidth, so it builds
-// them per part, reusing them while consecutive parts share one. A
-// stored part runs its GEMM. A lone Encoder's entry points are the
-// one-part case, so each output kind has exactly one kernel.
+// them per part and row block. A stored part runs its GEMM. A lone
+// Encoder's entry points are the one-part case, so each output kind has
+// exactly one kernel.
 type Stack []Part
 
 // width validates the stack, at least one part, each a component range
@@ -172,12 +172,11 @@ func (s Stack) encodeRows(xs [][]float64, out []float64, stride, offset int) {
 // encodeBitsRows is the blocked sign-bit kernel behind every bit entry
 // point, part i of row r into dst[r][i]. Rows run in blocks as in
 // encodeRows. A seeded trigonometric part builds its turn tables for the
-// block (kept for the next part when it shares the bandwidth), then each
-// row's phases of a dimension tile are summed as wrapping turns and
-// packed by signTurns. A stored part, or a seeded Linear one, projects
-// four rows at a time in float as encodeRows does, and signWords packs
-// the signs. Tiles span whole 64-bit words, so each row stores complete
-// words.
+// block, then each row's phases of a dimension tile are summed as
+// wrapping turns and packed by signTurns. A stored part, or a seeded
+// Linear one, projects four rows at a time in float as encodeRows does,
+// and signWords packs the signs. Tiles span whole 64-bit words, so each
+// row stores complete words.
 //
 //hd:hotpath
 func (s Stack) encodeBitsRows(xs [][]float64, dst [][]*hdc.BitVector) {
@@ -188,7 +187,6 @@ func (s Stack) encodeBitsRows(xs [][]float64, dst [][]*hdc.BitVector) {
 	for r0 := 0; r0 < len(xs); r0 += step {
 		blk := xs[r0:min(r0+step, len(xs))]
 		sc.buildTables(blk)
-		sc.turnScale = 0
 		for pi, pt := range s {
 			e, p := pt.Enc, sc.planes[pi]
 			turns := e.w == nil && e.Kind != Linear
