@@ -159,15 +159,12 @@ var benchKernels = map[string][]struct{ dir, fn string }{
 	"internal/encoding.BenchmarkEncodeBitsRemat": {
 		{"internal/encoding", "encodeBitsRows"},
 		{"internal/encoding", "buildTurns"},
-		{"internal/encoding", "sumTurns"},
 		{"internal/encoding", "signTurns"},
-		{"internal/encoding", "turnWord"},
 	},
 	"internal/encoding.BenchmarkEncodeBitsStored": {
 		{"internal/encoding", "encodeBitsRows"},
 		{"internal/encoding", "dots4"},
 		{"internal/encoding", "signWords"},
-		{"internal/encoding", "signTurns"},
 		{"internal/encoding", "turnWord"},
 	},
 	"internal/encoding.BenchmarkEncodeLinear":    {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},

@@ -402,70 +402,64 @@ func linearSign(p float64) uint64 {
 	return 1 ^ math.Float64bits(p+0)>>63
 }
 
-// signTurns packs the sign bits of one row's tile of a trigonometric
-// encoding into d, word c holding components 64c..64c+63: bit j is 1
-// when component j is >= 0, read off its projection phase u[j] and its
-// phase q = u[j]+b[j], both in turns and wrapping — the sign of
-// cos(2πq) for RFF, times the sign of sin(2πu) for Nonlinear. It is the
-// sign kernel's last step for every trigonometric part.
+// turnWord returns the sign bits of up to 64 trigonometric components
+// with projection phases u and phases b, both in turns, component j in
+// bit j: turnSign(u[j]&mask, u[j]+b[j]), where mask is all ones for
+// Nonlinear and 0 for RFF, which drops the sin factor. Bits are shifted
+// in from the last component down, so every shift is by one.
 //
 //hd:hotpath
-func (e *Encoder) signTurns(u, b []uint32, d []uint64) {
-	rff := e.Kind != Nonlinear
-	for c := 0; c*64 < len(b); c++ {
-		bw := b[c*64 : min(c*64+64, len(b))]
-		d[c] = turnWord(u[c*64:][:len(bw)], bw, rff)
-	}
-}
-
-// turnWord returns the sign bits of up to 64 components with phases u
-// and b, component j in bit j, shifted in from the last component down
-// so every shift is by one; rff drops the sin factor.
-//
-//hd:hotpath
-func turnWord(u, b []uint32, rff bool) uint64 {
+func turnWord(u, b []uint32, mask uint32) uint64 {
 	u = u[:len(b)]
 	var word uint64
-	if rff {
-		for j := len(b) - 1; j >= 0; j-- {
-			word = word<<1 | turnSign(0, u[j]+b[j])
-		}
-		return word
-	}
 	for j := len(b) - 1; j >= 0; j-- {
-		word = word<<1 | turnSign(u[j], u[j]+b[j])
+		word = word<<1 | turnSign(u[j]&mask, u[j]+b[j])
 	}
 	return word
 }
 
+// sinMask is turnWord's mask for kind k: all ones when the sign takes
+// the sin factor, for Nonlinear, and 0 for RFF.
+func sinMask(k Kind) uint32 {
+	if k == Nonlinear {
+		return ^uint32(0)
+	}
+	return 0
+}
+
 // signWords packs the sign bits of one row's tile of float projections s
-// into d, as signTurns does: the sign kernel's last step for a stored
-// part, and for a seeded Linear part. A trigonometric kind converts each
-// projection Gamma*s[j] to turns once and takes signTurns' rule with the
-// phases b; Linear, whose wrapped phase would lose the sign, packs the
+// into d, word c holding components 64c..64c+63, bit j set when
+// component j is >= 0: the sign kernel's last step for a stored part,
+// and for a seeded Linear part. A trigonometric kind converts each
+// projection Gamma*s[j] to turns once and packs turnWord's bits with the
+// phases b. Linear, whose wrapped phase would lose the sign, packs the
 // sign of Gamma*s[j]. s must be finite, which the encoder's input check
 // guarantees.
 //
 //hd:hotpath
 func (e *Encoder) signWords(s []float64, b []uint32, d []uint64) {
-	if e.Kind != Linear {
-		var u [encodeDimBlock]uint32
-		c := e.Gamma / twoPi
-		for j, sj := range s[:len(b)] {
-			u[j] = toTurns(sj * c)
+	s = s[:len(b)]
+	if e.Kind == Linear {
+		g := e.Gamma
+		for c := 0; c*64 < len(b); c++ {
+			lo, hi := c*64, min(c*64+64, len(b))
+			var word uint64
+			for j := lo; j < hi; j++ {
+				word |= linearSign(s[j]*g) << uint(j-lo)
+			}
+			d[c] = word
 		}
-		e.signTurns(u[:len(b)], b, d)
 		return
 	}
-	g := e.Gamma
-	s = s[:len(b)]
+	var u [encodeDimBlock]uint32
+	c := e.Gamma / twoPi
+	for j, sj := range s {
+		u[j] = toTurns(sj * c)
+	}
+	mask := sinMask(e.Kind)
 	for c := 0; c*64 < len(b); c++ {
 		lo, hi := c*64, min(c*64+64, len(b))
-		var word uint64
-		for j := lo; j < hi; j++ {
-			word |= linearSign(s[j]*g) << uint(j-lo)
-		}
-		d[c] = word
+		d[c] = turnWord(u[lo:hi], b[lo:hi], mask)
 	}
 }
 

@@ -220,23 +220,25 @@ func (e *Encoder) InjectFaults(inj *faults.Injector) int {
 	return flips
 }
 
-// lookup holds the seeded kernels' tables for a block of rows:
-// ⌈InDim/8⌉ tables of 256 entries per row. Entry b of table g is the sum
-// over features 8g..8g+7 of +x_k where bit k-8g of b is set and -x_k
-// where it is clear. A component's projection is then ⌈InDim/8⌉ table
-// lookups, indexed by its plane bytes and summed, instead of InDim
-// multiply-adds. The float tables (tabs) sum in index order within a
-// group and in group order across groups; that order defines the seeded
-// encoder's float projection. They depend only on the rows and InDim,
-// so every seeded part of a stack reads the same ones. The turn tables
-// (turns) hold the same sums over t_k, the wrapping count of 2^-32 turn
-// of x_k*Gamma/2π, for the sign kernel: integer addition is exact, so
-// their order does not matter, but they depend on Gamma, so they are
-// built per part.
+// lookup holds the seeded kernels' tables: ⌈InDim/8⌉ tables of 256
+// entries per row. Entry b of table g is the sum over features
+// 8g..8g+7 of +x_k where bit k-8g of b is set and -x_k where it is
+// clear. A component's projection is then ⌈InDim/8⌉ table lookups,
+// indexed by its plane bytes and summed, instead of InDim multiply-adds.
+// The float tables (tabs), held for a block of rows, sum in index order
+// within a group and in group order across groups; that order defines
+// the seeded encoder's float projection. They depend only on the rows
+// and InDim, so every seeded part of a stack reads the same ones. The
+// turn tables (turns), held for one row, hold the same sums over t_k,
+// the wrapping count of 2^-32 turn of x_k*Gamma/2π, for the sign
+// kernel: integer addition is exact, so their order does not matter,
+// but they depend on Gamma, so they are built per part and row, and a
+// row's 5 KB at InDim=36 stay in L1 while the part's components read
+// them.
 type lookup struct {
 	groups     int
 	tabs       []float64 // [row][group][256]; built when groups > 0
-	turns      []uint32  // [row][group][256]; built when turnGroups > 0
+	turns      []uint32  // [group][256], zero past turnGroups up to five
 	turnGroups int
 }
 
@@ -248,10 +250,9 @@ type scratch struct {
 	lookup
 }
 
-// lookupBytes bounds a lookup block's tables of each kind, so they stay
-// cache resident: a block holds as many rows as fit (16 float rows or
-// 32 turn rows at InDim=36), capped at encodeRowBlock and never sized
-// by the request.
+// lookupBytes bounds a lookup block's float tables, so they stay cache
+// resident: a block holds as many rows as fit (16 at InDim=36), capped
+// at encodeRowBlock and never sized by the request.
 const lookupBytes = 160 << 10
 
 // scratchPool recycles kernel scratch across calls: a single-row call
@@ -260,10 +261,10 @@ var scratchPool sync.Pool
 
 // getScratch returns pooled scratch holding the parts' planes, and the
 // rows per block. Seeded parts read float tables, except the
-// trigonometric parts of a sign-bit call (bits), which read turn
-// tables. A stack that needs no tables sweeps all n rows per tile;
-// otherwise a block is a lookup block of the larger table kind, sized
-// for n rows at most.
+// trigonometric parts of a sign-bit call (bits), which read turn tables
+// a row at a time. A stack that needs no float tables sweeps all n rows
+// per block; otherwise a block is a lookup block, sized for n rows at
+// most.
 func (s Stack) getScratch(n int, bits bool) (*scratch, int) {
 	sc, _ := scratchPool.Get().(*scratch)
 	if sc == nil {
@@ -273,37 +274,29 @@ func (s Stack) getScratch(n int, bits bool) (*scratch, int) {
 	for _, pt := range s {
 		sc.planes = append(sc.planes, pt.Enc.plane.Load())
 		if pt.Enc.w == nil {
-			if bits && pt.Enc.Kind != Linear {
-				turns = true
-			} else {
-				floats = true
-			}
+			t := bits && pt.Enc.Kind != Linear
+			floats, turns = floats || !t, turns || t
 		}
 	}
-	sc.groups, sc.turnGroups = 0, 0
-	if !floats && !turns {
-		return sc, n
-	}
-	groups, entry := (s[0].Enc.InDim+7)/8, 4
-	if floats {
-		entry = 8
-	}
-	rows := max(min(lookupBytes/(groups*256*entry), encodeRowBlock, n), 1)
-	size := rows * groups * 256
-	if floats {
-		sc.groups = groups
-		if cap(sc.tabs) < size {
-			sc.tabs = make([]float64, size)
-		}
-		sc.tabs = sc.tabs[:size]
-	}
+	groups := (s[0].Enc.InDim + 7) / 8
 	if turns {
-		sc.turnGroups = groups
+		size := max(groups, 5) * 256
 		if cap(sc.turns) < size {
 			sc.turns = make([]uint32, size)
 		}
-		sc.turns = sc.turns[:size]
+		sc.turns, sc.turnGroups = sc.turns[:size], groups
+		clear(sc.turns[groups*256:])
 	}
+	if !floats {
+		sc.groups = 0
+		return sc, n
+	}
+	rows := max(min(lookupBytes/(groups*256*8), encodeRowBlock, n), 1)
+	sc.groups = groups
+	if cap(sc.tabs) < rows*groups*256 {
+		sc.tabs = make([]float64, rows*groups*256)
+	}
+	sc.tabs = sc.tabs[:rows*groups*256]
 	return sc, rows
 }
 
@@ -341,32 +334,31 @@ func (lk *lookup) buildTables(xs [][]float64) {
 	}
 }
 
-// buildTurns fills the turn tables of rows xs, at most one lookup
-// block, for bandwidth gamma. Each feature
-// becomes t = toTurns(x*gamma/2π) once. Entry 16h+l of a group's table
-// is then lo[l] + hi[h], where lo and hi hold the signed wrapping sums
-// of ±t over the group's first four features and over the rest, each
-// built by doubling as buildTables does: 256 adds per group instead of
-// a doubling pass over the whole table. A short group leaves the tail
-// of lo or hi at 0, so it fills entries its index bytes never select.
+// buildTurns fills the turn tables of row x for bandwidth gamma; the
+// zero tables that pad them to five stay as getScratch cleared them.
+// Each feature becomes t = toTurns(x*gamma/2π) once. Entry 16h+l of a
+// group's table is then lo[l] + hi[h], where lo and hi hold the signed
+// wrapping sums of ±t over the group's first four features and over the
+// rest, each built by doubling as buildTables does: 256 adds per group
+// instead of a doubling pass over the whole table. A short group leaves
+// the tail of lo or hi at 0, so it fills entries its index bytes never
+// select.
 //
 //hd:hotpath
-func (lk *lookup) buildTurns(xs [][]float64, gamma float64) {
+func (lk *lookup) buildTurns(x []float64, gamma float64) {
 	c := gamma / twoPi
-	for r, x := range xs {
-		for g := 0; g < lk.turnGroups; g++ {
-			grp := x[8*g : min(8*g+8, len(x))]
-			var lo, hi [16]uint32
-			halfTable(&lo, grp[:min(4, len(grp))], c)
-			if len(grp) > 4 {
-				halfTable(&hi, grp[4:], c)
-			}
-			tab := (*[256]uint32)(lk.turns[(r*lk.turnGroups+g)*256:])
-			for h, hv := range hi {
-				row := (*[16]uint32)(tab[16*h:])
-				for l, lv := range lo {
-					row[l] = lv + hv
-				}
+	for g := 0; g < lk.turnGroups; g++ {
+		grp := x[8*g : min(8*g+8, len(x))]
+		var lo, hi [16]uint32
+		halfTable(&lo, grp[:min(4, len(grp))], c)
+		if len(grp) > 4 {
+			halfTable(&hi, grp[4:], c)
+		}
+		tab := (*[256]uint32)(lk.turns[g*256:])
+		for h := range hi {
+			hv, row := hi[h], (*[16]uint32)(tab[16*h:])
+			for l := 0; l < 16; l += 4 {
+				row[l], row[l+1], row[l+2], row[l+3] = lo[l]+hv, lo[l+1]+hv, lo[l+2]+hv, lo[l+3]+hv
 			}
 		}
 	}
@@ -390,57 +382,50 @@ func halfTable(tab *[16]uint32, grp []float64, c float64) {
 	}
 }
 
-// sumTurns writes row r's projection phases of len(acc) consecutive
-// components into acc, in turns: acc[t] is the wrapping sum over groups
-// g of turn table g's entry ix[g*stride+t], where ix is the plane's
-// index bytes from the first component on and stride the plane's row
-// length, OutDim. It makes the passes sumTables makes, up to five groups
-// (InDim <= 40) in one; integer addition is exact and associative, so
-// the passes need no fixed order or start.
+// signTurns packs the sign bits of one row's tile of a trigonometric
+// part into d, word c holding components 64c..64c+63: a component's
+// phase u is the wrapping sum over groups g of turn table g's entry
+// ix[g*stride+t], where ix is the plane's index bytes from the tile's
+// first component on and stride the plane's row length, OutDim, and its
+// bit is turnWord's, under mask (see sinMask). Integer addition is exact
+// and associative, so the sum needs no fixed order. Up to five groups
+// (InDim <= 40) it sums and packs in one pass, with no store of u; each
+// of the five past the last group reads the last group's index bytes
+// against a zero table. Wider rows sum a group per pass into u first.
 //
 //hd:hotpath
-func (lk *lookup) sumTurns(r int, ix []uint8, stride int, acc []uint32) {
-	n, G := len(acc), lk.turnGroups
-	tabs := lk.turns[r*G*256:]
-	w := (G-1)%4 + 1
-	if w == 1 && G > 1 {
-		w = 5
+func (lk *lookup) signTurns(ix []uint8, stride int, b []uint32, d []uint64, mask uint32) {
+	n, G := len(b), lk.turnGroups
+	if G > 5 {
+		var u [encodeDimBlock]uint32
+		for g := 0; g < G; g++ {
+			tb, ig := (*[256]uint32)(lk.turns[g*256:]), ix[g*stride:][:n]
+			for t, i := range ig {
+				u[t] += tb[i]
+			}
+		}
+		for c := 0; c*64 < n; c++ {
+			lo, hi := c*64, min(c*64+64, n)
+			d[c] = turnWord(u[lo:hi], b[lo:hi], mask)
+		}
+		return
 	}
-	i0 := ix[:n]
-	switch w {
-	case 1:
-		tb := (*[256]uint32)(tabs)
-		for t := range acc {
-			acc[t] = tb[i0[t]]
-		}
-	case 2:
-		tb, i1 := (*[2 * 256]uint32)(tabs), ix[stride:][:n]
-		for t := range acc {
-			acc[t] = tb[i0[t]] + tb[256+int(i1[t])]
-		}
-	case 3:
-		tb, i1, i2 := (*[3 * 256]uint32)(tabs), ix[stride:][:n], ix[2*stride:][:n]
-		for t := range acc {
-			acc[t] = tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])]
-		}
-	case 4:
-		tb, i1, i2, i3 := (*[4 * 256]uint32)(tabs), ix[stride:][:n], ix[2*stride:][:n], ix[3*stride:][:n]
-		for t := range acc {
-			acc[t] = tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])] + tb[768+int(i3[t])]
-		}
-	default:
-		tb, i1, i2, i3 := (*[5 * 256]uint32)(tabs), ix[stride:][:n], ix[2*stride:][:n], ix[3*stride:][:n]
-		i4 := ix[4*stride:][:n]
-		for t := range acc {
-			acc[t] = tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])] + tb[768+int(i3[t])] + tb[1024+int(i4[t])]
-		}
+	var rows [5][]uint8
+	for g := range rows {
+		rows[g] = ix[min(g, G-1)*stride:][:n]
 	}
-	for g := w; g < G; g += 4 {
-		tb, i0, i1 := (*[4 * 256]uint32)(tabs[g*256:]), ix[g*stride:][:n], ix[(g+1)*stride:][:n]
-		i2, i3 := ix[(g+2)*stride:][:n], ix[(g+3)*stride:][:n]
-		for t := range acc {
-			acc[t] += tb[i0[t]] + tb[256+int(i1[t])] + tb[512+int(i2[t])] + tb[768+int(i3[t])]
+	tb := (*[5 * 256]uint32)(lk.turns)
+	for c := 0; c*64 < n; c++ {
+		lo, hi := c*64, min(c*64+64, n)
+		bw := b[lo:hi]
+		i0, i1, i2, i3, i4 := rows[0][lo:hi], rows[1][lo:hi], rows[2][lo:hi], rows[3][lo:hi], rows[4][lo:hi]
+		var word uint64
+		for j := len(bw) - 1; j >= 0; j-- {
+			u := tb[i0[j]] + tb[256+int(i1[j])] + tb[512+int(i2[j])] + tb[768+int(i3[j])] + tb[1024+int(i4[j])]
+			q := u + bw[j]
+			word = word<<1 | turnSign(u&mask, q)
 		}
+		d[c] = word
 	}
 }
 

@@ -170,18 +170,17 @@ func (s Stack) encodeRows(xs [][]float64, out []float64, stride, offset int) {
 }
 
 // encodeBitsRows is the blocked sign-bit kernel behind every bit entry
-// point, part i of row r into dst[r][i]. Rows run in blocks as in
-// encodeRows. A seeded trigonometric part builds its turn tables for the
-// block, then each row's phases of a dimension tile are summed as
-// wrapping turns and packed by signTurns. A stored part, or a seeded
-// Linear one, projects four rows at a time in float as encodeRows does,
-// and signWords packs the signs. Tiles span whole 64-bit words, so each
-// row stores complete words.
+// point, part i of row r into dst[r][i]. A seeded trigonometric part
+// takes one row at a time: it builds the row's turn tables, then sums
+// each tile's phases as wrapping turns and packs them by signTurns. A
+// stored part, or a seeded Linear one, runs in row blocks as in
+// encodeRows, projecting four rows at a time in float, and signWords
+// packs the signs. Tiles span whole 64-bit words, so each row stores
+// complete words.
 //
 //hd:hotpath
 func (s Stack) encodeBitsRows(xs [][]float64, dst [][]*hdc.BitVector) {
 	var acc [4][encodeDimBlock]float64
-	var u [encodeDimBlock]uint32
 	sc, step := s.getScratch(len(xs), true)
 	defer putScratch(sc)
 	for r0 := 0; r0 < len(xs); r0 += step {
@@ -189,20 +188,18 @@ func (s Stack) encodeBitsRows(xs [][]float64, dst [][]*hdc.BitVector) {
 		sc.buildTables(blk)
 		for pi, pt := range s {
 			e, p := pt.Enc, sc.planes[pi]
-			turns := e.w == nil && e.Kind != Linear
-			if turns {
-				sc.buildTurns(blk, e.Gamma)
+			if e.w == nil && e.Kind != Linear {
+				for r, x := range blk {
+					sc.buildTurns(x, e.Gamma)
+					for t0 := pt.Lo; t0 < pt.Hi; t0 += encodeDimBlock {
+						b := p.bt[t0:min(t0+encodeDimBlock, pt.Hi)]
+						sc.signTurns(p.idx[t0:], e.OutDim, b, dst[r0+r][pi].Words[(t0-pt.Lo)/64:], sinMask(e.Kind))
+					}
+				}
+				continue
 			}
 			for t0 := pt.Lo; t0 < pt.Hi; t0 += encodeDimBlock {
-				t1 := min(t0+encodeDimBlock, pt.Hi)
-				b, word := p.bt[t0:t1], (t0-pt.Lo)/64
-				if turns {
-					for r := range blk {
-						sc.sumTurns(r, p.idx[t0:], e.OutDim, u[:len(b)])
-						e.signTurns(u[:len(b)], b, dst[r0+r][pi].Words[word:])
-					}
-					continue
-				}
+				b, word := p.bt[t0:min(t0+encodeDimBlock, pt.Hi)], (t0-pt.Lo)/64
 				for i := 0; i < len(blk); i += 4 {
 					for k := range e.project(p, &sc.lookup, blk, i, t0, len(b), &acc) {
 						e.signWords(acc[k][:len(b)], b, dst[r0+i+k][pi].Words[word:])
