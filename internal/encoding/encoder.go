@@ -19,8 +19,8 @@
 // part of a stack, and its activation step is shared by both modes. The
 // sign kernel reads a trigonometric component's sign off its phase held
 // as a wrapping 32-bit count of 2^-32 turns: a seeded part sums integer
-// turn tables built per part and row block, a stored part converts its
-// GEMM output to turns once per component, and both share the sign rule.
+// turn tables built per part and row, a stored part converts its GEMM
+// output to turns once per component, and both share the sign rule.
 package encoding
 
 import (

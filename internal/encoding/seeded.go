@@ -261,10 +261,10 @@ var scratchPool sync.Pool
 
 // getScratch returns pooled scratch holding the parts' planes, and the
 // rows per block. Seeded parts read float tables, except the
-// trigonometric parts of a sign-bit call (bits), which read turn tables
-// a row at a time. A stack that needs no float tables sweeps all n rows
-// per block; otherwise a block is a lookup block, sized for n rows at
-// most.
+// trigonometric parts of a sign-bit call (bits), which read one row's
+// turn tables, padded with zero tables to at least five. A stack that
+// needs no float tables sweeps all n rows per block; otherwise a block
+// is a lookup block, sized for n rows at most.
 func (s Stack) getScratch(n int, bits bool) (*scratch, int) {
 	sc, _ := scratchPool.Get().(*scratch)
 	if sc == nil {
