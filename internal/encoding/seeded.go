@@ -244,7 +244,8 @@ type lookup struct {
 
 // scratch is one kernel call's pooled state: every part's plane, loaded
 // once per call so a call in flight finishes on the planes it loaded,
-// and the lookup tables of the current row block.
+// and the float tables of the current row block and turn tables of the
+// current row.
 type scratch struct {
 	planes []*plane
 	lookup

@@ -21,7 +21,7 @@ type Part struct {
 // tables depend only on the row and the input width, so a stack builds
 // them once per row block and every seeded part reads them; the sign
 // kernel's turn tables also depend on the part's bandwidth, so it builds
-// them per part and row block. A stored part runs its GEMM. A lone
+// them per part and row. A stored part runs its GEMM. A lone
 // Encoder's entry points are the one-part case, so each output kind has
 // exactly one kernel.
 type Stack []Part
