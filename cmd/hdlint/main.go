@@ -1,9 +1,9 @@
 // Command hdlint runs the repo's invariant analyzers (locksafety,
-// hotalloc, versionbump, snapshotalias) over module packages and exits
-// nonzero on any finding. It is stdlib-only: packages are parsed and
-// typechecked with go/parser, go/types and the source importer, so the
-// check runs anywhere a Go toolchain source tree exists — no generated
-// export data, no third-party driver.
+// hotalloc, versionbump, snapshotalias, deadexport) over module packages
+// and exits nonzero on any finding. It is stdlib-only: packages are
+// parsed and typechecked with go/parser, go/types and the source
+// importer, so the check runs anywhere a Go toolchain source tree exists
+// — no generated export data, no third-party driver.
 //
 // Usage:
 //
@@ -11,6 +11,10 @@
 //
 // Package patterns follow the go tool's relative forms ("./...",
 // "./internal/infer", "internal/serve/..."); the default is "./...".
+// Like the go tool, the patterns skip nested modules; a nested module
+// whose go.mod replaces this one with its directory (bench/) still loads,
+// because deadexport counts its references.
+//
 // Suppress an individual finding with
 //
 //	//hdlint:ignore <analyzer> <reason>

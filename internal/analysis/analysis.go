@@ -3,8 +3,10 @@
 // checks. Every major bug class this codebase has shipped — the class-vector
 // read/mutate race, the torn-checkpoint aliasing, the stale norm cache that
 // motivated the version counter — violated an invariant that `-race` only
-// catches when a test interleaves the right goroutines. The four analyzers
-// here catch the same mistakes syntactically, on every build:
+// catches when a test interleaves the right goroutines. The first four
+// analyzers here catch the same mistakes syntactically, on every build;
+// the fifth keeps the internal packages' API down to what the program
+// uses:
 //
 //   - locksafety: fields marked //hd:guarded (HVClassifier.Class, the
 //     quantization plane memory) may be accessed directly only from the
@@ -17,6 +19,9 @@
 //     calling a method that does), unless it is itself marked //hd:mutator.
 //   - snapshotalias: exported methods must not return internal
 //     []float64/[]uint64 backing memory without a copy.
+//   - deadexport: an exported identifier declared under internal/ must be
+//     reachable from live non-test code of the module or of a nested
+//     module that replaces it (bench/).
 //
 // A finding is suppressed with `//hdlint:ignore <analyzer> <reason>` on the
 // offending line or the line above; the reason is mandatory.
@@ -69,7 +74,7 @@ func (p *Pass) position(pos token.Pos) token.Position {
 }
 
 // Analyzers is the full hdlint suite in reporting order.
-var Analyzers = []*Analyzer{LockSafety, HotAlloc, VersionBump, SnapshotAlias}
+var Analyzers = []*Analyzer{LockSafety, HotAlloc, VersionBump, SnapshotAlias, DeadExport}
 
 // ByName resolves analyzer names ("locksafety,hotalloc") to analyzers.
 func ByName(names []string) ([]*Analyzer, error) {

@@ -14,16 +14,20 @@ import (
 )
 
 // goldenCases pairs each analyzer with its seeded-violation and clean
-// testdata packages under testdata/src.
+// testdata under testdata/src: packages of one shared program, or, for an
+// analyzer that reads the whole module (deadexport), modules of their own
+// with a go.mod, loaded as hdlint loads the repo.
 var goldenCases = []struct {
 	analyzer *Analyzer
 	flagged  string
 	clean    string
+	module   bool
 }{
-	{LockSafety, "locksafety/flagged", "locksafety/clean"},
-	{HotAlloc, "hotalloc/flagged", "hotalloc/clean"},
-	{VersionBump, "versionbump/flagged", "versionbump/clean"},
-	{SnapshotAlias, "snapshotalias/flagged", "snapshotalias/clean"},
+	{LockSafety, "locksafety/flagged", "locksafety/clean", false},
+	{HotAlloc, "hotalloc/flagged", "hotalloc/clean", false},
+	{VersionBump, "versionbump/flagged", "versionbump/clean", false},
+	{SnapshotAlias, "snapshotalias/flagged", "snapshotalias/clean", false},
+	{DeadExport, "deadexport/flagged", "deadexport/clean", true},
 }
 
 // loadGolden typechecks every golden testdata package once, shared across
@@ -32,21 +36,25 @@ func loadGolden(t *testing.T) (*Program, map[string]*Package) {
 	t.Helper()
 	var rels []string
 	for _, c := range goldenCases {
-		rels = append(rels, c.flagged, c.clean)
+		if !c.module {
+			rels = append(rels, c.flagged, c.clean)
+		}
 	}
-	prog, pkgs, err := LoadDirs("testdata/src", "lint.example", rels)
+	prog, err := loadPackages([]module{{dir: "testdata/src", path: "lint.example", rels: rels}})
 	if err != nil {
 		t.Fatalf("loading golden packages: %v", err)
 	}
 	byRel := map[string]*Package{}
-	for _, p := range pkgs {
+	for _, p := range prog.Packages {
 		rel := strings.TrimPrefix(p.Path, "lint.example/")
 		byRel[rel] = p
 	}
 	return prog, byRel
 }
 
-var wantRE = regexp.MustCompile(`// want (("[^"]*" ?)+)`)
+// wantRE also accepts a /* want */ block comment, for a line whose line
+// comment is itself under test (an ignore directive).
+var wantRE = regexp.MustCompile(`(?://|/\*) want (("[^"]*" ?)+)`)
 var quotedRE = regexp.MustCompile(`"([^"]*)"`)
 
 // fileWants extracts `// want "substr"` expectations from one source file,
@@ -70,67 +78,102 @@ func fileWants(t *testing.T, path string) map[int][]string {
 	return out
 }
 
-// TestGolden runs each analyzer over its flagged package (every seeded
-// violation must be reported, and nothing else) and its clean package
+// TestGolden runs each analyzer over its flagged testdata (every seeded
+// violation must be reported, and nothing else) and its clean testdata
 // (zero findings).
 func TestGolden(t *testing.T) {
 	prog, byRel := loadGolden(t)
+	load := func(t *testing.T, rel string, module bool) (*Program, []*Package) {
+		t.Helper()
+		if module {
+			p, pkgs, err := Load(filepath.Join("testdata", "src", rel), nil)
+			if err != nil {
+				t.Fatalf("loading golden module %s: %v", rel, err)
+			}
+			return p, pkgs
+		}
+		pkg := byRel[rel]
+		if pkg == nil {
+			t.Fatalf("testdata package %s did not load", rel)
+		}
+		return prog, []*Package{pkg}
+	}
 	for _, c := range goldenCases {
 		c := c
+		// A module case runs with type aliases materialized and not: the
+		// gotypesalias default differs between toolchains, and a facade
+		// alias must resolve to the same object either way.
+		modes := []string{""}
+		if c.module {
+			modes = []string{"gotypesalias=0", "gotypesalias=1"}
+		}
 		t.Run(c.analyzer.Name+"/flagged", func(t *testing.T) {
-			pkg := byRel[c.flagged]
-			if pkg == nil {
-				t.Fatalf("testdata package %s did not load", c.flagged)
-			}
-			findings := Run(prog, []*Package{pkg}, []*Analyzer{c.analyzer})
-
-			wants := map[string]map[int][]string{}
-			total := 0
-			for _, f := range pkg.Files {
-				name := prog.Fset.Position(f.Pos()).Filename
-				wants[name] = fileWants(t, name)
-				total += len(wants[name])
-			}
-			if total == 0 {
-				t.Fatalf("%s has no // want expectations", c.flagged)
-			}
-
-			matched := map[string]bool{}
-			for _, f := range findings {
-				if f.Analyzer != c.analyzer.Name {
-					t.Errorf("unexpected analyzer %q in finding %s", f.Analyzer, f)
-					continue
+			for _, mode := range modes {
+				if mode != "" {
+					t.Setenv("GODEBUG", mode)
 				}
-				ok := false
-				for _, substr := range wants[f.Pos.Filename][f.Pos.Line] {
-					if strings.Contains(f.Message, substr) {
-						ok = true
-						matched[fmt.Sprintf("%s:%d:%s", f.Pos.Filename, f.Pos.Line, substr)] = true
-					}
-				}
-				if !ok {
-					t.Errorf("unexpected finding: %s", f)
-				}
-			}
-			for name, byLine := range wants {
-				for line, substrs := range byLine {
-					for _, substr := range substrs {
-						if !matched[fmt.Sprintf("%s:%d:%s", name, line, substr)] {
-							t.Errorf("missing finding at %s:%d matching %q", name, line, substr)
-						}
-					}
-				}
+				prog, pkgs := load(t, c.flagged, c.module)
+				checkFlagged(t, c.analyzer, c.flagged, prog, pkgs)
 			}
 		})
 		t.Run(c.analyzer.Name+"/clean", func(t *testing.T) {
-			pkg := byRel[c.clean]
-			if pkg == nil {
-				t.Fatalf("testdata package %s did not load", c.clean)
-			}
-			for _, f := range Run(prog, []*Package{pkg}, []*Analyzer{c.analyzer}) {
-				t.Errorf("finding in clean package: %s", f)
+			for _, mode := range modes {
+				if mode != "" {
+					t.Setenv("GODEBUG", mode)
+				}
+				prog, pkgs := load(t, c.clean, c.module)
+				for _, f := range Run(prog, pkgs, []*Analyzer{c.analyzer}) {
+					t.Errorf("%s: finding in clean package: %s", mode, f)
+				}
 			}
 		})
+	}
+}
+
+// checkFlagged requires a finding for every // want expectation in the
+// loaded packages and no finding without one.
+func checkFlagged(t *testing.T, a *Analyzer, rel string, prog *Program, pkgs []*Package) {
+	t.Helper()
+	findings := Run(prog, pkgs, []*Analyzer{a})
+	wants := map[string]map[int][]string{}
+	total := 0
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			name := prog.Fset.Position(f.Pos()).Filename
+			wants[name] = fileWants(t, name)
+			total += len(wants[name])
+		}
+	}
+	if total == 0 {
+		t.Fatalf("%s has no // want expectations", rel)
+	}
+
+	matched := map[string]bool{}
+	for _, f := range findings {
+		// "hdlint" reports malformed ignore directives.
+		if f.Analyzer != a.Name && f.Analyzer != "hdlint" {
+			t.Errorf("unexpected analyzer %q in finding %s", f.Analyzer, f)
+			continue
+		}
+		ok := false
+		for _, substr := range wants[f.Pos.Filename][f.Pos.Line] {
+			if strings.Contains(f.Message, substr) {
+				ok = true
+				matched[fmt.Sprintf("%s:%d:%s", f.Pos.Filename, f.Pos.Line, substr)] = true
+			}
+		}
+		if !ok {
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+	for name, byLine := range wants {
+		for line, substrs := range byLine {
+			for _, substr := range substrs {
+				if !matched[fmt.Sprintf("%s:%d:%s", name, line, substr)] {
+					t.Errorf("missing finding at %s:%d matching %q", name, line, substr)
+				}
+			}
+		}
 	}
 }
 

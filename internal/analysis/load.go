@@ -24,6 +24,11 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+
+	// Nested marks a package of a nested module whose go.mod replaces
+	// this one (bench/). It loads so that its references count for
+	// deadexport; no pattern selects it for analysis.
+	Nested bool
 }
 
 // Program is a load of the whole module: every package typechecked with a
@@ -35,19 +40,22 @@ type Program struct {
 	RootDir    string
 	Packages   []*Package // dependency order; external tests follow their base
 	byPath     map[string]*Package
+	live       map[types.Object]bool // deadexport's reachable set, built on first use
 }
 
 // Load typechecks every package of the module containing dir and returns
 // the program plus the subset matching patterns ("./...", "./internal/infer",
 // "internal/serve/..."). Test files are included: in-package _test.go files
 // join their package; external _test packages load separately. Directories
-// named testdata are skipped, mirroring the go tool.
+// named testdata are skipped, mirroring the go tool, and so is every nested
+// module, except that a nested module whose go.mod replaces this one with
+// its directory loads as Nested packages.
 func Load(dir string, patterns []string) (*Program, []*Package, error) {
 	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	all, err := scanDirs(root)
+	all, nested, err := scanDirs(root)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -55,12 +63,25 @@ func Load(dir string, patterns []string) (*Program, []*Package, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	prog, err := loadPackages(root, modPath, all)
+	mods := []module{{dir: root, path: modPath, rels: all}}
+	for _, rel := range nested {
+		m, ok, err := replacingModule(root, modPath, filepath.Join(root, rel))
+		if err != nil {
+			return nil, nil, err
+		}
+		if ok {
+			mods = append(mods, m)
+		}
+	}
+	prog, err := loadPackages(mods)
 	if err != nil {
 		return nil, nil, err
 	}
 	var sel []*Package
 	for _, p := range prog.Packages {
+		if p.Nested {
+			continue
+		}
 		// requested holds bare directory keys ("" for the root, else the
 		// slash-relative dir); reduce the import path back to that form.
 		key := strings.TrimSuffix(p.Path, "_test")
@@ -76,17 +97,6 @@ func Load(dir string, patterns []string) (*Program, []*Package, error) {
 	return prog, sel, nil
 }
 
-// LoadDirs typechecks exactly the given directories (relative to root) as
-// packages of a synthetic module modPath. The golden tests use this to
-// load testdata packages that live outside the real module.
-func LoadDirs(root, modPath string, rel []string) (*Program, []*Package, error) {
-	prog, err := loadPackages(root, modPath, rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, prog.Packages, nil
-}
-
 func findModule(dir string) (root, modPath string, err error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -95,15 +105,8 @@ func findModule(dir string) (root, modPath string, err error) {
 	for d := abs; ; d = filepath.Dir(d) {
 		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
 		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module"); ok {
-					mp := strings.TrimSpace(rest)
-					if q, err := strconv.Unquote(mp); err == nil {
-						mp = q
-					}
-					return d, mp, nil
-				}
+			if mp, _ := parseGoMod(data); mp != "" {
+				return d, mp, nil
 			}
 			return "", "", fmt.Errorf("analysis: no module line in %s/go.mod", d)
 		}
@@ -113,12 +116,72 @@ func findModule(dir string) (root, modPath string, err error) {
 	}
 }
 
+// parseGoMod reads the module path and the replace directives (old module
+// path to replacement, versions dropped) of a go.mod file.
+func parseGoMod(data []byte) (modPath string, replace map[string]string) {
+	replace = map[string]string{}
+	add := func(spec string) {
+		from, to, ok := strings.Cut(spec, "=>")
+		if f, t := strings.Fields(from), strings.Fields(to); ok && len(f) > 0 && len(t) > 0 {
+			replace[f[0]] = t[0]
+		}
+	}
+	inReplace := false
+	for _, line := range strings.Split(string(data), "\n") {
+		line, _, _ = strings.Cut(line, "//")
+		line = strings.TrimSpace(line)
+		switch {
+		case inReplace && line == ")":
+			inReplace = false
+		case inReplace:
+			add(line)
+		case line == "replace (":
+			inReplace = true
+		case strings.HasPrefix(line, "replace "):
+			add(strings.TrimPrefix(line, "replace "))
+		case strings.HasPrefix(line, "module "):
+			modPath = strings.TrimSpace(strings.TrimPrefix(line, "module "))
+			if q, err := strconv.Unquote(modPath); err == nil {
+				modPath = q
+			}
+		}
+	}
+	return modPath, replace
+}
+
+// replacingModule reads the nested module at dir and reports it when its
+// go.mod replaces the root module with the root's own directory, the way
+// bench/ builds against the working tree.
+func replacingModule(root, rootPath, dir string) (module, bool, error) {
+	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+	if err != nil {
+		return module{}, false, err
+	}
+	modPath, replace := parseGoMod(data)
+	to, ok := replace[rootPath]
+	if !ok || modPath == "" || !(filepath.IsAbs(to) || strings.HasPrefix(to, "./") || strings.HasPrefix(to, "../")) {
+		return module{}, false, nil
+	}
+	if !filepath.IsAbs(to) {
+		to = filepath.Join(dir, to)
+	}
+	if filepath.Clean(to) != filepath.Clean(root) {
+		return module{}, false, nil
+	}
+	rels, _, err := scanDirs(dir)
+	if err != nil {
+		return module{}, false, err
+	}
+	return module{dir: dir, path: modPath, rels: rels, nested: true}, true, nil
+}
+
 // scanDirs returns every directory under root (as a relative path, "." for
 // the root itself) that holds at least one .go file, skipping testdata,
-// hidden, and underscore-prefixed directories.
-func scanDirs(root string) ([]string, error) {
-	var out []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+// hidden, and underscore-prefixed directories. Directories holding a
+// go.mod of their own are nested modules: they are returned apart and not
+// descended into.
+func scanDirs(root string) (dirs, nested []string, err error) {
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -127,6 +190,16 @@ func scanDirs(root string) ([]string, error) {
 			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
+			if path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					rel, err := filepath.Rel(root, path)
+					if err != nil {
+						return err
+					}
+					nested = append(nested, rel)
+					return filepath.SkipDir
+				}
+			}
 			return nil
 		}
 		if strings.HasSuffix(path, ".go") {
@@ -134,17 +207,17 @@ func scanDirs(root string) ([]string, error) {
 			if err != nil {
 				return err
 			}
-			if len(out) == 0 || out[len(out)-1] != rel {
-				out = append(out, rel)
+			if len(dirs) == 0 || dirs[len(dirs)-1] != rel {
+				dirs = append(dirs, rel)
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sort.Strings(out)
-	return out, nil
+	sort.Strings(dirs)
+	return dirs, nested, nil
 }
 
 func resolvePatterns(root, dir string, patterns []string, all []string) (map[string]bool, error) {
@@ -198,23 +271,39 @@ func importPathFor(modPath, rel string) string {
 	return modPath + "/" + rel
 }
 
+// module is one module's package directories, relative to its root dir.
+// Packages of a nested module load as Nested.
+type module struct {
+	dir, path string
+	rels      []string
+	nested    bool
+}
+
 // rawPkg is one directory's parsed syntax before typechecking.
 type rawPkg struct {
-	rel      string
+	dir      string
 	path     string
 	files    []*ast.File // package files + in-package tests
 	extFiles []*ast.File // external test package files
-	deps     []string    // internal import paths (incl. test-file imports)
+	deps     []string    // module import paths (incl. test-file imports)
 	extDeps  []string
 }
 
-func loadPackages(root, modPath string, rels []string) (*Program, error) {
+func loadPackages(mods []module) (*Program, error) {
 	// The source importer typechecks stdlib dependencies from GOROOT
 	// source; cgo-tainted packages (net, os/user) must take their pure-Go
 	// fallback for that to work without invoking the cgo tool.
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
-	prog := &Program{Fset: fset, ModulePath: modPath, RootDir: root, byPath: map[string]*Package{}}
+	prog := &Program{Fset: fset, ModulePath: mods[0].path, RootDir: mods[0].dir, byPath: map[string]*Package{}}
+	inModule := func(ip string) bool {
+		for _, m := range mods {
+			if ip == m.path || strings.HasPrefix(ip, m.path+"/") {
+				return true
+			}
+		}
+		return false
+	}
 
 	// A directory yields up to two typecheck units: the package itself
 	// (with its in-package test files) and, separately, an external _test
@@ -222,19 +311,21 @@ func loadPackages(root, modPath string, rels []string) (*Program, error) {
 	// external test may import packages that themselves import the base,
 	// which is only a cycle if the two are conflated.
 	units := map[string]*unit{}
-	for _, rel := range rels {
-		rp, err := parseDir(fset, root, modPath, rel)
-		if err != nil {
-			return nil, err
-		}
-		if rp == nil {
-			continue
-		}
-		units[rp.path] = &unit{rel: rp.rel, path: rp.path, files: rp.files, deps: rp.deps}
-		if len(rp.extFiles) > 0 {
-			units[rp.path+"_test"] = &unit{
-				rel: rp.rel, path: rp.path + "_test", files: rp.extFiles,
-				deps: append(rp.extDeps, rp.path),
+	for _, m := range mods {
+		for _, rel := range m.rels {
+			rp, err := parseDir(fset, filepath.Join(m.dir, rel), importPathFor(m.path, rel), inModule)
+			if err != nil {
+				return nil, err
+			}
+			if rp == nil {
+				continue
+			}
+			units[rp.path] = &unit{dir: rp.dir, path: rp.path, files: rp.files, deps: rp.deps, nested: m.nested}
+			if len(rp.extFiles) > 0 {
+				units[rp.path+"_test"] = &unit{
+					dir: rp.dir, path: rp.path + "_test", files: rp.extFiles,
+					deps: append(rp.extDeps, rp.path), nested: m.nested,
+				}
 			}
 		}
 	}
@@ -250,10 +341,11 @@ func loadPackages(root, modPath string, rels []string) (*Program, error) {
 	}
 	for _, path := range order {
 		u := units[path]
-		p, err := typecheck(fset, imp, path, root, u.rel, u.files)
+		p, err := typecheck(fset, imp, path, u.dir, u.files)
 		if err != nil {
 			return nil, err
 		}
+		p.Nested = u.nested
 		if !strings.HasSuffix(path, "_test") {
 			imp.pkgs[path] = p.Pkg
 		}
@@ -265,20 +357,19 @@ func loadPackages(root, modPath string, rels []string) (*Program, error) {
 
 // unit is one typecheck node: a package or its external test package.
 type unit struct {
-	rel   string
-	path  string
-	files []*ast.File
-	deps  []string
+	dir    string
+	path   string
+	files  []*ast.File
+	deps   []string
+	nested bool
 }
 
-func parseDir(fset *token.FileSet, root, modPath, rel string) (*rawPkg, error) {
-	dir := filepath.Join(root, rel)
+func parseDir(fset *token.FileSet, dir, path string, inModule func(string) bool) (*rawPkg, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	path := importPathFor(modPath, rel)
-	rp := &rawPkg{rel: rel, path: path}
+	rp := &rawPkg{dir: dir, path: path}
 	var baseName string
 	for _, ent := range entries {
 		name := ent.Name()
@@ -306,7 +397,7 @@ func parseDir(fset *token.FileSet, root, modPath, rel string) (*rawPkg, error) {
 			if err != nil {
 				continue
 			}
-			if ip == modPath || strings.HasPrefix(ip, modPath+"/") {
+			if inModule(ip) {
 				if ext {
 					rp.extDeps = append(rp.extDeps, ip)
 				} else if ip != path {
@@ -361,7 +452,7 @@ func topoSort(units map[string]*unit) ([]string, error) {
 	return order, nil
 }
 
-func typecheck(fset *token.FileSet, imp *moduleImporter, path, root, rel string, files []*ast.File) (*Package, error) {
+func typecheck(fset *token.FileSet, imp *moduleImporter, path, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -386,7 +477,7 @@ func typecheck(fset *token.FileSet, imp *moduleImporter, path, root, rel string,
 		}
 		return nil, fmt.Errorf("analysis: typecheck %s:\n\t%s", path, strings.Join(msgs, "\n\t"))
 	}
-	return &Package{Path: path, Dir: filepath.Join(root, rel), Files: files, Pkg: pkg, Info: info}, nil
+	return &Package{Path: path, Dir: dir, Files: files, Pkg: pkg, Info: info}, nil
 }
 
 // moduleImporter resolves module-internal imports from the packages this
