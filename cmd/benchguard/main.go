@@ -60,7 +60,7 @@ func (s suite) keyPkg() string {
 var suites = []suite{
 	{
 		pkg:       "./internal/encoding",
-		bench:     "^(BenchmarkEncodeNonlinear|BenchmarkEncodeRFF|BenchmarkEncodeLinear|BenchmarkEncodeBatchParallel|BenchmarkEncodeBatchRemat|BenchmarkEncodeBitsStored|BenchmarkEncodeBitsRemat|BenchmarkIDLevelEncode)$",
+		bench:     "^(BenchmarkEncodeNonlinear|BenchmarkEncodeRFF|BenchmarkEncodeLinear|BenchmarkEncodeBatchParallel|BenchmarkEncodeBatchRemat|BenchmarkEncodeBitsStored|BenchmarkEncodeBitsRemat)$",
 		benchtime: "200ms",
 		count:     5,
 		tolScale:  1,

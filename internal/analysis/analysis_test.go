@@ -213,7 +213,6 @@ var benchKernels = map[string][]struct{ dir, fn string }{
 	"internal/encoding.BenchmarkEncodeLinear":    {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},
 	"internal/encoding.BenchmarkEncodeNonlinear": {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},
 	"internal/encoding.BenchmarkEncodeRFF":       {{"internal/encoding", "encodeRows"}, {"internal/encoding", "dots"}},
-	"internal/encoding.BenchmarkIDLevelEncode":   {{"internal/encoding", "quantize"}},
 	"internal/infer.BenchmarkPredictBatchBinary": {{"internal/infer", "predictBits4"}},
 	"internal/infer.BenchmarkPredictBatchFloat":  {{"internal/boosthd", "classifyEncoded"}, {"internal/boosthd", "learnerScores"}},
 	"internal/infer.BenchmarkScoreEncodedBinary": {

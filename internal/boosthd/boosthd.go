@@ -643,6 +643,8 @@ func (m *Model) HealEncoders() []int {
 // plane they loaded. The corruption is silent until HealEncoders runs,
 // and it reaches every view and clone that shares the encoder stack.
 // It returns the number of flipped bits.
+//
+//hdlint:ignore deadexport README's encoder fault drill documents it as the facade Model's fault hook
 func (m *Model) InjectEncoderFaults(inj *faults.Injector) int {
 	flips := 0
 	for _, enc := range m.Enc.encs {
@@ -656,41 +658,6 @@ func (m *Model) Segments() [][2]int {
 	out := make([][2]int, len(m.segs))
 	for i, s := range m.segs {
 		out[i] = [2]int{s.lo, s.hi}
-	}
-	return out
-}
-
-// ClassVectors returns a deep copy of every weak learner's class
-// hypervectors, learner-major, each learner's taken under its read lock.
-// Span-utilization analysis and tests inspect the snapshot; mutation
-// (fault injection) goes through InjectClassFaults / MutateClass, never
-// through aliases of the live memory.
-func (m *Model) ClassVectors() [][]hdc.Vector {
-	out := make([][]hdc.Vector, len(m.Learners))
-	for i, l := range m.Learners {
-		l.ReadClass(func(class []hdc.Vector, _ uint64) {
-			out[i] = make([]hdc.Vector, len(class))
-			for c, cv := range class {
-				out[i][c] = cv.Clone()
-			}
-		})
-	}
-	return out
-}
-
-// ConcatClassVectors stitches the per-learner class hypervectors back into
-// full-width class vectors (learner i's class-c vector occupies segment i).
-func (m *Model) ConcatClassVectors() []hdc.Vector {
-	out := make([]hdc.Vector, m.Cfg.Classes)
-	for c := range out {
-		out[c] = hdc.NewVector(m.Cfg.TotalDim)
-	}
-	for i, l := range m.Learners {
-		l.ReadClass(func(class []hdc.Vector, _ uint64) {
-			for c, cv := range class {
-				copy(out[c][m.segs[i].lo:m.segs[i].hi], cv)
-			}
-		})
 	}
 	return out
 }
@@ -730,18 +697,6 @@ func (m *Model) EncodeSegmentBits(x []float64, dst []*hdc.BitVector) error {
 // path.
 func (m *Model) EncodeSegmentBitsBatch(X [][]float64, dst [][]*hdc.BitVector) error {
 	return m.Enc.parts.EncodeBitsBatch(X, dst)
-}
-
-// InvalidateCaches discards every learner's derived scoring state (cached
-// class-vector norms). Call it after mutating class vectors through
-// ClassVectors or any other direct write. Direct writes are themselves
-// unsynchronized — only safe with no serving in flight; mutation that
-// overlaps serving must go through InjectClassFaults or
-// HVClassifier.MutateClass.
-func (m *Model) InvalidateCaches() {
-	for _, l := range m.Learners {
-		l.Invalidate()
-	}
 }
 
 // InjectClassFaults flips bits in every learner's class hypervectors under

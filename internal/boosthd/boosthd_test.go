@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"boosthd/internal/hdc"
 	"boosthd/internal/signal"
 	"boosthd/internal/synth"
 )
@@ -361,4 +362,21 @@ func TestBoostHDBeatsOnlineHDOnEqualBudget(t *testing.T) {
 	if boostMean < onlineMean-0.02 {
 		t.Errorf("BoostHD (%v) should not lose to OnlineHD (%v) at equal Dtotal", boostMean, onlineMean)
 	}
+}
+
+// ConcatClassVectors stitches the per-learner class hypervectors back into
+// full-width class vectors (learner i's class-c vector occupies segment i).
+func (m *Model) ConcatClassVectors() []hdc.Vector {
+	out := make([]hdc.Vector, m.Cfg.Classes)
+	for c := range out {
+		out[c] = hdc.NewVector(m.Cfg.TotalDim)
+	}
+	for i, l := range m.Learners {
+		l.ReadClass(func(class []hdc.Vector, _ uint64) {
+			for c, cv := range class {
+				copy(out[c][m.segs[i].lo:m.segs[i].hi], cv)
+			}
+		})
+	}
+	return out
 }

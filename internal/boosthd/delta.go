@@ -238,15 +238,9 @@ func writeDeltaWire(w io.Writer, magic string, dw *deltaWire) error {
 	return gob.NewEncoder(w).Encode(dw)
 }
 
-// SaveDelta writes a full tenant delta record to w, framed under the
-// BHDT magic at epoch zero (callers that never journal do not need the
-// fence).
-func SaveDelta(w io.Writer, tenant string, d *Delta, baseFP uint64) error {
-	return SaveDeltaStamped(w, tenant, d, baseFP, 0)
-}
-
-// SaveDeltaStamped is SaveDelta carrying an explicit epoch — the value
-// journal patches extending this record must echo to be replayed.
+// SaveDeltaStamped writes a full tenant delta record to w, framed under
+// the BHDT magic and carrying epoch — the value journal patches extending
+// this record must echo to be replayed.
 // Records are written at wire.VersionPacked; builds from before the
 // packed layout reject them loudly (they find no class memory), so a
 // rollback needs the records rewritten.
@@ -381,18 +375,13 @@ func decodeDeltaWire(dw *deltaWire, version byte, base *Model, baseFP uint64) (*
 	return d, nil
 }
 
-// LoadDelta reconstructs a tenant delta record against base. baseFP is
-// the caller's cached base.Fingerprint(); a record carrying any other
-// fingerprint is rejected loudly — serving a delta trained against a
-// different base would silently blend incompatible memories, the one
-// failure mode a healthcare deployment must never absorb quietly.
-func LoadDelta(r io.Reader, base *Model, baseFP uint64) (string, *Delta, error) {
-	tenant, d, _, err := LoadDeltaStamped(r, base, baseFP)
-	return tenant, d, err
-}
-
-// LoadDeltaStamped is LoadDelta returning the record's epoch as well —
-// the fence value journal patches extending the record must carry.
+// LoadDeltaStamped reconstructs a tenant delta record against base and
+// returns the record's epoch — the fence value journal patches extending
+// the record must carry. baseFP is the caller's cached base.Fingerprint();
+// a record carrying any other fingerprint is rejected loudly — serving a
+// delta trained against a different base would silently blend
+// incompatible memories, the one failure mode a healthcare deployment
+// must never absorb quietly.
 // Records written before epochs existed decode as epoch zero; records of
 // either class-memory layout load to the same bits.
 func LoadDeltaStamped(r io.Reader, base *Model, baseFP uint64) (string, *Delta, uint64, error) {

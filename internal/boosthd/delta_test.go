@@ -32,7 +32,7 @@ func deltaFor(t *testing.T, m *Model, idx []int, X [][]float64, y []int) *Delta 
 		}
 		sub := make([]hdc.Vector, len(H))
 		for r, h := range H {
-			sub[r] = h.Slice(lo, hi)
+			sub[r] = h[lo:hi]
 		}
 		if err := hv.Fit(sub, y, onlinehd.FitOptions{Epochs: 2}); err != nil {
 			t.Fatal(err)
@@ -313,10 +313,10 @@ func TestSaveLoadDeltaRoundTrip(t *testing.T) {
 	fp := m.Fingerprint()
 
 	var buf bytes.Buffer
-	if err := SaveDelta(&buf, "ward-7", d, fp); err != nil {
+	if err := SaveDeltaStamped(&buf, "ward-7", d, fp, 0); err != nil {
 		t.Fatal(err)
 	}
-	tenant, got, err := LoadDelta(bytes.NewReader(buf.Bytes()), m, fp)
+	tenant, got, _, err := LoadDeltaStamped(bytes.NewReader(buf.Bytes()), m, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestLoadDeltaBaseMismatch(t *testing.T) {
 	}
 	d := deltaFor(t, m, []int{1}, X, y)
 	var buf bytes.Buffer
-	if err := SaveDelta(&buf, "t1", d, m.Fingerprint()); err != nil {
+	if err := SaveDeltaStamped(&buf, "t1", d, m.Fingerprint(), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Retrain moves the class memory, so the fingerprint no longer
@@ -371,7 +371,7 @@ func TestLoadDeltaBaseMismatch(t *testing.T) {
 	if _, err := other.Update(X[0], (y[0]+1)%3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadDelta(bytes.NewReader(buf.Bytes()), other, other.Fingerprint()); !errors.Is(err, ErrBaseMismatch) {
+	if _, _, _, err := LoadDeltaStamped(bytes.NewReader(buf.Bytes()), other, other.Fingerprint()); !errors.Is(err, ErrBaseMismatch) {
 		t.Fatalf("want ErrBaseMismatch, got %v", err)
 	}
 }
@@ -389,10 +389,10 @@ func TestLoadDeltaRejectsForeignBlobs(t *testing.T) {
 	if err := m.Save(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadDelta(bytes.NewReader(ckpt.Bytes()), m, m.Fingerprint()); err == nil {
+	if _, _, _, err := LoadDeltaStamped(bytes.NewReader(ckpt.Bytes()), m, m.Fingerprint()); err == nil {
 		t.Error("ensemble checkpoint accepted as a delta record")
 	}
-	if _, _, err := LoadDelta(bytes.NewReader([]byte("garbage")), m, m.Fingerprint()); err == nil {
+	if _, _, _, err := LoadDeltaStamped(bytes.NewReader([]byte("garbage")), m, m.Fingerprint()); err == nil {
 		t.Error("garbage accepted as a delta record")
 	}
 }

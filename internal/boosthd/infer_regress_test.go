@@ -35,13 +35,13 @@ func legacyPredictEncoded(m *Model, h hdc.Vector) int {
 	case Score:
 		scores := make([][]float64, len(m.Learners))
 		for i, l := range m.Learners {
-			scores[i] = legacyScores(l, h.Slice(m.segs[i].lo, m.segs[i].hi))
+			scores[i] = legacyScores(l, h[m.segs[i].lo:m.segs[i].hi])
 		}
-		return ensemble.ScoreAggregate(scores, m.Alphas, m.Cfg.Classes)
+		return scoreAggregate(scores, m.Alphas, m.Cfg.Classes)
 	default:
 		votes := make([]int, len(m.Learners))
 		for i, l := range m.Learners {
-			s := legacyScores(l, h.Slice(m.segs[i].lo, m.segs[i].hi))
+			s := legacyScores(l, h[m.segs[i].lo:m.segs[i].hi])
 			best := 0
 			for c := 1; c < len(s); c++ {
 				if s[c] > s[best] {
@@ -157,4 +157,25 @@ func TestPredictBatchBlockBoundaries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scoreAggregate is the legacy soft-vote combiner:
+// argmax_k sum_i alpha_i * scores_i[k].
+func scoreAggregate(scores [][]float64, alphas []float64, classes int) int {
+	agg := make([]float64, classes)
+	for i, s := range scores {
+		if i >= len(alphas) {
+			break
+		}
+		for k := 0; k < classes && k < len(s); k++ {
+			agg[k] += alphas[i] * s[k]
+		}
+	}
+	best := 0
+	for k := 1; k < classes; k++ {
+		if agg[k] > agg[best] {
+			best = k
+		}
+	}
+	return best
 }

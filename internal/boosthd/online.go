@@ -133,27 +133,19 @@ func (m *Model) AlphaView() *Model {
 	}
 }
 
-// MaskedAlphaView returns an AlphaView with the quarantined learners'
-// votes zeroed: masked[i] true sets the view's alpha_i to 0, and the
-// scoring paths skip zero-alpha learners entirely (their memory — the
-// reason they were masked — is never read). This is the reliability
-// subsystem's quarantine unit: the ensemble's vote redundancy lets the
-// remaining learners keep serving while a corrupted one is silenced,
-// and because the view shares the live learners, repair work (SetClass
-// restores, streaming updates) lands in memory the view serves.
-func (m *Model) MaskedAlphaView(masked []bool) (*Model, error) {
-	return m.MaskedView(masked, nil)
-}
-
-// MaskedView is the two-tier quarantine view: masked[i] true zeroes
-// learner i's whole vote (its memory is never read), while healthy[i]
+// MaskedView is the two-tier quarantine view, the reliability
+// subsystem's quarantine unit: masked[i] true zeroes learner i's alpha,
+// so the scoring paths skip it and its memory — the reason it was masked
+// — is never read, while healthy[i]
 // non-nil keeps learner i voting but treats the class-memory components
 // at its zero bits as zero — the dimension-granular quarantine for a
 // learner where fault attribution localized the corruption to specific
 // word ranges. healthy is learner-major packed bitmasks over each
 // learner's local dimensions (bit d of word d/64); a nil outer slice or
-// nil entry trusts every dimension. Like MaskedAlphaView, the view
-// shares the live learners, so repairs land in memory the view serves.
+// nil entry trusts every dimension. The ensemble's vote redundancy keeps
+// the remaining learners serving, and because the view shares the live
+// learners, repairs (SetClass restores, streaming updates) land in memory
+// the view serves.
 func (m *Model) MaskedView(masked []bool, healthy [][]uint64) (*Model, error) {
 	if len(masked) != len(m.Learners) {
 		return nil, fmt.Errorf("boosthd: %d mask entries for %d learners", len(masked), len(m.Learners))

@@ -1,12 +1,14 @@
 package boosthd
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"boosthd/internal/hdc"
+	"boosthd/internal/onlinehd"
 )
 
 // TestUpdateValidatesAndAdapts: Update rejects bad labels/widths, and a
@@ -71,7 +73,7 @@ func TestUpdateSkipsVersionBumpWhenCorrect(t *testing.T) {
 	before := make([]uint64, len(m.Learners))
 	for i, l := range m.Learners {
 		before[i] = l.Version()
-		correct[i] = l.Predict(h[segs[i][0]:segs[i][1]]) == 2
+		correct[i] = predictSegment(l, h[segs[i][0]:segs[i][1]]) == 2
 	}
 	if _, err := m.Update(q, 2); err != nil {
 		t.Fatal(err)
@@ -270,4 +272,18 @@ func TestConcurrentUpdateServing(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// predictSegment is the class learner l scores highest for segment h,
+// ties toward the lowest class.
+func predictSegment(l *onlinehd.HVClassifier, h hdc.Vector) int {
+	best, top := 0, math.Inf(-1)
+	l.ReadClass(func(class []hdc.Vector, _ uint64) {
+		for c, cv := range class {
+			if s := hdc.Cosine(h, cv); s > top {
+				best, top = c, s
+			}
+		}
+	})
+	return best
 }

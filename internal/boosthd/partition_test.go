@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"boosthd/internal/faults"
+	"boosthd/internal/hdc"
 )
 
 // TestPartitionRemainderDistribution checks the contract partition
@@ -105,9 +106,10 @@ func TestInjectClassFaultsInvalidatesNormCache(t *testing.T) {
 	}
 }
 
-// TestInvalidateCachesAfterDirectMutation covers the documented manual
-// path: callers that write through ClassVectors must be able to
-// invalidate and get fresh scoring.
+// TestInvalidateCachesAfterDirectMutation covers class memory moved in
+// place: scaling each learner's class vectors through MutateClass must
+// reach the float path's cached norms, so predictions match the legacy
+// per-row reference on the scaled memory.
 func TestInvalidateCachesAfterDirectMutation(t *testing.T) {
 	m, queries := regressionFixture(t, Score, 0)
 	if _, err := m.PredictBatch(queries); err != nil {
@@ -116,15 +118,16 @@ func TestInvalidateCachesAfterDirectMutation(t *testing.T) {
 	// Scale each class by a different factor: with stale cached norms the
 	// cosine denominators no longer match the stored vectors, so the
 	// per-class rankings (and hence predictions) would come out wrong.
-	for _, learner := range m.ClassVectors() {
-		for c, cv := range learner {
-			factor := 0.2 + 3*float64(c)
-			for j := range cv {
-				cv[j] *= factor
+	for _, l := range m.Learners {
+		l.MutateClass(func(class []hdc.Vector) {
+			for c, cv := range class {
+				factor := 0.2 + 3*float64(c)
+				for j := range cv {
+					cv[j] *= factor
+				}
 			}
-		}
+		})
 	}
-	m.InvalidateCaches()
 	got, err := m.PredictBatch(queries)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +138,7 @@ func TestInvalidateCachesAfterDirectMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := legacyPredictEncoded(m, h); got[i] != want {
-			t.Fatalf("row %d: stale norms after InvalidateCaches: got %d want %d", i, got[i], want)
+			t.Fatalf("row %d: stale norms after MutateClass: got %d want %d", i, got[i], want)
 		}
 	}
 }

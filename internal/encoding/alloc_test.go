@@ -26,11 +26,11 @@ func TestSeededEncodeZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stack[i], stackBits[i] = Part{sub, 0, sub.OutDim}, hdc.NewBitVector(sub.OutDim)
+		stack[i], stackBits[i] = Part{sub, 0, sub.OutDim}, newBits(sub.OutDim)
 	}
 	x := seededTestRows(1, 1, 36)[0]
 	dst := make([]float64, e.OutDim)
-	bits := hdc.NewBitVector(e.OutDim)
+	bits := newBits(e.OutDim)
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := e.EncodeInto(x, dst); err != nil {
 			t.Fatal(err)

@@ -5,8 +5,6 @@
 // Gaussian random projection, h_j = cos(<w_j, x> + b_j) * sin(<w_j, x>)
 // with w_j ~ N(0,1)^F and b_j ~ U[0, 2*pi). A plain random-Fourier-feature
 // variant (cos only) and a linear projection are provided for ablations.
-// An ID-level record encoder for symbolic/classic HDC pipelines completes
-// the set.
 //
 // Every entry point, single-row or batch, lone encoder or Stack, runs
 // one of two blocked kernels: a float kernel, and a sign-only kernel for
@@ -141,12 +139,6 @@ func DefaultGamma(inDim int) float64 {
 	return 0.25 / math.Sqrt(float64(inDim))
 }
 
-// New builds an encoder with N(0,1) projection weights, uniform phases,
-// and the DefaultGamma bandwidth, all drawn deterministically from seed.
-func New(inDim, outDim int, kind Kind, seed int64) (*Encoder, error) {
-	return NewWithGamma(inDim, outDim, kind, DefaultGamma(inDim), seed)
-}
-
 // NewWithGamma builds an encoder with an explicit kernel bandwidth.
 func NewWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64) (*Encoder, error) {
 	e, err := newEncoder(inDim, outDim, kind, gamma)
@@ -210,23 +202,6 @@ func (e *Encoder) checkRow(x []float64) error {
 // onePart is components [lo,hi) of the encoder as a one-part stack.
 func (e *Encoder) onePart(lo, hi int) [1]Part {
 	return [1]Part{{e, lo, hi}}
-}
-
-// EncodeInto maps one feature vector into hyperspace, writing the result
-// into dst (length OutDim): the one-part case of Stack.EncodeInto, and
-// allocation-free once warm.
-func (e *Encoder) EncodeInto(x []float64, dst []float64) error {
-	s := e.onePart(0, e.OutDim)
-	return Stack(s[:]).EncodeInto(x, dst)
-}
-
-// Encode maps one feature vector into hyperspace.
-func (e *Encoder) Encode(x []float64) (hdc.Vector, error) {
-	h := make(hdc.Vector, e.OutDim)
-	if err := e.EncodeInto(x, h); err != nil {
-		return nil, err
-	}
-	return h, nil
 }
 
 // BatchRowBlock is the row-block granularity of the batch kernels.
@@ -461,48 +436,4 @@ func (e *Encoder) signWords(s []float64, b []uint32, d []uint64) {
 		lo, hi := c*64, min(c*64+64, len(b))
 		d[c] = turnWord(u[lo:hi], b[lo:hi], mask)
 	}
-}
-
-// EncodeBitsRange writes the sign bits of encoding components [lo,hi) of x
-// into dst: bit k of dst is set iff component lo+k of the encoding is
-// >= 0. For the trigonometric kinds the sign is derived from the phase
-// quadrants directly — sign(cos(d+b)*sin(d)) = sign(cos(d+b))*sign(sin(d))
-// — with the phases held as wrapping counts of 2^-32 turn, so the
-// packed-binary backend never evaluates sin or cos at all. It is the
-// one-part case of Stack.EncodeBits, and allocation-free once warm.
-func (e *Encoder) EncodeBitsRange(x []float64, lo, hi int, dst *hdc.BitVector) error {
-	s, ds := e.onePart(lo, hi), [1]*hdc.BitVector{dst}
-	return Stack(s[:]).EncodeBits(x, ds[:])
-}
-
-// EncodeBitsRangeBatch encodes components [lo,hi) of every row of xs into
-// dst: bit k of dst[r] is the sign bit of component lo+k of row r's
-// encoding. It is the one-part case of Stack.EncodeBitsBatch.
-func (e *Encoder) EncodeBitsRangeBatch(xs [][]float64, lo, hi int, dst []*hdc.BitVector) error {
-	rows := make([][]*hdc.BitVector, len(dst))
-	for r := range dst {
-		rows[r] = dst[r : r+1]
-	}
-	s := e.onePart(lo, hi)
-	return Stack(s[:]).EncodeBitsBatch(xs, rows)
-}
-
-// ProjectionMatrix returns a copy of the OutDim x InDim projection weights;
-// the random-matrix experiments inspect encoder spectra through it. A
-// seeded encoder generates its ±1 rows on demand from the sign stream, so
-// the result is independent of the plane the kernels read.
-func (e *Encoder) ProjectionMatrix() []float64 {
-	if e.w != nil {
-		return append([]float64(nil), e.w...)
-	}
-	out := make([]float64, e.OutDim*e.InDim)
-	for j := 0; j < e.OutDim; j++ {
-		for k := 0; k < e.InDim; k++ {
-			out[j*e.InDim+k] = -1
-			if e.signWord(j, k/64)>>(k%64)&1 == 1 {
-				out[j*e.InDim+k] = 1
-			}
-		}
-	}
-	return out
 }

@@ -191,65 +191,89 @@ func TestEncodeDeterministicQuick(t *testing.T) {
 	}
 }
 
-func TestNewIDLevelValidation(t *testing.T) {
-	if _, err := NewIDLevel(0, 10, 4, 0, 1, 1); err == nil {
-		t.Error("expected inDim error")
-	}
-	if _, err := NewIDLevel(2, 10, 1, 0, 1, 1); err == nil {
-		t.Error("expected levels error")
-	}
-	if _, err := NewIDLevel(2, 10, 4, 1, 1, 1); err == nil {
-		t.Error("expected range error")
-	}
+// newBits returns an all-zero packed hypervector of dimension n.
+func newBits(n int) *hdc.BitVector {
+	return &hdc.BitVector{N: n, Words: make([]uint64, (n+63)/64)}
 }
 
-func TestIDLevelLocality(t *testing.T) {
-	e, err := NewIDLevel(1, 4096, 16, 0, 1, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Adjacent levels are more similar than distant levels.
-	simNear := e.LevelSim(0, 1)
-	simFar := e.LevelSim(0, 15)
-	if simNear <= simFar {
-		t.Errorf("level locality violated: near %v <= far %v", simNear, simFar)
-	}
-	if e.LevelSim(0, 99) != 0 {
-		t.Error("out-of-range level sim should be 0")
-	}
+// bitAt reports bit i of b.
+func bitAt(b *hdc.BitVector, i int) bool {
+	return b.Words[i/64]>>(i%64)&1 != 0
 }
 
-func TestIDLevelEncode(t *testing.T) {
-	e, err := NewIDLevel(3, 2048, 8, 0, 1, 17)
-	if err != nil {
-		t.Fatal(err)
+// The one-encoder entry points below are the tests' references. Training
+// and serving reach the kernels through Stack and EncodeBatchInto; these
+// wrap the same kernels for one encoder and one row.
+
+// New builds an encoder with N(0,1) projection weights, uniform phases,
+// and the DefaultGamma bandwidth, all drawn deterministically from seed.
+func New(inDim, outDim int, kind Kind, seed int64) (*Encoder, error) {
+	return NewWithGamma(inDim, outDim, kind, DefaultGamma(inDim), seed)
+}
+
+// EncodeInto maps one feature vector into hyperspace, writing the result
+// into dst (length OutDim): the one-part case of Stack.EncodeInto, and
+// allocation-free once warm.
+func (e *Encoder) EncodeInto(x []float64, dst []float64) error {
+	s := e.onePart(0, e.OutDim)
+	return Stack(s[:]).EncodeInto(x, dst)
+}
+
+// Encode maps one feature vector into hyperspace.
+func (e *Encoder) Encode(x []float64) (hdc.Vector, error) {
+	h := make(hdc.Vector, e.OutDim)
+	if err := e.EncodeInto(x, h); err != nil {
+		return nil, err
 	}
-	h, err := e.Encode([]float64{0.1, 0.5, 0.9})
-	if err != nil {
-		t.Fatal(err)
+	return h, nil
+}
+
+// EncodeBitsRange writes the sign bits of encoding components [lo,hi) of x
+// into dst: bit k of dst is set iff component lo+k of the encoding is
+// >= 0. For the trigonometric kinds the sign is derived from the phase
+// quadrants directly — sign(cos(d+b)*sin(d)) = sign(cos(d+b))*sign(sin(d))
+// — with the phases held as wrapping counts of 2^-32 turn, so the
+// packed-binary backend never evaluates sin or cos at all. It is the
+// one-part case of Stack.EncodeBits, and allocation-free once warm.
+func (e *Encoder) EncodeBitsRange(x []float64, lo, hi int, dst *hdc.BitVector) error {
+	s, ds := e.onePart(lo, hi), [1]*hdc.BitVector{dst}
+	return Stack(s[:]).EncodeBits(x, ds[:])
+}
+
+// EncodeBitsRangeBatch encodes components [lo,hi) of every row of xs into
+// dst: bit k of dst[r] is the sign bit of component lo+k of row r's
+// encoding. It is the one-part case of Stack.EncodeBitsBatch.
+func (e *Encoder) EncodeBitsRangeBatch(xs [][]float64, lo, hi int, dst []*hdc.BitVector) error {
+	rows := make([][]*hdc.BitVector, len(dst))
+	for r := range dst {
+		rows[r] = dst[r : r+1]
 	}
-	if len(h) != 2048 {
-		t.Fatalf("len = %d", len(h))
+	s := e.onePart(lo, hi)
+	return Stack(s[:]).EncodeBitsBatch(xs, rows)
+}
+
+// ProjectionMatrix returns a copy of the OutDim x InDim projection weights,
+// the seeded tests' reference matrix. A seeded encoder generates its ±1
+// rows on demand from the sign stream, so the result is independent of
+// the plane the kernels read.
+func (e *Encoder) ProjectionMatrix() []float64 {
+	if e.w != nil {
+		return append([]float64(nil), e.w...)
 	}
-	if _, err := e.Encode([]float64{1}); err == nil {
-		t.Error("expected length error")
-	}
-	// Clamping: out-of-range values quantize to the extreme levels.
-	hLow, _ := e.Encode([]float64{-5, -5, -5})
-	hLow2, _ := e.Encode([]float64{0, 0, 0})
-	for i := range hLow {
-		if hLow[i] != hLow2[i] {
-			t.Fatal("values below range must clamp to level 0")
+	out := make([]float64, e.OutDim*e.InDim)
+	for j := 0; j < e.OutDim; j++ {
+		for k := 0; k < e.InDim; k++ {
+			out[j*e.InDim+k] = -1
+			if e.signWord(j, k/64)>>(k%64)&1 == 1 {
+				out[j*e.InDim+k] = 1
+			}
 		}
 	}
+	return out
 }
 
-func TestIDLevelSeparatesInputs(t *testing.T) {
-	e, _ := NewIDLevel(4, 4096, 16, 0, 1, 23)
-	a, _ := e.Encode([]float64{0.1, 0.1, 0.1, 0.1})
-	b, _ := e.Encode([]float64{0.9, 0.9, 0.9, 0.9})
-	aa, _ := e.Encode([]float64{0.12, 0.1, 0.11, 0.1})
-	if hdc.Cosine(a, aa) <= hdc.Cosine(a, b) {
-		t.Error("ID-level encoding should place similar inputs closer")
-	}
+// NewSeeded builds a seeded (ProjSeeded) encoder with the DefaultGamma
+// bandwidth.
+func NewSeeded(inDim, outDim int, kind Kind, seed int64) (*Encoder, error) {
+	return NewSeededWithGamma(inDim, outDim, kind, DefaultGamma(inDim), seed)
 }

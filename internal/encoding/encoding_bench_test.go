@@ -93,7 +93,7 @@ func benchEncodeBits(b *testing.B, e *Encoder) {
 	}
 	dst := make([]*hdc.BitVector, len(xs))
 	for i := range dst {
-		dst[i] = hdc.NewBitVector(e.OutDim)
+		dst[i] = newBits(e.OutDim)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,20 +122,6 @@ func BenchmarkEncodeBitsRemat(b *testing.B) {
 	benchEncodeBits(b, e)
 }
 
-func BenchmarkIDLevelEncode(b *testing.B) {
-	e, err := NewIDLevel(36, 10000, 32, -3, 3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := benchInput(36)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Encode(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchStack builds the stack of a packed-binary model at Dtotal=10000
 // with ten learners: ten seeded 36x1000 sub-encoders, one part each, and
 // per-row bit destinations for n rows.
@@ -153,7 +139,7 @@ func benchStack(b *testing.B, n int) (Stack, [][]*hdc.BitVector) {
 	for r := range dst {
 		dst[r] = make([]*hdc.BitVector, len(s))
 		for i := range dst[r] {
-			dst[r][i] = hdc.NewBitVector(1000)
+			dst[r][i] = newBits(1000)
 		}
 	}
 	return s, dst

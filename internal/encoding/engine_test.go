@@ -166,13 +166,13 @@ func TestEncodeBitsMatchesFloatSigns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bits := hdc.NewBitVector(hi - lo)
+			bits := newBits(hi - lo)
 			if err := e.EncodeBitsRange(x, lo, hi, bits); err != nil {
 				t.Fatal(err)
 			}
 			for j := lo; j < hi; j++ {
 				want := h[j] >= 0
-				if got := bits.Get(j - lo); got != want {
+				if got := bitAt(bits, j-lo); got != want {
 					t.Fatalf("kind %v comp %d: bit %v, float %v (h=%v)", kind, j, got, want, h[j])
 				}
 			}
@@ -192,13 +192,13 @@ func TestEncodeBitsRangeBatchMatchesPerRow(t *testing.T) {
 		xs := randRows(rng, n, 5)
 		dst := make([]*hdc.BitVector, n)
 		for i := range dst {
-			dst[i] = hdc.NewBitVector(150)
+			dst[i] = newBits(150)
 		}
 		if err := e.EncodeBitsRangeBatch(xs, 0, 150, dst); err != nil {
 			t.Fatal(err)
 		}
 		for i, x := range xs {
-			want := hdc.NewBitVector(150)
+			want := newBits(150)
 			if err := e.EncodeBitsRange(x, 0, 150, want); err != nil {
 				t.Fatal(err)
 			}
@@ -421,13 +421,13 @@ func checkExtremeRows(t *testing.T, proj Projection, kind Kind, gamma float64) {
 		width := e.OutDim - lo
 		batch := make([]*hdc.BitVector, len(xs))
 		for i := range batch {
-			batch[i] = hdc.NewBitVector(width)
+			batch[i] = newBits(width)
 		}
 		if err := e.EncodeBitsRangeBatch(xs, lo, e.OutDim, batch); err != nil {
 			t.Fatal(err)
 		}
 		for i, x := range xs {
-			one := hdc.NewBitVector(width)
+			one := newBits(width)
 			if err := e.EncodeBitsRange(x, lo, e.OutDim, one); err != nil {
 				t.Fatal(err)
 			}
@@ -435,7 +435,7 @@ func checkExtremeRows(t *testing.T, proj Projection, kind Kind, gamma float64) {
 				t.Fatalf("%v/%v gamma %v row %d from %d: batch bits differ from single-row bits", proj, kind, gamma, i, lo)
 			}
 			for j := lo; j < e.OutDim; j++ {
-				if _, want := refEncoding(e, m, x, j); one.Get(j-lo) != want {
+				if _, want := refEncoding(e, m, x, j); bitAt(one, j-lo) != want {
 					t.Fatalf("%v/%v gamma %v row %d comp %d: kernel bit %v, reference %v", proj, kind, gamma, i, j, !want, want)
 				}
 			}
@@ -464,7 +464,7 @@ func TestEncoderRejectsOverflowingFeatures(t *testing.T) {
 		if err := e.EncodeBatchInto([][]float64{{0, 0, 0}, bad}, make([]float64, 128), 64, 0); err == nil {
 			t.Fatalf("%v: EncodeBatchInto accepted a 1e308 feature", proj)
 		}
-		if err := e.EncodeBitsRange(bad, 0, 64, hdc.NewBitVector(64)); err == nil {
+		if err := e.EncodeBitsRange(bad, 0, 64, newBits(64)); err == nil {
 			t.Fatalf("%v: EncodeBitsRange accepted a 1e308 feature", proj)
 		}
 	}

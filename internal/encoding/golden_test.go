@@ -101,7 +101,7 @@ func goldenDigest(t *testing.T, e *Encoder) (float, sign uint64) {
 		lo, hi := r[0], r[1]
 		batch := make([]*hdc.BitVector, len(xs))
 		for i := range batch {
-			batch[i] = hdc.NewBitVector(hi - lo)
+			batch[i] = newBits(hi - lo)
 		}
 		if err := e.EncodeBitsRangeBatch(xs, lo, hi, batch); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func goldenDigest(t *testing.T, e *Encoder) (float, sign uint64) {
 			hashWords(h, v)
 		}
 		for _, x := range xs {
-			v := hdc.NewBitVector(hi - lo)
+			v := newBits(hi - lo)
 			if err := e.EncodeBitsRange(x, lo, hi, v); err != nil {
 				t.Fatal(err)
 			}

@@ -106,12 +106,6 @@ func toUnit(u uint64) float64 {
 
 const twoPi = 2 * math.Pi
 
-// NewSeeded builds a seeded (ProjSeeded) encoder with the DefaultGamma
-// bandwidth.
-func NewSeeded(inDim, outDim int, kind Kind, seed int64) (*Encoder, error) {
-	return NewSeededWithGamma(inDim, outDim, kind, DefaultGamma(inDim), seed)
-}
-
 // NewSeededWithGamma builds a seeded encoder with an explicit kernel
 // bandwidth. It derives the two stream roots from seed and builds its
 // plane from them.

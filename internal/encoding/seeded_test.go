@@ -125,23 +125,23 @@ func TestSeededModesBitIdenticalBits(t *testing.T) {
 			width := rng.hi - rng.lo
 			batch := make([]*hdc.BitVector, len(xs))
 			for i := range batch {
-				batch[i] = hdc.NewBitVector(width)
+				batch[i] = newBits(width)
 			}
 			if err := e.EncodeBitsRangeBatch(xs, rng.lo, rng.hi, batch); err != nil {
 				t.Fatal(err)
 			}
-			one := hdc.NewBitVector(width)
+			one := newBits(width)
 			if err := e.EncodeBitsRange(xs[0], rng.lo, rng.hi, one); err != nil {
 				t.Fatal(err)
 			}
 			for i, x := range xs {
 				for j := rng.lo; j < rng.hi; j++ {
 					_, want := refEncoding(e, m, x, j)
-					if batch[i].Get(j-rng.lo) != want {
+					if bitAt(batch[i], j-rng.lo) != want {
 						t.Fatalf("kind=%v range=[%d,%d): row %d comp %d: batch bit differs from reference",
 							kind, rng.lo, rng.hi, i, j)
 					}
-					if i == 0 && one.Get(j-rng.lo) != want {
+					if i == 0 && bitAt(one, j-rng.lo) != want {
 						t.Fatalf("kind=%v range=[%d,%d): comp %d: single-row bit differs from reference",
 							kind, rng.lo, rng.hi, j)
 					}
@@ -384,7 +384,7 @@ func TestSeededPlaneHealUnderLoad(t *testing.T) {
 		}
 		bits := make([]*hdc.BitVector, len(xs)*(1+len(stack)))
 		for i := range bits {
-			bits[i] = hdc.NewBitVector(e.OutDim - 35)
+			bits[i] = newBits(e.OutDim - 35)
 		}
 		if err := e.EncodeBitsRangeBatch(xs, 35, e.OutDim, bits[:len(xs)]); err != nil {
 			t.Error(err)
@@ -396,7 +396,7 @@ func TestSeededPlaneHealUnderLoad(t *testing.T) {
 		for r := range rows {
 			rows[r] = bits[len(xs)+r*len(stack) : len(xs)+(r+1)*len(stack)]
 			for i, pt := range stack {
-				rows[r][i] = hdc.NewBitVector(pt.Hi - pt.Lo)
+				rows[r][i] = newBits(pt.Hi - pt.Lo)
 			}
 		}
 		if err := stack.EncodeBitsBatch(xs, rows); err != nil {
@@ -536,7 +536,7 @@ func TestSeededLookupMatchesIndexOrderDot(t *testing.T) {
 			}
 			bits := make([]*hdc.BitVector, len(xs))
 			for i := range bits {
-				bits[i] = hdc.NewBitVector(geom.out)
+				bits[i] = newBits(geom.out)
 			}
 			if err := e.EncodeBitsRangeBatch(xs, 0, geom.out, bits); err != nil {
 				t.Fatal(err)
@@ -550,7 +550,7 @@ func TestSeededLookupMatchesIndexOrderDot(t *testing.T) {
 							kind, geom.in, geom.out, i, j, d)
 					}
 					drift = max(drift, d)
-					if bits[i].Get(j) != floatSign(kind, p, b) {
+					if bitAt(bits[i], j) != floatSign(kind, p, b) {
 						flips++
 					}
 					comps++
@@ -584,7 +584,7 @@ func TestSeededBatchMatchesSingleRow(t *testing.T) {
 			}
 			bits := make([]*hdc.BitVector, n)
 			for i := range bits {
-				bits[i] = hdc.NewBitVector(hi - lo)
+				bits[i] = newBits(hi - lo)
 			}
 			if err := e.EncodeBitsRangeBatch(xs, lo, hi, bits); err != nil {
 				t.Fatal(err)
@@ -599,7 +599,7 @@ func TestSeededBatchMatchesSingleRow(t *testing.T) {
 						t.Fatalf("in=%d rows=%d: row %d comp %d: batch %v, single %v", geom.in, n, i, j, flat[i*geom.out+j], v)
 					}
 				}
-				ob := hdc.NewBitVector(hi - lo)
+				ob := newBits(hi - lo)
 				if err := e.EncodeBitsRange(x, lo, hi, ob); err != nil {
 					t.Fatal(err)
 				}

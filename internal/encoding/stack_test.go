@@ -124,7 +124,7 @@ func checkStack(t *testing.T, s Stack, xs [][]float64) {
 		}
 		bits[i] = make([]*hdc.BitVector, len(xs))
 		for r := range bits[i] {
-			bits[i][r] = hdc.NewBitVector(w)
+			bits[i][r] = newBits(w)
 		}
 		if err := e.EncodeBitsRangeBatch(xs, pt.Lo, pt.Hi, bits[i]); err != nil {
 			t.Fatal(err)
@@ -138,7 +138,7 @@ func checkStack(t *testing.T, s Stack, xs [][]float64) {
 				if got := full[r*e.OutDim+j]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("part %d row %d comp %d: one-part float %v, reference %v", i, r, j, got, want)
 				}
-				if bits[i][r].Get(j-pt.Lo) != bit {
+				if bitAt(bits[i][r], j-pt.Lo) != bit {
 					t.Fatalf("part %d row %d comp %d: one-part sign bit differs from the reference", i, r, j)
 				}
 			}
@@ -173,7 +173,7 @@ func checkStack(t *testing.T, s Stack, xs [][]float64) {
 		for r := range dst {
 			dst[r] = make([]*hdc.BitVector, len(s))
 			for i, pt := range s {
-				dst[r][i] = hdc.NewBitVector(pt.Hi - pt.Lo)
+				dst[r][i] = newBits(pt.Hi - pt.Lo)
 			}
 		}
 		if err := s.EncodeBitsBatch(xs[:n], dst); err != nil {
@@ -185,7 +185,7 @@ func checkStack(t *testing.T, s Stack, xs [][]float64) {
 	}
 	one, oneBits := make([]float64, width), make([]*hdc.BitVector, len(s))
 	for i, pt := range s {
-		oneBits[i] = hdc.NewBitVector(pt.Hi - pt.Lo)
+		oneBits[i] = newBits(pt.Hi - pt.Lo)
 	}
 	for r, x := range xs {
 		if err := s.EncodeInto(x, one); err != nil {
@@ -214,7 +214,7 @@ func TestStackRejectsBadInput(t *testing.T) {
 	bitsOf := func(widths ...int) []*hdc.BitVector {
 		d := make([]*hdc.BitVector, len(widths))
 		for i, w := range widths {
-			d[i] = hdc.NewBitVector(w)
+			d[i] = newBits(w)
 		}
 		return d
 	}

@@ -130,27 +130,6 @@ func VoteAggregate(votes []int, alphas []float64, classes int) int {
 	return best
 }
 
-// ScoreAggregate combines per-learner class scores (e.g. cosine
-// similarities) weighted by alpha: argmax_k sum_i alpha_i * scores_i[k].
-func ScoreAggregate(scores [][]float64, alphas []float64, classes int) int {
-	agg := make([]float64, classes)
-	for i, s := range scores {
-		if i >= len(alphas) {
-			break
-		}
-		for k := 0; k < classes && k < len(s); k++ {
-			agg[k] += alphas[i] * s[k]
-		}
-	}
-	best := 0
-	for k := 1; k < classes; k++ {
-		if agg[k] > agg[best] {
-			best = k
-		}
-	}
-	return best
-}
-
 // WeightedSample draws n indices with replacement proportionally to w
 // using the provided uniform source (values in [0,1)). It implements the
 // bootstrap option the paper enables for OnlineHD and ensemble training.

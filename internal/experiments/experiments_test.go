@@ -236,9 +236,6 @@ func TestZooCoversPaperModels(t *testing.T) {
 			t.Errorf("zoo[%d] = %s, want %s (Table I column order)", i, names[i], want[i])
 		}
 	}
-	if len(hdcZoo()) != 2 {
-		t.Error("hdcZoo should hold the two HDC models")
-	}
 }
 
 func TestRunDriftSmoke(t *testing.T) {

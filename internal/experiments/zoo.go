@@ -32,14 +32,6 @@ func zoo() []Spec {
 	}
 }
 
-// hdcZoo returns only the two HDC models (used by figure experiments).
-func hdcZoo() []Spec {
-	return []Spec{
-		{Name: "OnlineHD", Train: trainOnlineHD},
-		{Name: "BoostHD", Train: trainBoostHD},
-	}
-}
-
 func trainAdaBoost(X [][]float64, y []int, classes int, seed int64, q quality) (Predictor, error) {
 	cfg := ensemble.DefaultAdaBoostConfig()
 	cfg.Seed = seed

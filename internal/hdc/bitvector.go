@@ -1,10 +1,6 @@
 package hdc
 
-import (
-	"fmt"
-	"math/bits"
-	"math/rand"
-)
+import "math/bits"
 
 // BitVector is a packed binary hypervector: component i is bit i%64 of
 // word i/64. Binary hypervectors trade precision for the word-parallel
@@ -14,80 +10,6 @@ type BitVector struct {
 	Words []uint64
 }
 
-// NewBitVector returns an all-zero binary hypervector of dimension n.
-func NewBitVector(n int) *BitVector {
-	if n <= 0 {
-		panic(fmt.Sprintf("hdc: invalid bitvector dimension %d", n))
-	}
-	return &BitVector{N: n, Words: make([]uint64, (n+63)/64)}
-}
-
-// RandomBits returns a binary hypervector with i.i.d. uniform bits.
-func RandomBits(n int, rng *rand.Rand) *BitVector {
-	b := NewBitVector(n)
-	for i := range b.Words {
-		b.Words[i] = rng.Uint64()
-	}
-	b.maskTail()
-	return b
-}
-
-// maskTail clears the unused bits of the final word so popcounts stay
-// consistent regardless of how the words were produced.
-func (b *BitVector) maskTail() {
-	if rem := b.N % 64; rem != 0 {
-		b.Words[len(b.Words)-1] &= (1 << uint(rem)) - 1
-	}
-}
-
-// Get reports bit i.
-func (b *BitVector) Get(i int) bool {
-	return b.Words[i/64]&(1<<uint(i%64)) != 0
-}
-
-// Set assigns bit i.
-func (b *BitVector) Set(i int, v bool) {
-	if v {
-		b.Words[i/64] |= 1 << uint(i%64)
-	} else {
-		b.Words[i/64] &^= 1 << uint(i%64)
-	}
-}
-
-// Clone returns a deep copy of b.
-func (b *BitVector) Clone() *BitVector {
-	out := &BitVector{N: b.N, Words: make([]uint64, len(b.Words))}
-	copy(out.Words, b.Words)
-	return out
-}
-
-// XOR returns a^b, the binary binding operator.
-func XOR(a, b *BitVector) *BitVector {
-	mustSameDim(a.N, b.N)
-	out := a.Clone()
-	for i, w := range b.Words {
-		out.Words[i] ^= w
-	}
-	return out
-}
-
-// Hamming returns the number of differing bits between a and b.
-func Hamming(a, b *BitVector) int {
-	mustSameDim(a.N, b.N)
-	d := 0
-	for i, w := range a.Words {
-		d += bits.OnesCount64(w ^ b.Words[i])
-	}
-	return d
-}
-
-// HammingSim returns 1 - 2*Hamming/N, the binary analogue of cosine
-// similarity: +1 for identical vectors, -1 for complements, ~0 for
-// independent random vectors.
-func HammingSim(a, b *BitVector) float64 {
-	return 1 - 2*float64(Hamming(a, b))/float64(a.N)
-}
-
 // Ones returns the number of set bits.
 func (b *BitVector) Ones() int {
 	n := 0
@@ -95,72 +17,4 @@ func (b *BitVector) Ones() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Majority bundles binary hypervectors by per-bit majority vote; ties
-// (possible only for an even count) break toward zero. It returns nil for
-// no input.
-//
-// The vote runs word-parallel: for each 64-bit word position the set bits
-// of every input word are drained with popcount-style trailing-zero
-// extraction into 64 lane counters, then the winning lanes are packed back
-// into the output word. No per-bit Get/Set calls, and lanes that no input
-// sets cost nothing.
-func Majority(vs ...*BitVector) *BitVector {
-	if len(vs) == 0 {
-		return nil
-	}
-	n := vs[0].N
-	for _, v := range vs[1:] {
-		mustSameDim(n, v.N)
-	}
-	out := NewBitVector(n)
-	half := uint32(len(vs) / 2)
-	var cnt [64]uint32
-	for w := range out.Words {
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for _, v := range vs {
-			word := v.Words[w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				cnt[b]++
-				word &= word - 1
-			}
-		}
-		var res uint64
-		for b, c := range cnt {
-			if c > half {
-				res |= 1 << uint(b)
-			}
-		}
-		out.Words[w] = res
-	}
-	return out
-}
-
-// FromVector thresholds a real hypervector at 0 into a binary one
-// (negative components become 0-bits, the rest 1-bits).
-func FromVector(v Vector) *BitVector {
-	b := NewBitVector(len(v))
-	for i, x := range v {
-		if x >= 0 {
-			b.Set(i, true)
-		}
-	}
-	return b
-}
-
-// ToVector expands b into a bipolar real hypervector (+1 for set bits).
-func (b *BitVector) ToVector() Vector {
-	v := make(Vector, b.N)
-	for i := range v {
-		if b.Get(i) {
-			v[i] = 1
-		} else {
-			v[i] = -1
-		}
-	}
-	return v
 }

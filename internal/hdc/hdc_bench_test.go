@@ -13,14 +13,6 @@ func benchVectors(b *testing.B) (Vector, Vector) {
 	return RandomGaussian(benchDim, rng), RandomGaussian(benchDim, rng)
 }
 
-func BenchmarkBundle(b *testing.B) {
-	x, y := benchVectors(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Bundle(y)
-	}
-}
-
 func BenchmarkBundleScaled(b *testing.B) {
 	x, y := benchVectors(b)
 	b.ResetTimer()
@@ -29,58 +21,10 @@ func BenchmarkBundleScaled(b *testing.B) {
 	}
 }
 
-func BenchmarkBind(b *testing.B) {
-	x, y := benchVectors(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Bind(x, y)
-	}
-}
-
 func BenchmarkCosine(b *testing.B) {
 	x, y := benchVectors(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Cosine(x, y)
-	}
-}
-
-func BenchmarkPermute(b *testing.B) {
-	x, _ := benchVectors(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Permute(x, 17)
-	}
-}
-
-func BenchmarkHamming(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := RandomBits(benchDim, rng)
-	y := RandomBits(benchDim, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Hamming(x, y)
-	}
-}
-
-func BenchmarkXOR(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := RandomBits(benchDim, rng)
-	y := RandomBits(benchDim, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = XOR(x, y)
-	}
-}
-
-func BenchmarkMajority(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	vs := make([]*BitVector, 9)
-	for i := range vs {
-		vs[i] = RandomBits(benchDim, rng)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Majority(vs...)
 	}
 }

@@ -1,14 +1,12 @@
-// Package hdc provides the hyperdimensional-computing algebra underlying
-// OnlineHD and BoostHD: dense real hypervectors with bundling, binding,
-// permutation and cosine similarity (Section II-C of the paper), plus a
-// packed bit-vector representation with XOR binding and Hamming similarity
-// for hardware-oriented deployments.
+// Package hdc provides the hypervector operations OnlineHD and BoostHD
+// train and score with: dense real hypervectors with weighted bundling,
+// inner products and cosine similarity (Section II-C of the paper), plus
+// the packed bit-vector the binary backend stores sign planes in.
 package hdc
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Vector is a dense real-valued hypervector.
@@ -17,50 +15,11 @@ type Vector []float64
 // NewVector returns a zero hypervector of dimension d.
 func NewVector(d int) Vector { return make(Vector, d) }
 
-// RandomGaussian returns a hypervector with i.i.d. N(0,1) components, the
-// distribution the paper configures for OnlineHD ("Gaussian distribution
-// N(0,1)").
-func RandomGaussian(d int, rng *rand.Rand) Vector {
-	v := make(Vector, d)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	return v
-}
-
-// RandomBipolar returns a hypervector with i.i.d. ±1 components.
-func RandomBipolar(d int, rng *rand.Rand) Vector {
-	v := make(Vector, d)
-	for i := range v {
-		if rng.Intn(2) == 0 {
-			v[i] = 1
-		} else {
-			v[i] = -1
-		}
-	}
-	return v
-}
-
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
 	copy(out, v)
 	return out
-}
-
-// Dim returns the dimensionality of v.
-func (v Vector) Dim() int { return len(v) }
-
-// Bundle accumulates src into v element-wise (R = V1 + V2), the HDC
-// memorization primitive. It panics on dimension mismatch, which indicates
-// a caller bug: all hypervectors in one space share a dimension.
-//
-//hd:mutates
-func (v Vector) Bundle(src Vector) {
-	mustSameDim(len(v), len(src))
-	for i, s := range src {
-		v[i] += s
-	}
 }
 
 // BundleScaled accumulates alpha*src into v, the weighted bundling used by
@@ -72,43 +31,6 @@ func (v Vector) BundleScaled(src Vector, alpha float64) {
 	for i, s := range src {
 		v[i] += alpha * s
 	}
-}
-
-// BundleAll sums vs into a fresh hypervector. It returns nil for no input.
-func BundleAll(vs ...Vector) Vector {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := vs[0].Clone()
-	for _, v := range vs[1:] {
-		out.Bundle(v)
-	}
-	return out
-}
-
-// Bind returns the element-wise product a*b, creating a hypervector
-// quasi-orthogonal to both inputs (delta(R, V1) ~ 0 for random inputs).
-func Bind(a, b Vector) Vector {
-	mustSameDim(len(a), len(b))
-	out := make(Vector, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
-	}
-	return out
-}
-
-// Permute returns v circularly shifted right by k positions (k may be
-// negative or exceed the dimension). Permutation encodes sequence order.
-func Permute(v Vector, k int) Vector {
-	n := len(v)
-	if n == 0 {
-		return Vector{}
-	}
-	k = ((k % n) + n) % n
-	out := make(Vector, n)
-	copy(out[k:], v[:n-k])
-	copy(out[:k], v[n-k:])
-	return out
 }
 
 // Dot returns the inner product of a and b.
@@ -187,52 +109,6 @@ func Cosine(a, b Vector) float64 {
 		return 0
 	}
 	return Dot(a, b) / (na * nb)
-}
-
-// Normalize scales v to unit norm in place; the zero vector is unchanged.
-//
-//hd:mutates
-func (v Vector) Normalize() {
-	n := Norm(v)
-	if n == 0 {
-		return
-	}
-	inv := 1 / n
-	for i := range v {
-		v[i] *= inv
-	}
-}
-
-// Scale multiplies every component by alpha in place.
-//
-//hd:mutates
-func (v Vector) Scale(alpha float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-// Quantize returns the bipolar sign vector of v (0 maps to +1), the usual
-// step when moving a trained float model onto binary hardware.
-func (v Vector) Quantize() Vector {
-	out := make(Vector, len(v))
-	for i, x := range v {
-		if x < 0 {
-			out[i] = -1
-		} else {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-// Slice returns the subspace view v[lo:hi] without copying. BoostHD weak
-// learners operate on such contiguous dimension segments (Figure 1).
-func (v Vector) Slice(lo, hi int) Vector {
-	if lo < 0 || hi > len(v) || lo >= hi {
-		panic(fmt.Sprintf("hdc: invalid slice [%d:%d) of dim %d", lo, hi, len(v)))
-	}
-	return v[lo:hi]
 }
 
 func mustSameDim(a, b int) {

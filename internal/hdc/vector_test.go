@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -273,4 +274,127 @@ func TestDotsMatchesDotAndNorm(t *testing.T) {
 		}
 	}()
 	Dots(NewVector(4), []Vector{NewVector(4), NewVector(5)}, make([]float64, 2))
+}
+
+// The operations below complete the classic HDC algebra (bundling,
+// binding, permutation, quantization). Training and serving use none of
+// them, so they live beside the tests that check their properties.
+
+// RandomGaussian returns a hypervector with i.i.d. N(0,1) components, the
+// distribution the paper configures for OnlineHD ("Gaussian distribution
+// N(0,1)").
+func RandomGaussian(d int, rng *rand.Rand) Vector {
+	v := make(Vector, d)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// RandomBipolar returns a hypervector with i.i.d. ±1 components.
+func RandomBipolar(d int, rng *rand.Rand) Vector {
+	v := make(Vector, d)
+	for i := range v {
+		if rng.Intn(2) == 0 {
+			v[i] = 1
+		} else {
+			v[i] = -1
+		}
+	}
+	return v
+}
+
+// Bundle accumulates src into v element-wise (R = V1 + V2), the HDC
+// memorization primitive. It panics on dimension mismatch, which indicates
+// a caller bug: all hypervectors in one space share a dimension.
+//
+//hd:mutates
+func (v Vector) Bundle(src Vector) {
+	mustSameDim(len(v), len(src))
+	for i, s := range src {
+		v[i] += s
+	}
+}
+
+// BundleAll sums vs into a fresh hypervector. It returns nil for no input.
+func BundleAll(vs ...Vector) Vector {
+	if len(vs) == 0 {
+		return nil
+	}
+	out := vs[0].Clone()
+	for _, v := range vs[1:] {
+		out.Bundle(v)
+	}
+	return out
+}
+
+// Bind returns the element-wise product a*b, creating a hypervector
+// quasi-orthogonal to both inputs (delta(R, V1) ~ 0 for random inputs).
+func Bind(a, b Vector) Vector {
+	mustSameDim(len(a), len(b))
+	out := make(Vector, len(a))
+	for i := range a {
+		out[i] = a[i] * b[i]
+	}
+	return out
+}
+
+// Permute returns v circularly shifted right by k positions (k may be
+// negative or exceed the dimension). Permutation encodes sequence order.
+func Permute(v Vector, k int) Vector {
+	n := len(v)
+	if n == 0 {
+		return Vector{}
+	}
+	k = ((k % n) + n) % n
+	out := make(Vector, n)
+	copy(out[k:], v[:n-k])
+	copy(out[:k], v[n-k:])
+	return out
+}
+
+// Normalize scales v to unit norm in place; the zero vector is unchanged.
+//
+//hd:mutates
+func (v Vector) Normalize() {
+	n := Norm(v)
+	if n == 0 {
+		return
+	}
+	inv := 1 / n
+	for i := range v {
+		v[i] *= inv
+	}
+}
+
+// Scale multiplies every component by alpha in place.
+//
+//hd:mutates
+func (v Vector) Scale(alpha float64) {
+	for i := range v {
+		v[i] *= alpha
+	}
+}
+
+// Quantize returns the bipolar sign vector of v (0 maps to +1), the usual
+// step when moving a trained float model onto binary hardware.
+func (v Vector) Quantize() Vector {
+	out := make(Vector, len(v))
+	for i, x := range v {
+		if x < 0 {
+			out[i] = -1
+		} else {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
+// Slice returns the subspace view v[lo:hi] without copying. BoostHD weak
+// learners operate on such contiguous dimension segments (Figure 1).
+func (v Vector) Slice(lo, hi int) Vector {
+	if lo < 0 || hi > len(v) || lo >= hi {
+		panic(fmt.Sprintf("hdc: invalid slice [%d:%d) of dim %d", lo, hi, len(v)))
+	}
+	return v[lo:hi]
 }

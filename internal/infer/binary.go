@@ -282,17 +282,6 @@ func (bm *BinaryModel) Stale() bool {
 	return false
 }
 
-// Refresh re-thresholds the class memories from the current float model,
-// atomically swapping in a new snapshot.
-func (bm *BinaryModel) Refresh() {
-	if bm.frozen {
-		return
-	}
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	bm.snap.Store(snapshot(bm.model, bm.snap.Load()))
-}
-
 // Rethreshold rebuilds quantized planes from the float class memory
 // unconditionally, bypassing the version-keyed plane reuse that Refresh
 // performs. This is the reliability repair path for silent corruption of
@@ -611,15 +600,6 @@ func (bm *BinaryModel) Predict(x []float64) (int, error) {
 // the calling goroutine, so any block size is safe) and bound the
 // per-worker query-buffer scratch.
 const predictBatchRows = 32
-
-// PredictBatch classifies rows through the binary pipeline with
-// per-worker query buffers: blocks of rows are encoded to sign bits by
-// the register-blocked kernel and scored by popcount. A stale
-// quantization (float model mutated since the snapshot) is refreshed
-// first, and the whole batch scores against one consistent snapshot.
-func (bm *BinaryModel) PredictBatch(X [][]float64) ([]int, error) {
-	return bm.PredictBatchStaged(X, nil)
-}
 
 // PredictBatchStaged is PredictBatch with per-phase accounting: when
 // stages is non-nil, every worker adds its blocks' encode and score

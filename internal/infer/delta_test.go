@@ -42,7 +42,7 @@ func tenantDelta(t *testing.T, m *boosthd.Model, idx []int, X [][]float64, y []i
 		}
 		sub := make([]hdc.Vector, len(H))
 		for r, h := range H {
-			sub[r] = h.Slice(lo, hi)
+			sub[r] = h[lo:hi]
 		}
 		if err := hv.Fit(sub, y, onlinehd.FitOptions{Epochs: 2}); err != nil {
 			t.Fatal(err)

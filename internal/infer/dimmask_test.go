@@ -154,7 +154,7 @@ func TestDimMaskComposesWithAlphaMask(t *testing.T) {
 			}
 		})
 	}
-	refView, err := ref.MaskedAlphaView(masked)
+	refView, err := ref.MaskedView(masked, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,12 +115,15 @@ func TestQuantizeThresholdsClassVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cvs := m.ClassVectors()
+	cvs := make([][]hdc.Vector, len(m.Learners))
+	for i, l := range m.Learners {
+		l.ReadClass(func(class []hdc.Vector, _ uint64) { cvs[i] = class })
+	}
 	qz := bm.snap.Load()
 	comps := 0
 	for i, learner := range cvs {
 		for c, cv := range learner {
-			want := hdc.FromVector(cv)
+			want := signBits(cv)
 			sign, maskWords := qz.words(i, c)
 			for w := range want.Words {
 				if sign[w] != want.Words[w] {
@@ -144,7 +147,7 @@ func TestQuantizeThresholdsClassVectors(t *testing.T) {
 			minIn = math.MaxFloat64
 			for j, v := range cv {
 				a := math.Abs(v)
-				if mask.Get(j) {
+				if bitAt(mask, j) {
 					if a < minIn {
 						minIn = a
 					}
@@ -293,7 +296,7 @@ func TestQuantizeMaskRankSelection(t *testing.T) {
 		minIn = math.MaxFloat64
 		for j, v := range tc.cv {
 			a := math.Abs(v)
-			if mask.Get(j) {
+			if bitAt(mask, j) {
 				if a < minIn {
 					minIn = a
 				}
@@ -377,7 +380,7 @@ func TestRemaskSkipsPoisonedLearner(t *testing.T) {
 	pristine := m.Clone()
 	mask := []bool{false, true, false, false}
 
-	view, err := pristine.MaskedAlphaView(mask)
+	view, err := pristine.MaskedView(mask, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,4 +570,28 @@ func TestCanaryMatchesServing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Refresh and PredictBatch below are the tests' shorthands: serving
+// reaches the binary model through Engine, which calls
+// PredictBatchStaged, and that re-quantizes a stale snapshot itself.
+
+// Refresh re-thresholds the class memories from the current float model,
+// atomically swapping in a new snapshot.
+func (bm *BinaryModel) Refresh() {
+	if bm.frozen {
+		return
+	}
+	bm.mu.Lock()
+	defer bm.mu.Unlock()
+	bm.snap.Store(snapshot(bm.model, bm.snap.Load()))
+}
+
+// PredictBatch classifies rows through the binary pipeline with
+// per-worker query buffers: blocks of rows are encoded to sign bits by
+// the register-blocked kernel and scored by popcount. A stale
+// quantization (float model mutated since the snapshot) is refreshed
+// first, and the whole batch scores against one consistent snapshot.
+func (bm *BinaryModel) PredictBatch(X [][]float64) ([]int, error) {
+	return bm.PredictBatchStaged(X, nil)
 }

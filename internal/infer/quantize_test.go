@@ -117,11 +117,11 @@ func referencePlanes(cv []float64) (sign, mask []uint64, ones int) {
 	sorted := append([]float64(nil), abs...)
 	sort.Float64s(sorted)
 	thr := sorted[len(sorted)-keep]
-	sign = hdc.FromVector(cv).Words
-	m := hdc.NewBitVector(len(cv))
+	sign = signBits(cv).Words
+	m := newBits(len(cv))
 	for j, a := range abs {
 		if a > thr {
-			m.Set(j, true)
+			m.Words[j/64] |= 1 << (j % 64)
 			ones++
 		}
 	}
@@ -130,11 +130,32 @@ func referencePlanes(cv []float64) (sign, mask []uint64, ones int) {
 			break
 		}
 		if a == thr {
-			m.Set(j, true)
+			m.Words[j/64] |= 1 << (j % 64)
 			ones++
 		}
 	}
 	return sign, m.Words, ones
+}
+
+// newBits returns an all-zero packed hypervector of dimension n.
+func newBits(n int) *hdc.BitVector {
+	return &hdc.BitVector{N: n, Words: make([]uint64, (n+63)/64)}
+}
+
+// signBits packs the signs of v: bit j is set iff v[j] >= 0.
+func signBits(v []float64) *hdc.BitVector {
+	b := newBits(len(v))
+	for j, x := range v {
+		if x >= 0 {
+			b.Words[j/64] |= 1 << (j % 64)
+		}
+	}
+	return b
+}
+
+// bitAt reports bit j of b.
+func bitAt(b *hdc.BitVector, j int) bool {
+	return b.Words[j/64]>>(j%64)&1 != 0
 }
 
 // sameThreshold compares thresholds bit for bit, with any NaN equal to

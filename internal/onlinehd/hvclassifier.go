@@ -89,18 +89,6 @@ func checkShape(dim, classes int, lr float64) error {
 	return nil
 }
 
-// Invalidate marks the class vectors as mutated, discarding the cached
-// norms. Call it after writing to Class outside Fit/MutateClass — or
-// cosine scores will be computed against stale norms. The write itself is
-// unsynchronized: direct Class writes plus Invalidate are only safe from
-// a quiescent state (no concurrent readers); mutation that must overlap
-// with serving goes through MutateClass.
-func (c *HVClassifier) Invalidate() {
-	c.mu.Lock()
-	c.version++
-	c.mu.Unlock()
-}
-
 // MutateClass runs fn over the class hypervectors under the write lock
 // and bumps the version counter, establishing happens-before with
 // concurrent readers (ReadClass, PinClass, ClassNorms and the scoring
@@ -260,24 +248,6 @@ func classNorms(class []hdc.Vector, norms []float64) {
 	}
 }
 
-// ScoresInto writes the cosine similarity of h to every class hypervector
-// into out (length Classes) without allocating, using the cached class
-// norms. The vectors are pinned for the duration of the call, so the
-// scores are coherent even against concurrent mutation.
-func (c *HVClassifier) ScoresInto(h hdc.Vector, out []float64) {
-	norms, unpin := c.PinClass()
-	defer unpin()
-	cosines(h, c.Class, norms, out)
-}
-
-// Scores returns the cosine similarity of h to every class hypervector.
-// The query norm is computed once and shared across classes.
-func (c *HVClassifier) Scores(h hdc.Vector) []float64 {
-	s := make([]float64, c.Classes)
-	c.ScoresInto(h, s)
-	return s
-}
-
 // argmax returns the index of the strictly greatest score, ties broken
 // toward the lowest index.
 func argmax(s []float64) int {
@@ -288,11 +258,6 @@ func argmax(s []float64) int {
 		}
 	}
 	return best
-}
-
-// Predict returns the most similar class for h.
-func (c *HVClassifier) Predict(h hdc.Vector) int {
-	return argmax(c.Scores(h))
 }
 
 // FitOptions tunes a training run over encoded samples.

@@ -80,24 +80,6 @@ func Train(X [][]float64, y []int, weights []float64, cfg Config) (*Model, error
 	return &Model{Cfg: cfg, Enc: enc, HV: hv}, nil
 }
 
-// Predict classifies one raw feature vector.
-func (m *Model) Predict(x []float64) (int, error) {
-	h, err := m.Enc.Encode(x)
-	if err != nil {
-		return 0, err
-	}
-	return m.HV.Predict(h), nil
-}
-
-// Scores returns per-class cosine similarities for one raw feature vector.
-func (m *Model) Scores(x []float64) ([]float64, error) {
-	h, err := m.Enc.Encode(x)
-	if err != nil {
-		return nil, err
-	}
-	return m.HV.Scores(h), nil
-}
-
 // predictBatchRows is the block size of the fused encode+score pipeline:
 // each worker encodes a block of rows into its own reusable buffer and
 // scores it before moving on, so memory stays bounded and encodings are
@@ -175,19 +157,4 @@ func (m *Model) Evaluate(X [][]float64, y []int) (float64, error) {
 		return 0, fmt.Errorf("onlinehd: empty evaluation set")
 	}
 	return float64(correct) / float64(len(y)), nil
-}
-
-// ClassVectors returns a deep copy of the trained class hypervectors,
-// taken under the classifier's read lock. Inspection (span-utilization
-// analysis) reads the snapshot; mutation goes through the classifier's
-// MutateClass/SetClass accessors, never through aliases of live memory.
-func (m *Model) ClassVectors() []hdc.Vector {
-	var out []hdc.Vector
-	m.HV.ReadClass(func(class []hdc.Vector, _ uint64) {
-		out = make([]hdc.Vector, len(class))
-		for c, cv := range class {
-			out[c] = cv.Clone()
-		}
-	})
-	return out
 }

@@ -63,7 +63,7 @@ func TestFitValidation(t *testing.T) {
 
 func TestHVClassifierLearnsSeparableData(t *testing.T) {
 	X, y := blobs(90, 1)
-	enc, err := encoding.New(3, 1024, encoding.Nonlinear, 5)
+	enc, err := encoding.NewWithGamma(3, 1024, encoding.Nonlinear, encoding.DefaultGamma(3), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWeightsFocusLearning(t *testing.T) {
 	// With all weight mass on class-0 samples, only class-0 related
 	// vectors should move; a sample of class 1 must not dominate.
 	X, y := blobs(60, 2)
-	enc, _ := encoding.New(3, 512, encoding.Nonlinear, 7)
+	enc, _ := encoding.NewWithGamma(3, 512, encoding.Nonlinear, encoding.DefaultGamma(3), 7)
 	hs, _ := enc.EncodeBatch(X)
 	w := make([]float64, len(y))
 	var n0 int
@@ -117,7 +117,7 @@ func TestWeightsFocusLearning(t *testing.T) {
 
 func TestBootstrapFit(t *testing.T) {
 	X, y := blobs(90, 3)
-	enc, _ := encoding.New(3, 512, encoding.Nonlinear, 11)
+	enc, _ := encoding.NewWithGamma(3, 512, encoding.Nonlinear, encoding.DefaultGamma(3), 11)
 	hs, _ := enc.EncodeBatch(X)
 	c, _ := NewHVClassifier(512, 3, 0.035)
 	err := c.Fit(hs, y, FitOptions{Epochs: 8, Bootstrap: true, Rng: rand.New(rand.NewSource(13))})
@@ -136,7 +136,7 @@ func TestBootstrapFit(t *testing.T) {
 }
 
 func TestZeroWeightSamplesSkipped(t *testing.T) {
-	enc, _ := encoding.New(3, 256, encoding.Nonlinear, 3)
+	enc, _ := encoding.NewWithGamma(3, 256, encoding.Nonlinear, encoding.DefaultGamma(3), 3)
 	hs, _ := enc.EncodeBatch([][]float64{{1, 0, 0}, {0, 1, 0}})
 	c, _ := NewHVClassifier(256, 2, 0.5)
 	// All weight on sample 0; sample 1 contributes nothing.
@@ -289,4 +289,69 @@ func TestHigherDimHelps(t *testing.T) {
 	if large < small-0.05 {
 		t.Errorf("high dimension (%v) should not underperform low (%v)", large, small)
 	}
+}
+
+// The single-row paths below are the references the batch pipeline
+// (PredictBatch, Fit's batch encode) is checked against, and Invalidate
+// is the hook the norm-cache tests mutate Class behind. Training and
+// serving use none of them.
+
+// encode maps one raw feature vector through the encoder's single-row
+// kernel.
+func (m *Model) encode(x []float64) (hdc.Vector, error) {
+	h := make(hdc.Vector, m.Enc.OutDim)
+	return h, encoding.Stack{{Enc: m.Enc, Hi: m.Enc.OutDim}}.EncodeInto(x, h)
+}
+
+// Predict classifies one raw feature vector.
+func (m *Model) Predict(x []float64) (int, error) {
+	h, err := m.encode(x)
+	if err != nil {
+		return 0, err
+	}
+	return m.HV.Predict(h), nil
+}
+
+// Scores returns per-class cosine similarities for one raw feature vector.
+func (m *Model) Scores(x []float64) ([]float64, error) {
+	h, err := m.encode(x)
+	if err != nil {
+		return nil, err
+	}
+	return m.HV.Scores(h), nil
+}
+
+// Invalidate marks the class vectors as mutated, discarding the cached
+// norms. Call it after writing to Class outside Fit/MutateClass — or
+// cosine scores will be computed against stale norms. The write itself is
+// unsynchronized: direct Class writes plus Invalidate are only safe from
+// a quiescent state (no concurrent readers); mutation that must overlap
+// with serving goes through MutateClass.
+func (c *HVClassifier) Invalidate() {
+	c.mu.Lock()
+	c.version++
+	c.mu.Unlock()
+}
+
+// ScoresInto writes the cosine similarity of h to every class hypervector
+// into out (length Classes) without allocating, using the cached class
+// norms. The vectors are pinned for the duration of the call, so the
+// scores are coherent even against concurrent mutation.
+func (c *HVClassifier) ScoresInto(h hdc.Vector, out []float64) {
+	norms, unpin := c.PinClass()
+	defer unpin()
+	cosines(h, c.Class, norms, out)
+}
+
+// Scores returns the cosine similarity of h to every class hypervector.
+// The query norm is computed once and shared across classes.
+func (c *HVClassifier) Scores(h hdc.Vector) []float64 {
+	s := make([]float64, c.Classes)
+	c.ScoresInto(h, s)
+	return s
+}
+
+// Predict returns the most similar class for h.
+func (c *HVClassifier) Predict(h hdc.Vector) int {
+	return argmax(c.Scores(h))
 }

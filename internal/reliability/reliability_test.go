@@ -229,7 +229,7 @@ func TestScrubQuarantineRepairFloatUnderLoad(t *testing.T) {
 		for _, i := range mon.Status().Quarantined {
 			mask[i] = true
 		}
-		view, err := pristine.MaskedAlphaView(mask)
+		view, err := pristine.MaskedView(mask, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

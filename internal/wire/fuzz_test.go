@@ -300,7 +300,7 @@ func TestSeededCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBin, err := bm.PredictBatch(X)
+	wantBin, err := bm.PredictBatchStaged(X, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestSeededCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBin, err := lbm.PredictBatch(X)
+	gotBin, err := lbm.PredictBatchStaged(X, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

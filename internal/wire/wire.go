@@ -24,7 +24,7 @@ const (
 	MagicOnlineHD = "BHDO"
 	// MagicBinary frames a quantized binary snapshot (infer SaveBinary).
 	MagicBinary = "BHDB"
-	// MagicTenant frames a per-tenant delta record (boosthd.SaveDelta):
+	// MagicTenant frames a per-tenant delta record (boosthd.SaveDeltaStamped):
 	// the copy-on-write overrides a tenant holds against a shared base
 	// model — overridden learners' class memory plus tenant alphas, keyed
 	// to the base model's fingerprint so a delta can never be replayed
