@@ -1,8 +1,8 @@
 // Package dataset provides the tabular dataset substrate for the BoostHD
 // evaluation: feature/label containers, subject-aware splits (the paper
-// organizes test data "by subject units"), stratified splits, the Eq. 8
-// class-imbalance generator used by the overfitting study (Figure 7), and
-// label-noise injection.
+// organizes test data "by subject units"), the Eq. 8 class-imbalance
+// generator used by the overfitting study (Figure 7), and label-noise
+// injection.
 package dataset
 
 import (
@@ -95,36 +95,6 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 	})
 }
 
-// ClassCounts returns per-class sample counts.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	for _, y := range d.Y {
-		if y >= 0 && y < d.NumClasses {
-			counts[y]++
-		}
-	}
-	return counts
-}
-
-// SubjectIDs returns the sorted distinct subject identifiers.
-func (d *Dataset) SubjectIDs() []int {
-	seen := map[int]bool{}
-	var ids []int
-	for _, s := range d.Subjects {
-		if !seen[s] {
-			seen[s] = true
-			ids = append(ids, s)
-		}
-	}
-	// insertion-order stable is fine, but sort for determinism
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
-}
-
 // SplitBySubjects partitions samples into train/test by subject membership:
 // samples whose subject is in testSubjects go to test. The paper's
 // evaluation keeps test data "organized by subject units".
@@ -147,32 +117,6 @@ func SplitBySubjects(d *Dataset, testSubjects []int) (train, test *Dataset, err 
 	if len(trainIdx) == 0 || len(testIdx) == 0 {
 		return nil, nil, fmt.Errorf("dataset %q: subject split produced empty side (train=%d test=%d)",
 			d.Name, len(trainIdx), len(testIdx))
-	}
-	return d.Subset(trainIdx), d.Subset(testIdx), nil
-}
-
-// StratifiedSplit splits per class with the given test fraction, shuffling
-// within classes using rng. testFrac must lie in (0, 1).
-func StratifiedSplit(d *Dataset, testFrac float64, rng *rand.Rand) (train, test *Dataset, err error) {
-	if testFrac <= 0 || testFrac >= 1 {
-		return nil, nil, fmt.Errorf("dataset: testFrac %v outside (0,1)", testFrac)
-	}
-	byClass := make([][]int, d.NumClasses)
-	for i, y := range d.Y {
-		if y < 0 || y >= d.NumClasses {
-			return nil, nil, fmt.Errorf("dataset %q: label %d out of range", d.Name, y)
-		}
-		byClass[y] = append(byClass[y], i)
-	}
-	var trainIdx, testIdx []int
-	for _, idx := range byClass {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		nTest := int(float64(len(idx)) * testFrac)
-		testIdx = append(testIdx, idx[:nTest]...)
-		trainIdx = append(trainIdx, idx[nTest:]...)
-	}
-	if len(trainIdx) == 0 || len(testIdx) == 0 {
-		return nil, nil, fmt.Errorf("dataset %q: stratified split produced empty side", d.Name)
 	}
 	return d.Subset(trainIdx), d.Subset(testIdx), nil
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -274,4 +275,63 @@ func TestImbalanceMonotoneQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The helpers below have no caller in the evaluation, which splits by
+// subject; they live beside the tests that check them.
+
+// ClassCounts returns per-class sample counts.
+func (d *Dataset) ClassCounts() []int {
+	counts := make([]int, d.NumClasses)
+	for _, y := range d.Y {
+		if y >= 0 && y < d.NumClasses {
+			counts[y]++
+		}
+	}
+	return counts
+}
+
+// SubjectIDs returns the sorted distinct subject identifiers.
+func (d *Dataset) SubjectIDs() []int {
+	seen := map[int]bool{}
+	var ids []int
+	for _, s := range d.Subjects {
+		if !seen[s] {
+			seen[s] = true
+			ids = append(ids, s)
+		}
+	}
+	// insertion-order stable is fine, but sort for determinism
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+		}
+	}
+	return ids
+}
+
+// StratifiedSplit splits per class with the given test fraction, shuffling
+// within classes using rng. testFrac must lie in (0, 1).
+func StratifiedSplit(d *Dataset, testFrac float64, rng *rand.Rand) (train, test *Dataset, err error) {
+	if testFrac <= 0 || testFrac >= 1 {
+		return nil, nil, fmt.Errorf("dataset: testFrac %v outside (0,1)", testFrac)
+	}
+	byClass := make([][]int, d.NumClasses)
+	for i, y := range d.Y {
+		if y < 0 || y >= d.NumClasses {
+			return nil, nil, fmt.Errorf("dataset %q: label %d out of range", d.Name, y)
+		}
+		byClass[y] = append(byClass[y], i)
+	}
+	var trainIdx, testIdx []int
+	for _, idx := range byClass {
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		nTest := int(float64(len(idx)) * testFrac)
+		testIdx = append(testIdx, idx[:nTest]...)
+		trainIdx = append(trainIdx, idx[nTest:]...)
+	}
+	if len(trainIdx) == 0 || len(testIdx) == 0 {
+		return nil, nil, fmt.Errorf("dataset %q: stratified split produced empty side", d.Name)
+	}
+	return d.Subset(trainIdx), d.Subset(testIdx), nil
 }

@@ -154,7 +154,3 @@ func (in *Injector) InjectAll32(slices ...[]float64) int {
 	}
 	return flips
 }
-
-// ExpectedFlips returns the expected number of bit flips for n float32
-// parameters under probability pb — used by tests and sanity checks.
-func ExpectedFlips(n int, pb float64) float64 { return float64(n) * 32 * pb }

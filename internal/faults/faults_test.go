@@ -271,3 +271,7 @@ func TestInjectUint32FlipsExactly(t *testing.T) {
 		t.Fatalf("uint32: %d flips, want about %v", flips, want)
 	}
 }
+
+// ExpectedFlips returns the expected number of bit flips for n float32
+// parameters under probability pb.
+func ExpectedFlips(n int, pb float64) float64 { return float64(n) * 32 * pb }

@@ -131,17 +131,3 @@ func (f *Classifier) PredictBatch(X [][]float64) []int {
 	}
 	return out
 }
-
-// Evaluate returns plain accuracy on a labeled set.
-func (f *Classifier) Evaluate(X [][]float64, y []int) (float64, error) {
-	if len(X) != len(y) || len(y) == 0 {
-		return 0, fmt.Errorf("forest: bad evaluation set")
-	}
-	correct := 0
-	for i, x := range X {
-		if f.Predict(x) == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(y)), nil
-}

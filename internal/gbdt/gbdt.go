@@ -236,14 +236,6 @@ func (c *Classifier) Predict(x []float64) int {
 	return best
 }
 
-// PredictProba returns softmax probabilities for one row.
-func (c *Classifier) PredictProba(x []float64) []float64 {
-	f := c.RawScores(x)
-	out := make([]float64, c.Classes)
-	softmax(f, out)
-	return out
-}
-
 // PredictBatch classifies each row of X.
 func (c *Classifier) PredictBatch(X [][]float64) []int {
 	out := make([]int, len(X))
@@ -251,18 +243,4 @@ func (c *Classifier) PredictBatch(X [][]float64) []int {
 		out[i] = c.Predict(x)
 	}
 	return out
-}
-
-// Evaluate returns plain accuracy on a labeled set.
-func (c *Classifier) Evaluate(X [][]float64, y []int) (float64, error) {
-	if len(X) != len(y) || len(y) == 0 {
-		return 0, fmt.Errorf("gbdt: bad evaluation set")
-	}
-	correct := 0
-	for i, x := range X {
-		if c.Predict(x) == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(y)), nil
 }

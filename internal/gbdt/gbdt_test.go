@@ -1,6 +1,7 @@
 package gbdt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -180,4 +181,26 @@ func TestDeterministic(t *testing.T) {
 			t.Fatal("gbdt must be deterministic")
 		}
 	}
+}
+
+// PredictProba returns softmax probabilities for one row.
+func (c *Classifier) PredictProba(x []float64) []float64 {
+	f := c.RawScores(x)
+	out := make([]float64, c.Classes)
+	softmax(f, out)
+	return out
+}
+
+// Evaluate returns plain accuracy on a labeled set.
+func (c *Classifier) Evaluate(X [][]float64, y []int) (float64, error) {
+	if len(X) != len(y) || len(y) == 0 {
+		return 0, fmt.Errorf("gbdt: bad evaluation set")
+	}
+	correct := 0
+	for i, x := range X {
+		if c.Predict(x) == y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(y)), nil
 }

@@ -1,14 +1,10 @@
 // Package linalg implements the small dense linear-algebra kernel the
-// BoostHD reproduction needs: row-major matrices, products, a one-sided
-// Jacobi SVD, a symmetric Jacobi eigensolver, and numerical rank. The
-// random-matrix analysis (Figures 2, 4) and the span-utilization metric
-// (Figure 5) are built on these routines.
+// BoostHD reproduction needs: row-major matrices, a one-sided Jacobi SVD
+// and numerical rank. The random-matrix analysis (Figures 2, 4) and the
+// span-utilization metric (Figure 5) are built on these routines.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix of float64 values.
 type Matrix struct {
@@ -24,28 +20,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
-
-// FromRows builds a matrix from a slice of equally sized rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("linalg: empty rows")
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			return nil, fmt.Errorf("linalg: ragged row %d: len %d != %d", i, len(r), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m, nil
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (not a copy) of row i. The aliasing is the method's
 // contract: callers fill rows in place, and Matrix carries no
@@ -72,114 +46,3 @@ func (m *Matrix) T() *Matrix {
 	}
 	return out
 }
-
-// Mul returns a*b. It returns an error on inner-dimension mismatch.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	// ikj loop order keeps the inner loop contiguous in both b and out.
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m*x for a column vector x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("linalg: vector length %d != cols %d", len(x), m.Cols)
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Gram returns mᵀm (the Cols x Cols Gram matrix).
-func (m *Matrix) Gram() *Matrix {
-	out := NewMatrix(m.Cols, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for i, vi := range row {
-			if vi == 0 {
-				continue
-			}
-			orow := out.Data[i*m.Cols : (i+1)*m.Cols]
-			for j, vj := range row {
-				orow[j] += vi * vj
-			}
-		}
-	}
-	return out
-}
-
-// Dot returns the inner product of two equally long vectors.
-// It panics on length mismatch: callers control both operands.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: dot length mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// CosineSim returns the cosine similarity of a and b, the paper's Eq. 1.
-// Zero vectors yield similarity 0.
-func CosineSim(a, b []float64) float64 {
-	na, nb := Norm2(a), Norm2(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Add accumulates b into m in place. It returns an error on shape mismatch.
-func (m *Matrix) Add(b *Matrix) error {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return fmt.Errorf("linalg: add shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	for i, v := range b.Data {
-		m.Data[i] += v
-	}
-	return nil
-}
-
-// FrobeniusNorm returns sqrt(sum of squared entries).
-func (m *Matrix) FrobeniusNorm() float64 { return Norm2(m.Data) }

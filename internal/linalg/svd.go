@@ -96,53 +96,3 @@ func Rank(m *Matrix, tol float64) int {
 	}
 	return r
 }
-
-// SymEigen returns the eigenvalues of a symmetric matrix in descending
-// order using the classical (two-sided) Jacobi rotation method. Only the
-// lower/upper symmetric part consistent with a is used; a is not modified.
-func SymEigen(a *Matrix) []float64 {
-	n := a.Rows
-	w := a.Clone()
-	for sweep := 0; sweep < svdMaxSweeps; sweep++ {
-		// Sum of squares of off-diagonal entries.
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				v := w.At(i, j)
-				off += v * v
-			}
-		}
-		if off < 1e-24 {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if math.Abs(apq) < 1e-15 {
-					continue
-				}
-				app, aqq := w.At(p, p), w.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(1+theta*theta))
-				c := 1 / math.Sqrt(1+t*t)
-				s := c * t
-				for k := 0; k < n; k++ {
-					akp, akq := w.At(k, p), w.At(k, q)
-					w.Set(k, p, c*akp-s*akq)
-					w.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := w.At(p, k), w.At(q, k)
-					w.Set(p, k, c*apk-s*aqk)
-					w.Set(q, k, s*apk+c*aqk)
-				}
-			}
-		}
-	}
-	ev := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ev[i] = w.At(i, i)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(ev)))
-	return ev
-}

@@ -1,7 +1,7 @@
 // Package randmat implements the random-matrix theory the paper uses to
 // analyze hyperdimensional kernel geometry (Section III, Eqs. 2-7,
-// Figures 2 and 4): Marchenko-Pastur spectral bounds and density, the
-// paper's mean/variance approximations with their T1/T2/T3 terms, the
+// Figures 2 and 4): Marchenko-Pastur singular-value bounds, the paper's
+// mean/variance approximations with their T1/T2/T3 terms, the
 // minor/major axis ratio of the transformed kernel, and empirical spectra
 // of Gaussian encoder matrices for cross-checking theory against samples.
 //
@@ -23,55 +23,12 @@ import (
 	"boosthd/internal/linalg"
 )
 
-// EigenBounds returns the Marchenko-Pastur support endpoints for the
-// eigenvalues of the sample covariance matrix (1/Nr) X^T X:
-// lambda± = sigma^2 (1 ± sqrt(q))^2. It panics for non-positive q or sigma,
-// which indicate a programming error in the caller.
-func EigenBounds(q, sigma float64) (lo, hi float64) {
-	mustPositive(q, sigma)
-	r := math.Sqrt(q)
-	lo = sigma * sigma * (1 - r) * (1 - r)
-	hi = sigma * sigma * (1 + r) * (1 + r)
-	return lo, hi
-}
-
 // SingularBounds returns the support endpoints for the singular values of
 // X/sqrt(Nr): sigma*|1-sqrt(q)| and sigma*(1+sqrt(q)).
 func SingularBounds(q, sigma float64) (lo, hi float64) {
 	mustPositive(q, sigma)
 	r := math.Sqrt(q)
 	return sigma * math.Abs(1-r), sigma * (1 + r)
-}
-
-// Density evaluates the Marchenko-Pastur eigenvalue density at lambda for
-// aspect ratio q and entry scale sigma. Outside the support it returns 0.
-// For q > 1 the distribution also carries a point mass 1 - 1/q at zero,
-// which this continuous density does not include.
-func Density(lambda, q, sigma float64) float64 {
-	lo, hi := EigenBounds(q, sigma)
-	if lambda <= lo || lambda >= hi || lambda <= 0 {
-		return 0
-	}
-	return math.Sqrt((hi-lambda)*(lambda-lo)) / (2 * math.Pi * sigma * sigma * q * lambda)
-}
-
-// MeanEigen numerically integrates lambda * f(lambda) over the MP support.
-// For any q it equals sigma^2 (trace identity), a property the tests use
-// to validate the integrator.
-func MeanEigen(q, sigma float64) float64 {
-	lo, hi := EigenBounds(q, sigma)
-	return simpson(func(l float64) float64 { return l * Density(l, q, sigma) }, lo, hi, 4000)
-}
-
-// VarEigen numerically integrates (lambda-mu)^2 f(lambda) over the support
-// using mu = MeanEigen. The closed form for q <= 1 is q*sigma^4.
-func VarEigen(q, sigma float64) float64 {
-	lo, hi := EigenBounds(q, sigma)
-	mu := MeanEigen(q, sigma)
-	return simpson(func(l float64) float64 {
-		d := l - mu
-		return d * d * Density(l, q, sigma)
-	}, lo, hi, 4000)
 }
 
 // PaperMu evaluates the paper's Eq. 2 approximation of the mean singular
@@ -154,45 +111,6 @@ func EmpiricalAxisRatio(nr, nc int, sigma float64, rng *rand.Rand) (float64, err
 		return 0, nil
 	}
 	return sv[len(sv)-1] / sv[0], nil
-}
-
-// TermCurve samples fn on a logarithmically dense grid of n points over
-// [qMin, qMax], returning parallel slices of q values and term values.
-// It is the workhorse behind the Figure 2 reproduction.
-func TermCurve(fn func(q, sigma float64) float64, sigma, qMin, qMax float64, n int) (qs, vals []float64) {
-	if n < 2 || qMin <= 0 || qMax <= qMin {
-		return nil, nil
-	}
-	qs = make([]float64, n)
-	vals = make([]float64, n)
-	logMin, logMax := math.Log(qMin), math.Log(qMax)
-	for i := 0; i < n; i++ {
-		q := math.Exp(logMin + (logMax-logMin)*float64(i)/float64(n-1))
-		qs[i] = q
-		vals[i] = fn(q, sigma)
-	}
-	return qs, vals
-}
-
-// simpson integrates f over [a, b] with n (rounded up to even) panels.
-func simpson(f func(float64) float64, a, b float64, n int) float64 {
-	if b <= a {
-		return 0
-	}
-	if n%2 == 1 {
-		n++
-	}
-	h := (b - a) / float64(n)
-	sum := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return sum * h / 3
 }
 
 func mustPositive(q, sigma float64) {

@@ -439,6 +439,8 @@ func (mo *Monitor) Config() Config {
 // CURRENT serving model — the call an operator makes after swapping in
 // a new checkpoint, so the monitor can restore from it again. The file
 // is validated (loadable; geometry-compatible) before anything changes.
+//
+//hdlint:ignore deadexport facade users re-arm through ReliabilityMonitor.SetCheckpoint, which the /reliability disarm message names
 func (mo *Monitor) SetCheckpoint(path string) error {
 	if path == "" {
 		return fmt.Errorf("reliability: empty checkpoint path")

@@ -239,7 +239,7 @@ func BenchmarkDeltaStoreSave(b *testing.B) {
 	}{{"rewrite", 1}, {"append", 1 << 30}} {
 		b.Run(tc.name, func(b *testing.B) {
 			store := NewFileDeltaStore(b.TempDir())
-			store.SetCompactThreshold(tc.threshold)
+			store.threshold = tc.threshold
 			if err := store.Save("t1", d0, fp); err != nil {
 				b.Fatal(err)
 			}

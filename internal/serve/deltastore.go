@@ -103,18 +103,6 @@ func NewFileDeltaStore(dir string) *FileDeltaStore {
 		tenants: make(map[string]*tenantRecord)}
 }
 
-// Dir returns the store's root directory.
-func (fs *FileDeltaStore) Dir() string { return fs.dir }
-
-// SetCompactThreshold overrides the journal length that triggers an
-// inline compaction on Save. Values below one are ignored. Call before
-// the store is shared; the knob is not synchronized against live saves.
-func (fs *FileDeltaStore) SetCompactThreshold(n int) {
-	if n >= 1 {
-		fs.threshold = n
-	}
-}
-
 func (fs *FileDeltaStore) path(tenant string) string {
 	return filepath.Join(fs.dir, tenant+".bhdt")
 }
@@ -357,13 +345,4 @@ func (fs *FileDeltaStore) Compact(tenant string, d *boosthd.Delta, baseFP uint64
 		return false, err
 	}
 	return true, nil
-}
-
-// JournalEntries reports how many journal patches tenant's record
-// currently carries (zero right after a full write or compaction).
-func (fs *FileDeltaStore) JournalEntries(tenant string) int {
-	rec := fs.record(tenant)
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.entries
 }

@@ -54,7 +54,7 @@ func TestDeltaStoreJournalAppend(t *testing.T) {
 	fp := m.Fingerprint()
 	dir := t.TempDir()
 	store := NewFileDeltaStore(dir)
-	store.SetCompactThreshold(100) // keep inline folding out of the way
+	store.threshold = 100 // keep inline folding out of the way
 
 	d := testDelta(t, m, []int{0, 1, 2}, 1)
 	if err := store.Save("t1", d, fp); err != nil {
@@ -125,7 +125,7 @@ func TestDeltaStoreCompaction(t *testing.T) {
 	m, _, _ := fixture(t, 480, 4)
 	fp := m.Fingerprint()
 	store := NewFileDeltaStore(t.TempDir())
-	store.SetCompactThreshold(100)
+	store.threshold = 100
 
 	d := testDelta(t, m, []int{0, 1, 2}, 1)
 	if err := store.Save("t1", d, fp); err != nil {
@@ -161,7 +161,7 @@ func TestDeltaStoreCompaction(t *testing.T) {
 	if _, err := os.Stat(store.journalPath("t1")); !os.IsNotExist(err) {
 		t.Fatalf("journal file survived compaction: %v", err)
 	}
-	got, err := NewFileDeltaStore(store.Dir()).Load("t1", m, fp)
+	got, err := NewFileDeltaStore(store.dir).Load("t1", m, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestDeltaStoreCompaction(t *testing.T) {
 
 	// Inline threshold: the save that would push the journal to the
 	// threshold rewrites instead.
-	store.SetCompactThreshold(3)
+	store.threshold = 3
 	for i := 0; i < 2; i++ {
 		d = refit(t, m, d, i, int64(20+i))
 		if err := store.Save("t1", d, fp); err != nil {
@@ -206,7 +206,7 @@ func TestTenantScrubCompacts(t *testing.T) {
 	}
 	defer s.Close()
 	store := NewFileDeltaStore(t.TempDir())
-	store.SetCompactThreshold(100)
+	store.threshold = 100
 	reg, err := NewTenantRegistry(s, TenantRegistryConfig{Store: store, CacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -363,4 +363,13 @@ func TestTenantShardSwapVisibility(t *testing.T) {
 	if st := reg.Stats(); st.Rebuilds == 0 {
 		t.Fatalf("soak never rebuilt a resident view: %+v", st)
 	}
+}
+
+// JournalEntries reports how many journal patches tenant's record
+// currently carries (zero right after a full write or compaction).
+func (fs *FileDeltaStore) JournalEntries(tenant string) int {
+	rec := fs.record(tenant)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return rec.entries
 }

@@ -274,11 +274,6 @@ func (r *TenantRegistry) Base() *infer.Engine {
 	return r.currentBase().eng
 }
 
-// BaseFingerprint returns the cached fingerprint of the current base.
-func (r *TenantRegistry) BaseFingerprint() uint64 {
-	return r.currentBase().fp
-}
-
 // Resolve maps a tenant ID to its serving engine: the empty ID and
 // tenants without a delta serve the shared base, resident tenants hit
 // their shard's LRU, and everything else cold-loads from the store.

@@ -117,37 +117,6 @@ func ExtractFeatures(channels [][]float64, smoothWin, winSize, step int) ([][]fl
 	return rows, nil
 }
 
-// WindowLabels assigns each window the majority label of its samples.
-func WindowLabels(labels []int, wins []Window, numClasses int) ([]int, error) {
-	if numClasses <= 0 {
-		return nil, fmt.Errorf("signal: numClasses must be positive")
-	}
-	out := make([]int, len(wins))
-	counts := make([]int, numClasses)
-	for wi, w := range wins {
-		if w.Start < 0 || w.End > len(labels) {
-			return nil, fmt.Errorf("signal: window [%d,%d) outside labels of length %d", w.Start, w.End, len(labels))
-		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, l := range labels[w.Start:w.End] {
-			if l < 0 || l >= numClasses {
-				return nil, fmt.Errorf("signal: label %d out of range", l)
-			}
-			counts[l]++
-		}
-		best := 0
-		for c, cnt := range counts {
-			if cnt > counts[best] {
-				best = c
-			}
-		}
-		out[wi] = best
-	}
-	return out, nil
-}
-
 // Normalizer rescales feature columns using statistics fitted on training
 // data. The paper normalizes "to address varying ranges ... to ensure
 // consistent scaling".

@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -289,4 +290,35 @@ func TestSlidingWindowsInvariantQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// WindowLabels assigns each window the majority label of its samples.
+func WindowLabels(labels []int, wins []Window, numClasses int) ([]int, error) {
+	if numClasses <= 0 {
+		return nil, fmt.Errorf("signal: numClasses must be positive")
+	}
+	out := make([]int, len(wins))
+	counts := make([]int, numClasses)
+	for wi, w := range wins {
+		if w.Start < 0 || w.End > len(labels) {
+			return nil, fmt.Errorf("signal: window [%d,%d) outside labels of length %d", w.Start, w.End, len(labels))
+		}
+		for i := range counts {
+			counts[i] = 0
+		}
+		for _, l := range labels[w.Start:w.End] {
+			if l < 0 || l >= numClasses {
+				return nil, fmt.Errorf("signal: label %d out of range", l)
+			}
+			counts[l]++
+		}
+		best := 0
+		for c, cnt := range counts {
+			if cnt > counts[best] {
+				best = c
+			}
+		}
+		out[wi] = best
+	}
+	return out, nil
 }

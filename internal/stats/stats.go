@@ -1,7 +1,7 @@
 // Package stats provides the evaluation metrics and descriptive statistics
 // used throughout the BoostHD evaluation: plain and macro-averaged accuracy,
-// confusion matrices, mean/standard deviation, median, and the median
-// absolute deviation (MAD) robustness measure from the paper's Figure 8.
+// mean and sample standard deviation, median, and the median absolute
+// deviation (MAD) robustness measure from the paper's Figure 8.
 package stats
 
 import (
@@ -26,21 +26,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs (dividing by n, not n-1).
-// It returns 0 for inputs with fewer than one element.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
 // SampleVariance returns the unbiased sample variance (dividing by n-1).
 // It returns 0 for inputs with fewer than two elements.
 func SampleVariance(xs []float64) float64 {
@@ -55,9 +40,6 @@ func SampleVariance(xs []float64) float64 {
 	}
 	return s / float64(len(xs)-1)
 }
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // SampleStd returns the sample standard deviation of xs.
 func SampleStd(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
@@ -91,24 +73,6 @@ func MAD(xs []float64) float64 {
 		dev[i] = math.Abs(x - med)
 	}
 	return Median(dev)
-}
-
-// MinMax returns the minimum and maximum of xs.
-// It returns (0, 0) for empty input.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }
 
 // Accuracy returns the fraction of positions where pred equals truth.
@@ -169,120 +133,6 @@ func MacroAccuracy(pred, truth []int, numClasses int) (float64, error) {
 	return sum / float64(present), nil
 }
 
-// ConfusionMatrix counts prediction outcomes: cell [i][j] is the number of
-// samples with true class i predicted as class j.
-type ConfusionMatrix struct {
-	K     int     // number of classes
-	Cells [][]int // K x K counts
-}
-
-// NewConfusionMatrix builds a confusion matrix from predictions.
-// Labels outside [0, k) yield an error.
-func NewConfusionMatrix(pred, truth []int, k int) (*ConfusionMatrix, error) {
-	if len(pred) != len(truth) {
-		return nil, fmt.Errorf("stats: length mismatch pred=%d truth=%d", len(pred), len(truth))
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("stats: k must be positive, got %d", k)
-	}
-	cm := &ConfusionMatrix{K: k, Cells: make([][]int, k)}
-	for i := range cm.Cells {
-		cm.Cells[i] = make([]int, k)
-	}
-	for i := range truth {
-		t, p := truth[i], pred[i]
-		if t < 0 || t >= k || p < 0 || p >= k {
-			return nil, fmt.Errorf("stats: label out of range: truth=%d pred=%d k=%d", t, p, k)
-		}
-		cm.Cells[t][p]++
-	}
-	return cm, nil
-}
-
-// Total returns the number of samples counted.
-func (cm *ConfusionMatrix) Total() int {
-	n := 0
-	for _, row := range cm.Cells {
-		for _, c := range row {
-			n += c
-		}
-	}
-	return n
-}
-
-// Accuracy returns trace/total; 0 when empty.
-func (cm *ConfusionMatrix) Accuracy() float64 {
-	n := cm.Total()
-	if n == 0 {
-		return 0
-	}
-	diag := 0
-	for i := 0; i < cm.K; i++ {
-		diag += cm.Cells[i][i]
-	}
-	return float64(diag) / float64(n)
-}
-
-// Recall returns the recall of class c (0 when the class is absent).
-func (cm *ConfusionMatrix) Recall(c int) float64 {
-	if c < 0 || c >= cm.K {
-		return 0
-	}
-	row := 0
-	for _, v := range cm.Cells[c] {
-		row += v
-	}
-	if row == 0 {
-		return 0
-	}
-	return float64(cm.Cells[c][c]) / float64(row)
-}
-
-// Precision returns the precision of class c (0 when never predicted).
-func (cm *ConfusionMatrix) Precision(c int) float64 {
-	if c < 0 || c >= cm.K {
-		return 0
-	}
-	col := 0
-	for i := 0; i < cm.K; i++ {
-		col += cm.Cells[i][c]
-	}
-	if col == 0 {
-		return 0
-	}
-	return float64(cm.Cells[c][c]) / float64(col)
-}
-
-// F1 returns the harmonic mean of precision and recall for class c.
-func (cm *ConfusionMatrix) F1(c int) float64 {
-	p, r := cm.Precision(c), cm.Recall(c)
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// MacroF1 returns the unweighted mean F1 over classes present in truth.
-func (cm *ConfusionMatrix) MacroF1() float64 {
-	var sum float64
-	present := 0
-	for c := 0; c < cm.K; c++ {
-		row := 0
-		for _, v := range cm.Cells[c] {
-			row += v
-		}
-		if row == 0 {
-			continue
-		}
-		present++
-		sum += cm.F1(c)
-	}
-	if present == 0 {
-		return 0
-	}
-	return sum / float64(present)
-}
-
 // Summary holds mean ± std over repeated runs, as reported in Table I.
 type Summary struct {
 	Mean float64
@@ -298,19 +148,4 @@ func Summarize(runs []float64) Summary {
 // String renders "97.13 ± 0.06"-style output matching the paper's tables.
 func (s Summary) String() string {
 	return fmt.Sprintf("%.2f ± %.2f", s.Mean, s.Std)
-}
-
-// ArgMax returns the index of the largest element, breaking ties toward the
-// lowest index. It returns -1 for empty input.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs[1:] {
-		if x > xs[best] {
-			best = i + 1
-		}
-	}
-	return best
 }

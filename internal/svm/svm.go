@@ -134,17 +134,3 @@ func (c *Classifier) PredictBatch(X [][]float64) []int {
 	}
 	return out
 }
-
-// Evaluate returns plain accuracy on a labeled set.
-func (c *Classifier) Evaluate(X [][]float64, y []int) (float64, error) {
-	if len(X) != len(y) || len(y) == 0 {
-		return 0, fmt.Errorf("svm: bad evaluation set")
-	}
-	correct := 0
-	for i, x := range X {
-		if c.Predict(x) == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(y)), nil
-}

@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -142,4 +143,18 @@ func TestPredictBatch(t *testing.T) {
 	if _, err := c.Evaluate(X, y[:2]); err == nil {
 		t.Error("expected mismatch error")
 	}
+}
+
+// Evaluate returns plain accuracy on a labeled set.
+func (c *Classifier) Evaluate(X [][]float64, y []int) (float64, error) {
+	if len(X) != len(y) || len(y) == 0 {
+		return 0, fmt.Errorf("svm: bad evaluation set")
+	}
+	correct := 0
+	for i, x := range X {
+		if c.Predict(x) == y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(y)), nil
 }

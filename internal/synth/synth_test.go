@@ -160,10 +160,18 @@ func TestBuildWESAD(t *testing.T) {
 		t.Errorf("features = %d, want %d", d.NumFeatures(), wantFeatures)
 	}
 	// All subjects and all classes present.
-	if got := len(d.SubjectIDs()); got != 15 {
+	seen := map[int]bool{}
+	for _, s := range d.Subjects {
+		seen[s] = true
+	}
+	if got := len(seen); got != 15 {
 		t.Errorf("distinct subjects in data = %d", got)
 	}
-	for c, n := range d.ClassCounts() {
+	counts := make([]int, d.NumClasses)
+	for _, y := range d.Y {
+		counts[y]++
+	}
+	for c, n := range counts {
 		if n == 0 {
 			t.Errorf("class %d absent", c)
 		}
@@ -275,3 +283,7 @@ func TestConfigsAreDistinct(t *testing.T) {
 		t.Errorf("nurse subjects = %d, want 37 as in the paper", n.NumSubjects)
 	}
 }
+
+// StateBaseline is the low-arousal baseline state, which modulationFor
+// takes as its default case.
+const StateBaseline = 0

@@ -10,10 +10,9 @@ import (
 // common/stress. Internally state 0 is the low-arousal baseline, state 1
 // the stressor, state 2 the third condition.
 const (
-	StateBaseline = 0
-	StateStress   = 1
-	StateAmused   = 2
-	NumStates     = 3
+	StateStress = 1
+	StateAmused = 2
+	NumStates   = 3
 )
 
 // SampleRate is the abstract sampling frequency (Hz) of generated signals.

@@ -76,3 +76,27 @@ func TestBufferCopiesRows(t *testing.T) {
 		t.Fatalf("stored row aliased caller memory: %v", X[0])
 	}
 }
+
+// PerClass returns how many buffered samples each class holds (window
+// plus reservoir).
+func (b *Buffer) PerClass() []int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	counts := make([]int, len(b.res))
+	for c, r := range b.res {
+		counts[c] = len(r)
+	}
+	for _, s := range b.window {
+		if s.y >= 0 && s.y < len(counts) {
+			counts[s.y]++
+		}
+	}
+	return counts
+}
+
+// Added returns the total number of samples ever ingested.
+func (b *Buffer) Added() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.added
+}

@@ -296,3 +296,37 @@ func TestTenantBufferEviction(t *testing.T) {
 		}
 	}
 }
+
+// TenantTrainerStats snapshots the tenant trainer counters.
+type TenantTrainerStats struct {
+	Tenants  int    `json:"tenants"`  // tenant buffers resident
+	Observed uint64 `json:"observed"` // samples buffered across tenants
+	Retrains uint64 `json:"retrains"` // successful delta installs
+	Failures uint64 `json:"failures"` // retrains that errored
+	Dropped  uint64 `json:"dropped"`  // tenant buffers evicted by MaxTenants
+}
+
+// Stats snapshots the tenant trainer counters.
+func (t *TenantTrainer) Stats() TenantTrainerStats {
+	t.mu.Lock()
+	n := t.lru.Len()
+	t.mu.Unlock()
+	return TenantTrainerStats{
+		Tenants:  n,
+		Observed: t.observed.Load(),
+		Retrains: t.retrains.Load(),
+		Failures: t.failures.Load(),
+		Dropped:  t.dropped.Load(),
+	}
+}
+
+// BufferLen reports how many samples tenant has buffered.
+func (t *TenantTrainer) BufferLen(tenant string) int {
+	t.mu.Lock()
+	el, ok := t.streams[tenant]
+	t.mu.Unlock()
+	if !ok {
+		return 0
+	}
+	return el.Value.(*tenantStream).buf.Len()
+}

@@ -167,9 +167,6 @@ func New(srv *serve.Server, cfg Config) (*Trainer, error) {
 // Config returns the resolved configuration.
 func (t *Trainer) Config() Config { return t.cfg }
 
-// Buffer returns the underlying sample buffer (status and tests).
-func (t *Trainer) Buffer() *Buffer { return t.buf }
-
 // Model returns the model the trainer currently maintains — the one
 // behind the serving engine, replaced on every successful Retrain.
 func (t *Trainer) Model() *boosthd.Model {
@@ -444,10 +441,6 @@ func (t *Trainer) loop(stop <-chan struct{}, done chan<- struct{}) {
 		}
 	}
 }
-
-// Stop halts the background loop and waits for an in-flight retrain
-// tick to finish. Safe to call without Start and more than once.
-func (t *Trainer) Stop() { t.StopWait(0) }
 
 // StopWait halts the background loop, waiting at most `grace` for an
 // in-flight retrain tick to finish (zero or negative waits forever).

@@ -132,7 +132,7 @@ func TestRetrainSwapMatchesColdLoad(t *testing.T) {
 	// updates), refit it offline over exactly the buffered data, round-trip
 	// it through a checkpoint file, and serve it from the cold load.
 	shell := tr.Model().Clone()
-	bufX, bufY := tr.Buffer().Snapshot()
+	bufX, bufY := tr.buf.Snapshot()
 	if err := shell.Refit(bufX, bufY); err != nil {
 		t.Fatal(err)
 	}
@@ -558,8 +558,8 @@ func TestBackgroundLoop(t *testing.T) {
 	for tr.Status().Retrains == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	tr.Stop()
-	tr.Stop() // idempotent
+	tr.StopWait(0)
+	tr.StopWait(0) // idempotent
 	if tr.Status().Retrains == 0 {
 		t.Fatal("background loop never retrained")
 	}

@@ -32,12 +32,6 @@ type Config struct {
 	Seed            int64 // feature-subsample randomness
 }
 
-// DefaultConfig returns a moderately deep tree suitable as a standalone
-// classifier.
-func DefaultConfig() Config {
-	return Config{MaxDepth: 10, MinSamplesSplit: 2, MinSamplesLeaf: 1, Criterion: Gini}
-}
-
 type node struct {
 	leaf      bool
 	feature   int
@@ -243,22 +237,6 @@ func (c *Classifier) Predict(x []float64) int {
 	return n.pred
 }
 
-// PredictProba returns the training-weighted class distribution of the
-// leaf x falls into.
-func (c *Classifier) PredictProba(x []float64) []float64 {
-	n := c.root
-	for !n.leaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	out := make([]float64, len(n.probs))
-	copy(out, n.probs)
-	return out
-}
-
 // PredictBatch classifies each row of X.
 func (c *Classifier) PredictBatch(X [][]float64) []int {
 	out := make([]int, len(X))
@@ -266,21 +244,4 @@ func (c *Classifier) PredictBatch(X [][]float64) []int {
 		out[i] = c.Predict(x)
 	}
 	return out
-}
-
-// NodeCount returns the number of nodes in the tree (diagnostics).
-func (c *Classifier) NodeCount() int { return c.nodes }
-
-// Depth returns the depth of the trained tree.
-func (c *Classifier) Depth() int { return depthOf(c.root) }
-
-func depthOf(n *node) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }

@@ -232,3 +232,42 @@ func TestTreeInvariantsQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// DefaultConfig returns a moderately deep tree suitable as a standalone
+// classifier.
+func DefaultConfig() Config {
+	return Config{MaxDepth: 10, MinSamplesSplit: 2, MinSamplesLeaf: 1, Criterion: Gini}
+}
+
+// PredictProba returns the training-weighted class distribution of the
+// leaf x falls into.
+func (c *Classifier) PredictProba(x []float64) []float64 {
+	n := c.root
+	for !n.leaf {
+		if x[n.feature] <= n.threshold {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	out := make([]float64, len(n.probs))
+	copy(out, n.probs)
+	return out
+}
+
+// NodeCount returns the number of nodes in the tree (diagnostics).
+func (c *Classifier) NodeCount() int { return c.nodes }
+
+// Depth returns the depth of the trained tree.
+func (c *Classifier) Depth() int { return depthOf(c.root) }
+
+func depthOf(n *node) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	l, r := depthOf(n.left), depthOf(n.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
+}
