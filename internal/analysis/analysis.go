@@ -56,9 +56,8 @@ type Analyzer struct {
 	// SkipTests drops findings positioned in _test.go files. The lock- and
 	// snapshot-discipline analyzers set it: their invariants protect
 	// concurrent serving, while tests legitimately construct models and
-	// poke internals from quiescent single-goroutine states (the pattern
-	// HVClassifier.Invalidate documents). hotalloc leaves it unset — a
-	// marked function is hot wherever it is declared.
+	// poke internals from quiescent single-goroutine states. hotalloc
+	// leaves it unset — a marked function is hot wherever it is declared.
 	SkipTests bool
 }
 

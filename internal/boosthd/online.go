@@ -135,17 +135,16 @@ func (m *Model) AlphaView() *Model {
 
 // MaskedView is the two-tier quarantine view, the reliability
 // subsystem's quarantine unit: masked[i] true zeroes learner i's alpha,
-// so the scoring paths skip it and its memory — the reason it was masked
-// — is never read, while healthy[i]
-// non-nil keeps learner i voting but treats the class-memory components
-// at its zero bits as zero — the dimension-granular quarantine for a
-// learner where fault attribution localized the corruption to specific
-// word ranges. healthy is learner-major packed bitmasks over each
-// learner's local dimensions (bit d of word d/64); a nil outer slice or
-// nil entry trusts every dimension. The ensemble's vote redundancy keeps
-// the remaining learners serving, and because the view shares the live
-// learners, repairs (SetClass restores, streaming updates) land in memory
-// the view serves.
+// so the scoring paths skip it and never read its memory (the reason it
+// was masked), while healthy[i] non-nil keeps learner i voting but
+// treats the class-memory components at its zero bits as zero — the
+// dimension-granular quarantine for a learner where fault attribution
+// localized the corruption to specific word ranges. healthy is
+// learner-major packed bitmasks over each learner's local dimensions (bit
+// d of word d/64); a nil outer slice or nil entry trusts every dimension.
+// The ensemble's vote redundancy keeps the remaining learners serving,
+// and because the view shares the live learners, repairs (SetClass
+// restores, streaming updates) land in memory the view serves.
 func (m *Model) MaskedView(masked []bool, healthy [][]uint64) (*Model, error) {
 	if len(masked) != len(m.Learners) {
 		return nil, fmt.Errorf("boosthd: %d mask entries for %d learners", len(masked), len(m.Learners))

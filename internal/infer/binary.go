@@ -264,7 +264,7 @@ func Quantize(m *boosthd.Model) (*BinaryModel, error) {
 
 // Frozen reports whether the model is a cold-loaded snapshot (LoadBinary)
 // with no float class memory behind it. Frozen models serve their stored
-// quantization forever: Stale is always false and Refresh is a no-op.
+// quantization forever: Stale is always false and nothing re-quantizes.
 func (bm *BinaryModel) Frozen() bool { return bm.frozen }
 
 // Stale reports whether any learner's class vectors changed (Fit, fault
@@ -283,12 +283,12 @@ func (bm *BinaryModel) Stale() bool {
 }
 
 // Rethreshold rebuilds quantized planes from the float class memory
-// unconditionally, bypassing the version-keyed plane reuse that Refresh
-// performs. This is the reliability repair path for silent corruption of
-// the quantized planes: word faults flip stored bits without touching
-// learner versions (hardware does not announce its faults), so a
-// version-gated refresh would happily reuse the corrupted planes. Mask
-// popcounts are recomputed, healing stale stored counts too.
+// unconditionally, bypassing the version-keyed plane reuse that
+// syncQuantization performs. This is the reliability repair path for
+// silent corruption of the quantized planes: word faults flip stored
+// bits without touching learner versions (hardware does not announce its
+// faults), so a version-gated refresh would happily reuse the corrupted
+// planes. Mask popcounts are recomputed, healing stale stored counts too.
 //
 // With no arguments the whole snapshot is rebuilt. With learner indexes,
 // only those learners are re-quantized — the surgical repair unit: a

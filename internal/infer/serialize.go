@@ -29,10 +29,10 @@ type binaryWire struct {
 
 // Save serializes the current quantized snapshot to w in framed gob
 // format. The snapshot is immutable after construction, so no locks are
-// needed: a concurrent Refresh swaps the pointer under new readers while
-// this save keeps encoding the snapshot it loaded. The resulting blob
-// cold-loads through LoadBinary without re-running Quantize — no float
-// class memory travels or is reconstructed.
+// needed: a concurrent re-quantization swaps the pointer under new
+// readers while this save keeps encoding the snapshot it loaded. The
+// resulting blob cold-loads through LoadBinary without re-running
+// Quantize — no float class memory travels or is reconstructed.
 func (bm *BinaryModel) Save(w io.Writer) error {
 	// Catch up with any float-model mutation first (no-op when frozen),
 	// or a save issued after Fit/fault injection would persist the
