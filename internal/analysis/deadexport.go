@@ -40,14 +40,14 @@ func runDeadExport(pass *Pass) []Finding {
 		if isTestFile(pass.Prog.Fset, f) {
 			continue
 		}
-		for _, id := range declaredNames(f) {
-			obj := p.Info.Defs[id]
-			if obj == nil || !id.IsExported() || live[obj] {
+		for _, d := range topDecls(f) {
+			obj := p.Info.Defs[d.name]
+			if obj == nil || !d.name.IsExported() || live[obj] {
 				continue
 			}
 			out = append(out, Finding{
 				Analyzer: "deadexport",
-				Pos:      pass.position(id.Pos()),
+				Pos:      pass.position(d.name.Pos()),
 				Message: fmt.Sprintf("%s is not referenced by live non-test code: delete it, move it into the tests that use it, or name its outside user in //hdlint:ignore deadexport <reason>",
 					describe(obj)),
 			})
@@ -67,21 +67,37 @@ func isTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
 }
 
-// declaredNames lists the identifiers a file declares at package level:
-// funcs, methods, types, vars and consts.
-func declaredNames(f *ast.File) []*ast.Ident {
-	var out []*ast.Ident
+// topDecl is one name a file declares at package level — func, method,
+// type, var or const — with the syntax to walk when it turns live: its
+// FuncDecl, TypeSpec or ValueSpec, plus the spec above for a const spec
+// that repeats it implicitly.
+type topDecl struct {
+	name  *ast.Ident
+	nodes []ast.Node
+}
+
+func topDecls(f *ast.File) []topDecl {
+	var out []topDecl
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			out = append(out, d.Name)
+			out = append(out, topDecl{d.Name, []ast.Node{d}})
 		case *ast.GenDecl:
+			var last *ast.ValueSpec
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					out = append(out, s.Name)
+					out = append(out, topDecl{s.Name, []ast.Node{s}})
 				case *ast.ValueSpec:
-					out = append(out, s.Names...)
+					nodes := []ast.Node{s}
+					if d.Tok == token.CONST && s.Type == nil && len(s.Values) == 0 && last != nil {
+						nodes = append(nodes, last)
+					} else {
+						last = s
+					}
+					for _, name := range s.Names {
+						out = append(out, topDecl{name, nodes})
+					}
 				}
 			}
 		}
@@ -134,12 +150,11 @@ type reach struct {
 	// the matching methods live.
 	called map[*types.Func]bool
 	std    []*types.Interface
-	named  []*types.TypeName // the named non-interface types of decls
+	named  []*types.TypeName // the implementer types of decls
 }
 
-// declSite is what to walk when a declaration turns live: the FuncDecl,
-// TypeSpec, or ValueSpec (plus the spec whose values an implicit const
-// spec repeats).
+// declSite is a declaration's syntax and the type information to read it
+// with.
 type declSite struct {
 	info  *types.Info
 	nodes []ast.Node
@@ -153,17 +168,7 @@ func newReach(prog *Program, mk *Markers) *reach {
 		std:    stdInterfaces(prog),
 	}
 	var roots []declSite
-	var exempt []types.Object // declarations an ignore directive keeps: live, with what they reference
-	declare := func(info *types.Info, name *ast.Ident, site declSite) {
-		obj := info.Defs[name]
-		if obj == nil {
-			return
-		}
-		r.decls[obj] = site
-		if mk.suppressed(Finding{Analyzer: "deadexport", Pos: prog.Fset.Position(name.Pos())}) {
-			exempt = append(exempt, obj)
-		}
-	}
+	var exempt []types.Object // kept by an ignore directive: live, with what they reference
 	for _, p := range prog.Packages {
 		internal := !p.Nested && isInternal(prog.ModulePath, p.Path)
 		for _, f := range p.Files {
@@ -174,17 +179,20 @@ func newReach(prog *Program, mk *Markers) *reach {
 				roots = append(roots, declSite{p.Info, []ast.Node{f}})
 				continue
 			}
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					site := declSite{p.Info, []ast.Node{d}}
-					if d.Recv == nil && d.Name.Name == "init" {
-						roots = append(roots, site)
-					} else {
-						declare(p.Info, d.Name, site)
-					}
-				case *ast.GenDecl:
-					r.addGenDecl(p.Info, d, declare, &roots)
+			for _, d := range topDecls(f) {
+				site := declSite{p.Info, d.nodes}
+				obj := p.Info.Defs[d.name]
+				fd, isFunc := d.nodes[0].(*ast.FuncDecl)
+				if obj == nil || d.name.Name == "_" || isFunc && fd.Recv == nil && d.name.Name == "init" {
+					roots = append(roots, site)
+					continue
+				}
+				r.decls[obj] = site
+				if tn, ok := obj.(*types.TypeName); ok && implementer(tn) {
+					r.named = append(r.named, tn)
+				}
+				if mk.suppressed(Finding{Analyzer: "deadexport", Pos: prog.Fset.Position(d.name.Pos())}) {
+					exempt = append(exempt, obj)
 				}
 			}
 		}
@@ -198,35 +206,15 @@ func newReach(prog *Program, mk *Markers) *reach {
 	return r
 }
 
-func (r *reach) addGenDecl(info *types.Info, d *ast.GenDecl, declare func(*types.Info, *ast.Ident, declSite), roots *[]declSite) {
-	var last *ast.ValueSpec
-	for _, spec := range d.Specs {
-		switch s := spec.(type) {
-		case *ast.TypeSpec:
-			obj, _ := info.Defs[s.Name].(*types.TypeName)
-			if obj == nil {
-				continue
-			}
-			declare(info, s.Name, declSite{info, []ast.Node{s}})
-			if _, iface := obj.Type().Underlying().(*types.Interface); !iface && !obj.IsAlias() {
-				r.named = append(r.named, obj)
-			}
-		case *ast.ValueSpec:
-			site := declSite{info, []ast.Node{s}}
-			if d.Tok == token.CONST && s.Type == nil && len(s.Values) == 0 && last != nil {
-				site.nodes = append(site.nodes, last)
-			} else {
-				last = s
-			}
-			for _, name := range s.Names {
-				if name.Name == "_" {
-					*roots = append(*roots, site)
-				} else {
-					declare(info, name, site)
-				}
-			}
-		}
+// implementer reports a defined, non-generic, non-interface type: one
+// whose methods can implement an interface.
+func implementer(tn *types.TypeName) bool {
+	n, ok := tn.Type().(*types.Named)
+	if !ok || tn.IsAlias() || n.TypeParams().Len() > 0 {
+		return false
 	}
+	_, iface := n.Underlying().(*types.Interface)
+	return !iface
 }
 
 func (r *reach) run() map[types.Object]bool {
@@ -290,9 +278,6 @@ func ifaceOf(fn *types.Func) *types.Interface {
 func (r *reach) markImplementations() {
 	for _, tn := range r.named {
 		if !r.live[tn] {
-			continue
-		}
-		if n, ok := tn.Type().(*types.Named); !ok || n.TypeParams().Len() > 0 {
 			continue
 		}
 		ptr := types.NewPointer(tn.Type())
