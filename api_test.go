@@ -177,10 +177,11 @@ func TestServingFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	want, err := loaded.Predict(test.X[0])
+	wants, err := loaded.PredictBatch(test.X[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wants[0]
 	got, err := srv.Predict(test.X[0])
 	if err != nil {
 		t.Fatal(err)

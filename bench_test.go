@@ -169,17 +169,3 @@ func BenchmarkInferBackends(b *testing.B) {
 		printOnce(b, "infer", t)
 	}
 }
-
-// BenchmarkServeLoad renders the serving-layer load table: micro-batched
-// vs direct throughput and p50/p99 latency at 1/8/64 concurrent clients
-// on both backends.
-func BenchmarkServeLoad(b *testing.B) {
-	opt := benchOptions()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.RunServeBench(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, "serve", t)
-	}
-}

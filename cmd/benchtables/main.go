@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtables [-exp all|table1|table2|table3|fig2|fig3|fig4|fig5|fig6|fig7|fig8|infer|serve|tenants|drift|reliability|ecc]
+//	benchtables [-exp all|table1|table2|table3|fig2|fig3|fig4|fig5|fig6|fig7|fig8|infer|drift|reliability|ecc]
 //	            [-full] [-runs N] [-seed N]
 //
 // By default experiments run in the quick configuration (reduced dims and
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table1, table2, table3, fig2..fig8, infer, serve, tenants, drift, reliability, ecc")
+	exp := flag.String("exp", "all", "experiment to run: all, table1, table2, table3, fig2..fig8, infer, drift, reliability, ecc")
 	full := flag.Bool("full", false, "paper-scale configuration (slow)")
 	runs := flag.Int("runs", 0, "override number of runs per cell")
 	seed := flag.Int64("seed", 7, "base random seed")
@@ -80,15 +80,6 @@ func main() {
 				return err
 			}
 			return show(b, nil)
-		}},
-		{"serve", func() error { t, err := experiments.RunServeBench(opt); return show(t, err) }},
-		{"tenants", func() error {
-			t, err := experiments.RunTenants(opt)
-			if err := show(t, err); err != nil {
-				return err
-			}
-			c, err := experiments.RunTenantContention(opt)
-			return show(c, err)
 		}},
 		{"drift", func() error { t, err := experiments.RunDrift(opt); return show(t, err) }},
 		{"reliability", func() error { t, err := experiments.RunReliability(opt); return show(t, err) }},

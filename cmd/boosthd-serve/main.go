@@ -9,11 +9,10 @@
 //
 //	boosthd-serve [-addr :8080] [-checkpoint model.bhde] [-backend float|binary]
 //	              [-projection stored|seeded]
-//	              [-max-batch 64] [-max-wait 200us] [-workers N]
 //	              [-checkpoint-dir dir] [-body-limit bytes] [-max-rows N]
 //	              [-auth-token secret]
 //	              [-trainer] [-retrain-every 0] [-buffer 4096] [-retrain-mode full|alphas]
-//	              [-tenants] [-tenant-dir dir] [-tenant-cache 1024] [-tenant-shards 16]
+//	              [-tenants] [-tenant-dir dir] [-tenant-cache 1024]
 //	              [-scrub-every 0] [-canary 0] [-quarantine-threshold 0.15]
 //	              [-segment-words 8] [-min-healthy 0.5] [-chaos]
 //	              [-trace-sample 0] [-events-file path] [-debug-addr addr]
@@ -128,9 +127,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "model checkpoint to serve (empty = train a synthetic demo model)")
 	backend := flag.String("backend", "float", "serving backend: float or binary")
 	projection := flag.String("projection", "stored", "demo-model encoder projection: stored or seeded")
-	maxBatch := flag.Int("max-batch", 0, "micro-batcher max coalesced rows (0 = default 64)")
-	maxWait := flag.Duration("max-wait", 0, "micro-batcher straggler wait (0 = default 200us)")
-	workers := flag.Int("workers", 0, "batch executor goroutines (0 = GOMAXPROCS)")
 	checkpointDir := flag.String("checkpoint-dir", "", "allowlist root for /swap checkpoints (empty = /swap disabled)")
 	authToken := flag.String("auth-token", "", "bearer token required on /swap, /observe, /retrain (empty = no auth)")
 	bodyLimit := flag.Int64("body-limit", 0, "request body cap in bytes (0 = default 8 MiB, negative = unlimited)")
@@ -139,7 +135,6 @@ func main() {
 	useTenants := flag.Bool("tenants", false, "enable multi-tenant serving (X-Tenant header and /t/{tenant}/... routes over copy-on-write per-tenant deltas)")
 	tenantDir := flag.String("tenant-dir", "", "per-tenant delta checkpoint directory (empty = ephemeral temp dir)")
 	tenantCache := flag.Int("tenant-cache", 0, "resident tenant view cache size (0 = default 1024)")
-	tenantShards := flag.Int("tenant-shards", 0, "lock stripes for the tenant registry, rounded up to a power of two (0 = default 16)")
 	retrainEvery := flag.Duration("retrain-every", 0, "background retrain period (0 = manual /retrain only)")
 	bufferCap := flag.Int("buffer", 4096, "trainer sample buffer capacity")
 	retrainMode := flag.String("retrain-mode", "full", "retrain scope: full (refit learners+alphas) or alphas (reweight only)")
@@ -172,7 +167,7 @@ func main() {
 	// Tenant-only knobs without -tenants would configure a subsystem that
 	// never starts; refuse the misconfiguration outright.
 	if !*useTenants {
-		tenantOnly := map[string]bool{"tenant-dir": true, "tenant-cache": true, "tenant-shards": true}
+		tenantOnly := map[string]bool{"tenant-dir": true, "tenant-cache": true}
 		flag.Visit(func(f *flag.Flag) {
 			if tenantOnly[f.Name] {
 				fail(fmt.Errorf("-%s requires -tenants", f.Name))
@@ -232,11 +227,7 @@ func main() {
 		fmt.Printf("serving synthetic WESAD demo model on the %s backend\n", eng.Backend())
 	}
 
-	srv, err := serve.NewServer(eng, serve.Config{
-		MaxBatch: *maxBatch,
-		MaxWait:  *maxWait,
-		Workers:  *workers,
-	})
+	srv, err := serve.NewServer(eng, serve.Config{})
 	if err != nil {
 		fail(err)
 	}
@@ -304,7 +295,6 @@ func main() {
 		reg, err = serve.NewTenantRegistry(srv, serve.TenantRegistryConfig{
 			Store:     serve.NewFileDeltaStore(dir),
 			CacheSize: *tenantCache,
-			Shards:    *tenantShards,
 		})
 		if err != nil {
 			fail(err)
@@ -341,9 +331,6 @@ func main() {
 			// the mutation-observer contract wired below, so scrubbing
 			// stays strict instead of trusting version bumps wholesale.
 			SignedUpdates: *useTrainer,
-			// Every scrub verdict, quarantine, and repair outcome lands
-			// in the /events journal with a per-pass correlation ID.
-			Journal: ob.Journal,
 		}
 		if *checkpointDir != "" {
 			// Fault history and criticality baselines survive restarts:

@@ -110,7 +110,8 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkPredict measures single-sample inference latency.
+// BenchmarkPredict measures single-sample inference latency: one-row
+// batches, the shape of a lone request.
 func BenchmarkPredict(b *testing.B) {
 	trainX, trainY, testX, _ := ablationData(b)
 	cfg := DefaultConfig(4000, 10, 3)
@@ -121,7 +122,8 @@ func BenchmarkPredict(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Predict(testX[i%len(testX)]); err != nil {
+		j := i % len(testX)
+		if _, err := m.PredictBatch(testX[j : j+1]); err != nil {
 			b.Fatal(err)
 		}
 	}

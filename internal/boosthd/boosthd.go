@@ -465,16 +465,6 @@ func argmax(s []float64) int {
 	return best
 }
 
-// PredictEncoded classifies a full-width encoded hypervector by combining
-// the weak learners over their dimension segments. It pins the learners
-// and allocates scratch per call; loops over many pre-encoded queries
-// should hoist that through EncodedPredictor instead.
-func (m *Model) PredictEncoded(h hdc.Vector) int {
-	norms, unpin := m.pinLearners()
-	defer unpin()
-	return m.classifyEncoded(h, norms, m.newInferScratch())
-}
-
 // EncodedPredictor pins the learners' class memories and returns a
 // sequential predictor over pre-encoded hypervectors plus a release func.
 // The norm snapshots and scoring scratch are hoisted out of the returned
@@ -489,15 +479,6 @@ func (m *Model) EncodedPredictor() (predict func(h hdc.Vector) int, release func
 	return func(h hdc.Vector) int {
 		return m.classifyEncoded(h, norms, sc)
 	}, unpin
-}
-
-// Predict classifies one raw feature vector.
-func (m *Model) Predict(x []float64) (int, error) {
-	h, err := m.Enc.Encode(x)
-	if err != nil {
-		return 0, err
-	}
-	return m.PredictEncoded(h), nil
 }
 
 // predictBatchRows is the block size of the fused encode+score pipeline:
@@ -680,15 +661,6 @@ func (m *Model) EmbeddedClassVectors() []hdc.Vector {
 		})
 	}
 	return out
-}
-
-// EncodeSegmentBits encodes one raw feature vector directly into packed
-// per-segment sign bits: dst[i] receives the sign pattern of learner i's
-// dimension segment. This is the packed-binary backend's query path — the
-// sign of each component is derived from the projection phase without
-// evaluating the trigonometric activation.
-func (m *Model) EncodeSegmentBits(x []float64, dst []*hdc.BitVector) error {
-	return m.Enc.parts.EncodeBits(x, dst)
 }
 
 // EncodeSegmentBitsBatch encodes a block of rows into per-segment sign

@@ -181,13 +181,13 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, x := range X {
-		p, err := m.Predict(x)
+	for i := range X {
+		p, err := m.PredictBatch(X[i : i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p != batch[i] {
-			t.Fatalf("batch[%d]=%d, single=%d", i, batch[i], p)
+		if p[0] != batch[i] {
+			t.Fatalf("batch[%d]=%d, single=%d", i, batch[i], p[0])
 		}
 	}
 	if _, err := m.PredictBatch([][]float64{{1}}); err == nil {

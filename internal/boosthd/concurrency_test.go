@@ -41,7 +41,9 @@ func TestFloatConcurrentServingWithFaults(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				m.PredictEncoded(h)
+				predict, release := m.EncodedPredictor()
+				predict(h)
+				release()
 			}
 		}()
 	}
@@ -57,27 +59,19 @@ func TestFloatConcurrentServingWithFaults(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEncodedPredictorMatchesPredictEncoded pins the hoisted scoring path
-// as a pure lift of PredictEncoded: same predictions, with norms and
-// scratch reused across calls, and mutators unblocked after release.
-func TestEncodedPredictorMatchesPredictEncoded(t *testing.T) {
+// TestEncodedPredictorMatchesLegacy pins the hoisted scoring path to
+// the legacy slice-per-learner reference: same predictions, with norms
+// and scratch reused across calls, and mutators unblocked after release.
+func TestEncodedPredictorMatchesLegacy(t *testing.T) {
 	m, queries := regressionFixture(t, Score, 0)
-	want := make([]int, len(queries))
-	for i, x := range queries {
-		h, err := m.Enc.Encode(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = m.PredictEncoded(h)
-	}
 	predict, release := m.EncodedPredictor()
 	for i, x := range queries {
 		h, err := m.Enc.Encode(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := predict(h); got != want[i] {
-			t.Fatalf("row %d: EncodedPredictor %d != PredictEncoded %d", i, got, want[i])
+		if got, ref := predict(h), legacyPredictEncoded(m, h); got != ref {
+			t.Fatalf("row %d: EncodedPredictor %d != legacy %d", i, got, ref)
 		}
 	}
 	release()

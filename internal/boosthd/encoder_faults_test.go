@@ -33,14 +33,14 @@ func TestNonFiniteLearnerSitsOut(t *testing.T) {
 				t.Fatal(err)
 			}
 			seen := map[int]bool{}
-			for i, x := range queries {
-				single, err := m.Predict(x)
+			for i := range queries {
+				single, err := m.PredictBatch(queries[i : i+1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got[i] != want[i] || single != want[i] {
+				if got[i] != want[i] || single[0] != want[i] {
 					t.Fatalf("agg=%v planted %v: row %d predicts %d (batch) / %d (single), zero-alpha model %d",
-						agg, bad, i, got[i], single, want[i])
+						agg, bad, i, got[i], single[0], want[i])
 				}
 				seen[want[i]] = true
 			}

@@ -118,15 +118,12 @@ func TestInferenceMatchesLegacyPath(t *testing.T) {
 					t.Fatal(err)
 				}
 				legacy := legacyPredictEncoded(m, h)
-				if got := m.PredictEncoded(h); got != legacy {
-					t.Fatalf("row %d: PredictEncoded %d != legacy %d", i, got, legacy)
-				}
-				single, err := m.Predict(x)
+				single, err := m.PredictBatch(queries[i : i+1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if single != legacy {
-					t.Fatalf("row %d: Predict %d != legacy %d", i, single, legacy)
+				if single[0] != legacy {
+					t.Fatalf("row %d: one-row PredictBatch %d != legacy %d", i, single[0], legacy)
 				}
 				if batch[i] != legacy {
 					t.Fatalf("row %d: PredictBatch %d != legacy %d", i, batch[i], legacy)
@@ -138,7 +135,7 @@ func TestInferenceMatchesLegacyPath(t *testing.T) {
 
 // TestPredictBatchBlockBoundaries runs batch sizes straddling the
 // row-block and 4-row register-block boundaries and checks every size
-// agrees with single-row prediction.
+// agrees with the legacy path row by row.
 func TestPredictBatchBlockBoundaries(t *testing.T) {
 	m, queries := regressionFixture(t, Score, 4)
 	for _, n := range []int{1, 2, 3, 4, 5, 31, 32, 33, 63, 65} {
@@ -148,12 +145,12 @@ func TestPredictBatchBlockBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, x := range sub {
-			single, err := m.Predict(x)
+			h, err := m.Enc.Encode(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if batch[i] != single {
-				t.Fatalf("n=%d row %d: batch %d != single %d", n, i, batch[i], single)
+			if legacy := legacyPredictEncoded(m, h); batch[i] != legacy {
+				t.Fatalf("n=%d row %d: batch %d != legacy %d", n, i, batch[i], legacy)
 			}
 		}
 	}

@@ -31,6 +31,7 @@ func TestSeededEncodeZeroAlloc(t *testing.T) {
 	x := seededTestRows(1, 1, 36)[0]
 	dst := make([]float64, e.OutDim)
 	bits := newBits(e.OutDim)
+	xs, stackRows := [][]float64{x}, [][]*hdc.BitVector{stackBits}
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := e.EncodeInto(x, dst); err != nil {
 			t.Fatal(err)
@@ -41,7 +42,7 @@ func TestSeededEncodeZeroAlloc(t *testing.T) {
 		if err := stack.EncodeInto(x, dst); err != nil {
 			t.Fatal(err)
 		}
-		if err := stack.EncodeBits(x, stackBits); err != nil {
+		if err := stack.EncodeBitsBatch(xs, stackRows); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -234,10 +234,12 @@ func (e *Encoder) Encode(x []float64) (hdc.Vector, error) {
 // quadrants directly — sign(cos(d+b)*sin(d)) = sign(cos(d+b))*sign(sin(d))
 // — with the phases held as wrapping counts of 2^-32 turn, so the
 // packed-binary backend never evaluates sin or cos at all. It is the
-// one-part case of Stack.EncodeBits, and allocation-free once warm.
+// one-row, one-part case of Stack.EncodeBitsBatch, and allocation-free
+// once warm.
 func (e *Encoder) EncodeBitsRange(x []float64, lo, hi int, dst *hdc.BitVector) error {
-	s, ds := e.onePart(lo, hi), [1]*hdc.BitVector{dst}
-	return Stack(s[:]).EncodeBits(x, ds[:])
+	s, xs, ds := e.onePart(lo, hi), [1][]float64{x}, [1]*hdc.BitVector{dst}
+	rows := [1][]*hdc.BitVector{ds[:]}
+	return Stack(s[:]).EncodeBitsBatch(xs[:], rows[:])
 }
 
 // EncodeBitsRangeBatch encodes components [lo,hi) of every row of xs into

@@ -151,11 +151,11 @@ func benchStack(b *testing.B, n int) (Stack, [][]*hdc.BitVector) {
 // learners. It is not pinned in BENCH_baseline.json.
 func BenchmarkEncodeBitsRow(b *testing.B) {
 	s, dst := benchStack(b, 1)
-	x := benchInput(36)
+	xs := [][]float64{benchInput(36)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.EncodeBits(x, dst[0]); err != nil {
+		if err := s.EncodeBitsBatch(xs, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

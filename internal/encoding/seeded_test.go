@@ -402,7 +402,7 @@ func TestSeededPlaneHealUnderLoad(t *testing.T) {
 		if err := stack.EncodeBitsBatch(xs, rows); err != nil {
 			t.Error(err)
 		}
-		if err := stack.EncodeBits(xs[3], rows[3]); err != nil {
+		if err := stack.EncodeBitsBatch(xs[3:4], rows[3:4]); err != nil {
 			t.Error(err)
 		}
 		return flat, bits

@@ -102,13 +102,6 @@ func (s Stack) EncodeBatchInto(xs [][]float64, out []float64, stride, offset int
 	})
 }
 
-// EncodeBits writes the sign bits of part i of x's encoding into dst[i]:
-// bit k is set iff component Lo+k of the real encoding is >= 0.
-func (s Stack) EncodeBits(x []float64, dst []*hdc.BitVector) error {
-	xs, ds := [1][]float64{x}, [1][]*hdc.BitVector{dst}
-	return s.EncodeBitsBatch(xs[:], ds[:])
-}
-
 // EncodeBitsBatch writes the sign bits of part i of row r's encoding
 // into dst[r][i]. Rows run through the same blocked projection as the
 // float kernel; bits are assembled in registers and flushed a whole

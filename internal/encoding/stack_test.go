@@ -191,7 +191,7 @@ func checkStack(t *testing.T, s Stack, xs [][]float64) {
 		if err := s.EncodeInto(x, one); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.EncodeBits(x, oneBits); err != nil {
+		if err := s.EncodeBitsBatch([][]float64{x}, [][]*hdc.BitVector{oneBits}); err != nil {
 			t.Fatal(err)
 		}
 		check("single row", r, one, oneBits)
@@ -211,29 +211,30 @@ func TestStackRejectsBadInput(t *testing.T) {
 	}
 	x := seededTestRows(1, 1, 9)[0]
 	good := Stack{{a, 0, 60}, {a, 60, 100}}
-	bitsOf := func(widths ...int) []*hdc.BitVector {
+	bitsOf := func(widths ...int) [][]*hdc.BitVector {
 		d := make([]*hdc.BitVector, len(widths))
 		for i, w := range widths {
 			d[i] = newBits(w)
 		}
-		return d
+		return [][]*hdc.BitVector{d}
 	}
-	if err := good.EncodeBits(x, bitsOf(60, 40)); err != nil {
+	one, nanRow := [][]float64{x}, [][]float64{{0, 0, 0, 0, math.NaN(), 0, 0, 0, 0}}
+	if err := good.EncodeBitsBatch(one, bitsOf(60, 40)); err != nil {
 		t.Fatalf("good stack: %v", err)
 	}
 	for name, call := range map[string]func() error{
 		"empty stack":        func() error { return Stack{}.EncodeInto(x, make([]float64, 0)) },
-		"range past OutDim":  func() error { return Stack{{a, 50, 101}}.EncodeBits(x, bitsOf(51)) },
+		"range past OutDim":  func() error { return Stack{{a, 50, 101}}.EncodeBitsBatch(one, bitsOf(51)) },
 		"inverted range":     func() error { return Stack{{a, 50, 40}}.EncodeInto(x, make([]float64, 0)) },
 		"mixed InDim":        func() error { return Stack{{a, 0, 100}, {b, 0, 100}}.EncodeInto(x, make([]float64, 200)) },
 		"short row":          func() error { return good.EncodeInto(x[:8], make([]float64, 100)) },
-		"NaN feature":        func() error { return good.EncodeBits([]float64{0, 0, 0, 0, math.NaN(), 0, 0, 0, 0}, bitsOf(60, 40)) },
+		"NaN feature":        func() error { return good.EncodeBitsBatch(nanRow, bitsOf(60, 40)) },
 		"dst width":          func() error { return good.EncodeInto(x, make([]float64, 99)) },
 		"stride":             func() error { return good.EncodeBatchInto([][]float64{x}, make([]float64, 200), 99, 0) },
 		"short out":          func() error { return good.EncodeBatchInto([][]float64{x, x}, make([]float64, 150), 100, 0) },
-		"bit part count":     func() error { return good.EncodeBits(x, bitsOf(60)) },
-		"bit part width":     func() error { return good.EncodeBits(x, bitsOf(60, 41)) },
-		"bit row count":      func() error { return good.EncodeBitsBatch([][]float64{x, x}, [][]*hdc.BitVector{bitsOf(60, 40)}) },
+		"bit part count":     func() error { return good.EncodeBitsBatch(one, bitsOf(60)) },
+		"bit part width":     func() error { return good.EncodeBitsBatch(one, bitsOf(60, 41)) },
+		"bit row count":      func() error { return good.EncodeBitsBatch([][]float64{x, x}, bitsOf(60, 40)) },
 		"bad row in a batch": func() error { return good.EncodeBatchInto([][]float64{x, x[:3]}, make([]float64, 200), 100, 0) },
 	} {
 		if call() == nil {

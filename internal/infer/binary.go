@@ -374,12 +374,6 @@ func (bm *BinaryModel) newQueryBlock(n int) [][]*hdc.BitVector {
 	return out
 }
 
-// EncodeBits encodes one raw feature vector into per-segment sign bits
-// (buffers from NewQueryBits).
-func (bm *BinaryModel) EncodeBits(x []float64, dst []*hdc.BitVector) error {
-	return bm.model.EncodeSegmentBits(x, dst)
-}
-
 // maskedPlaneScore is the dimension-quarantined masked Hamming
 // similarity: untrusted words (healthy bit 0) drop out of the
 // confidence mask, and the score renormalizes by the surviving
@@ -581,18 +575,6 @@ func (bm *BinaryModel) predictBits4(qz *quantization, q0, q1, q2, q3 []*hdc.BitV
 // The agg and scores slices (length classes) are caller-owned scratch.
 func (bm *BinaryModel) PredictBits(q []*hdc.BitVector, agg, scores []float64) int {
 	return bm.predictBits(bm.snap.Load(), q, agg, scores)
-}
-
-// Predict classifies one raw feature vector, re-quantizing first if the
-// float model changed since the snapshot.
-func (bm *BinaryModel) Predict(x []float64) (int, error) {
-	bm.syncQuantization()
-	q := bm.NewQueryBits()
-	if err := bm.EncodeBits(x, q); err != nil {
-		return 0, err
-	}
-	classes := bm.model.Cfg.Classes
-	return bm.PredictBits(q, make([]float64, classes), make([]float64, classes)), nil
 }
 
 // predictBatchRows is the row-block size of the binary pipeline; blocks

@@ -64,11 +64,11 @@ func referencePredictBits(bm *BinaryModel, qz *quantization, q []*hdc.BitVector,
 func encodeQueries(t *testing.T, bm *BinaryModel, X [][]float64) [][]*hdc.BitVector {
 	t.Helper()
 	qs := make([][]*hdc.BitVector, len(X))
-	for i, x := range X {
+	for i := range X {
 		qs[i] = bm.NewQueryBits()
-		if err := bm.EncodeBits(x, qs[i]); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := bm.model.EncodeSegmentBitsBatch(X, qs); err != nil {
+		t.Fatal(err)
 	}
 	return qs
 }

@@ -133,14 +133,14 @@ func TestEngineWithDeltaBinary(t *testing.T) {
 			t.Fatalf("binary row %d: view %d, fully re-quantized %d", i, got[i], want[i])
 		}
 	}
-	// Single-row path exercises the scalar kernels.
+	// One-row batches exercise the scalar kernels.
 	for i := 0; i < 10; i++ {
-		g, err := view.Predict(X[i])
+		g, err := view.PredictBatch(X[i : i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g != want[i] {
-			t.Fatalf("binary single row %d: %d != %d", i, g, want[i])
+		if g[0] != want[i] {
+			t.Fatalf("binary single row %d: %d != %d", i, g[0], want[i])
 		}
 	}
 }
@@ -240,7 +240,7 @@ func TestEngineWithDeltaFrozenBase(t *testing.T) {
 			t.Fatalf("frozen row %d: view %d, reference %d", i, got[i], want[i])
 		}
 	}
-	if _, err := view.Predict(X[0]); err != nil {
+	if _, err := view.PredictBatch(X[:1]); err != nil {
 		t.Fatal(err)
 	}
 }

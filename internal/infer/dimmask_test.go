@@ -71,14 +71,14 @@ func TestDimMaskEquivalenceFloat(t *testing.T) {
 			t.Fatalf("float dim-masked prediction %d: %d != %d", i, got[i], want[i])
 		}
 	}
-	// Single-row path too (different scratch/pin lifecycle).
+	// One-row batches too, the shape of a lone request.
 	for i := 0; i < 10; i++ {
-		g, err := masked.Predict(X[i])
+		g, err := masked.PredictBatch(X[i : i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g != want[i] {
-			t.Fatalf("float dim-masked single prediction %d: %d != %d", i, g, want[i])
+		if g[0] != want[i] {
+			t.Fatalf("float dim-masked single prediction %d: %d != %d", i, g[0], want[i])
 		}
 	}
 }

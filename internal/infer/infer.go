@@ -62,7 +62,6 @@ type Engine struct {
 // scores float class memory, *BinaryModel its packed planes. Every
 // predict and evaluate path of Engine runs through it.
 type scorer interface {
-	Predict(x []float64) (int, error)
 	PredictBatchStaged(X [][]float64, stages *obs.StageTimes) ([]int, error)
 	EvaluateLearners(X [][]float64, y []int) ([]float64, error)
 }
@@ -100,11 +99,6 @@ func (e *Engine) Model() *boosthd.Model { return e.model }
 
 // InputDim returns the raw feature width the engine's encoders expect.
 func (e *Engine) InputDim() int { return e.model.InputDim() }
-
-// Predict classifies one raw feature vector.
-func (e *Engine) Predict(x []float64) (int, error) {
-	return e.scorer.Predict(x)
-}
 
 // PredictBatch classifies rows through the backend's batch pipeline.
 func (e *Engine) PredictBatch(X [][]float64) ([]int, error) {

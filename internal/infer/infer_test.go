@@ -90,12 +90,12 @@ func TestFloatEngineMatchesModel(t *testing.T) {
 			t.Fatalf("row %d: engine %d != model %d", i, got[i], want[i])
 		}
 	}
-	p, err := e.Predict(X[0])
+	p, err := e.PredictBatch(X[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p != want[0] {
-		t.Fatalf("Predict %d != PredictBatch %d", p, want[0])
+	if p[0] != want[0] {
+		t.Fatalf("one-row PredictBatch %d != PredictBatch %d", p[0], want[0])
 	}
 	acc, err := e.Evaluate(X, y)
 	if err != nil {
@@ -166,7 +166,7 @@ func TestQuantizeThresholdsClassVectors(t *testing.T) {
 	}
 }
 
-// TestBinaryPredictConsistency checks single, batch, and pre-encoded
+// TestBinaryPredictConsistency checks one-row, batch, and pre-encoded
 // binary prediction agree, across batch sizes straddling the row blocks.
 func TestBinaryPredictConsistency(t *testing.T) {
 	m, X, _ := fixture(t, 640, 8)
@@ -180,22 +180,22 @@ func TestBinaryPredictConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := bm.NewQueryBits()
+		q := [][]*hdc.BitVector{bm.NewQueryBits()}
 		agg := make([]float64, 3)
 		scores := make([]float64, 3)
-		for i, x := range sub {
-			single, err := bm.Predict(x)
+		for i := range sub {
+			single, err := bm.PredictBatch(sub[i : i+1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if batch[i] != single {
-				t.Fatalf("n=%d row %d: batch %d != single %d", n, i, batch[i], single)
+			if batch[i] != single[0] {
+				t.Fatalf("n=%d row %d: batch %d != single %d", n, i, batch[i], single[0])
 			}
-			if err := bm.EncodeBits(x, q); err != nil {
+			if err := m.EncodeSegmentBitsBatch(sub[i:i+1], q); err != nil {
 				t.Fatal(err)
 			}
-			if pre := bm.PredictBits(q, agg, scores); pre != single {
-				t.Fatalf("n=%d row %d: PredictBits %d != Predict %d", n, i, pre, single)
+			if pre := bm.PredictBits(q[0], agg, scores); pre != single[0] {
+				t.Fatalf("n=%d row %d: PredictBits %d != single %d", n, i, pre, single[0])
 			}
 		}
 	}

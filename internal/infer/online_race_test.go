@@ -115,7 +115,7 @@ func TestBinaryServingDuringStreamingUpdates(t *testing.T) {
 
 	// After the stream quiesces, the next predict must serve the final
 	// memory: one more sync leaves nothing stale.
-	if _, err := eng.Predict(X[0]); err != nil {
+	if _, err := eng.PredictBatch(X[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Binary().Stale() {

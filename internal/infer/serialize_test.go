@@ -67,12 +67,12 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if eng.Backend() != PackedBinary || eng.Binary() != loaded {
 		t.Fatal("engine-from-binary wiring broken")
 	}
-	p, err := eng.Predict(X[0])
+	p, err := eng.PredictBatch(X[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p != want[0] {
-		t.Fatalf("engine predict %d, want %d", p, want[0])
+	if p[0] != want[0] {
+		t.Fatalf("engine predict %d, want %d", p[0], want[0])
 	}
 }
 

@@ -42,8 +42,10 @@ func TestEncoderHealDrill(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			journal := obs.NewJournal(0)
-			mon, err := New(srv, Config{Journal: journal})
+			o := obs.NewServing(0, 0, 0)
+			srv.SetObs(o)
+			journal := o.Journal
+			mon, err := New(srv, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

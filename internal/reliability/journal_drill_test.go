@@ -61,7 +61,7 @@ func TestFaultDrillEventSequence(t *testing.T) {
 	defer srv.Close()
 	o := obs.NewServing(0, 0, 0)
 	srv.SetObs(o)
-	mon, err := New(srv, Config{Journal: o.Journal})
+	mon, err := New(srv, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,11 +116,6 @@ type Config struct {
 	// ones). Writes are atomic and synced; a failed write is recorded in
 	// Status's LastError rather than failing the pass.
 	StatePath string
-	// Journal, when set, receives a typed event for every non-clean
-	// scrub verdict, quarantine/mask change, repair attempt, and
-	// baseline adoption, each pass grouped under one correlation ID.
-	// Nil disables journaling at the cost of a nil check per event.
-	Journal *obs.Journal
 }
 
 func (c Config) withDefaults() Config {
@@ -379,9 +374,13 @@ type Monitor struct {
 	// checkpoint of a DIFFERENT model would graft stale weights into
 	// the new one and re-sign the chimera as healthy.
 	ckptArmed bool
-	// passCorr is the journal correlation ID of the Scrub/Repair pass
-	// currently holding passMu; every event the pass appends shares it.
-	passCorr uint64
+	// passJournal and passCorr are the journal of the server's
+	// observability bundle (nil when none is wired) and the correlation
+	// ID of the Scrub/Repair pass currently holding passMu, both taken
+	// at the start of the pass; every event the pass appends shares
+	// them.
+	passJournal *obs.Journal
+	passCorr    uint64
 
 	scrubs      atomic.Uint64
 	detections  atomic.Uint64
@@ -712,7 +711,7 @@ const (
 func (mo *Monitor) Scrub() (ScrubReport, error) {
 	mo.passMu.Lock()
 	defer mo.passMu.Unlock()
-	mo.passCorr = mo.cfg.Journal.NewCorr()
+	mo.beginPass()
 	// Registered before the state lock's defer, so it runs after mu is
 	// released: the durable ledger snapshot reflects this pass's verdicts.
 	defer mo.persistState()
@@ -1074,7 +1073,7 @@ type restoreSource struct {
 func (mo *Monitor) Repair() (RepairReport, error) {
 	mo.passMu.Lock()
 	defer mo.passMu.Unlock()
-	mo.passCorr = mo.cfg.Journal.NewCorr()
+	mo.beginPass()
 	// Runs after mu's deferred unlock (LIFO), so the durable ledger
 	// snapshot includes this pass's repair counts.
 	defer mo.persistState()
@@ -1377,15 +1376,24 @@ func (mo *Monitor) failRepair(report *RepairReport, failed []int, err error) err
 	return err
 }
 
-// journal appends an event stamped with the running pass's correlation
-// ID. Without a configured journal it is a no-op; the journal mutex is
-// a leaf, so appending with mo.mu held is safe.
-func (mo *Monitor) journal(e obs.Event) {
-	if mo.cfg.Journal == nil {
-		return
+// beginPass takes the journal of the server's observability bundle for
+// the pass that now holds passMu and mints the pass's correlation ID.
+// Every non-clean scrub verdict, quarantine/mask change, repair attempt
+// and baseline adoption of the pass lands in that journal under that ID.
+func (mo *Monitor) beginPass() {
+	mo.passJournal = nil
+	if o := mo.srv.Obs(); o != nil {
+		mo.passJournal = o.Journal
 	}
+	mo.passCorr = mo.passJournal.NewCorr()
+}
+
+// journal appends an event stamped with the running pass's correlation
+// ID. Without a wired journal it is a no-op; the journal mutex is a
+// leaf, so appending with mo.mu held is safe.
+func (mo *Monitor) journal(e obs.Event) {
 	e.Corr = mo.passCorr
-	mo.cfg.Journal.Append(e)
+	mo.passJournal.Append(e)
 }
 
 // Status snapshots the health ledger and counters for /reliability and

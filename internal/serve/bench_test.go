@@ -32,8 +32,9 @@ func benchSetup(b *testing.B) {
 	})
 }
 
-// BenchmarkServeDirect measures per-request engine calls from concurrent
-// clients — the baseline the micro-batcher is judged against.
+// BenchmarkServeDirect measures per-request engine calls, one one-row
+// PredictBatch per request, from concurrent clients — the baseline the
+// micro-batcher is judged against.
 func BenchmarkServeDirect(b *testing.B) {
 	benchSetup(b)
 	for _, backend := range []string{"float", "binary"} {
@@ -45,7 +46,8 @@ func BenchmarkServeDirect(b *testing.B) {
 				b.RunParallel(func(pb *testing.PB) {
 					i := 0
 					for pb.Next() {
-						if _, err := eng.Predict(benchRows[i%len(benchRows)]); err != nil {
+						j := i % len(benchRows)
+						if _, err := eng.PredictBatch(benchRows[j : j+1]); err != nil {
 							b.Error(err)
 							return
 						}

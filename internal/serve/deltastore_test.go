@@ -323,7 +323,8 @@ func TestTenantShardSwapVisibility(t *testing.T) {
 						failed.Add(1)
 						return
 					}
-					if _, err := eng.Predict(X[i%len(X)]); err != nil {
+					j := i % len(X)
+					if _, err := eng.PredictBatch(X[j : j+1]); err != nil {
 						failed.Add(1)
 						return
 					}

@@ -117,7 +117,7 @@ type Stats struct {
 	// coalescing (1.0 = every flush fused into a single call).
 	Flushes uint64
 	// TenantRows counts predictions that rode the batcher pinned to a
-	// resolved tenant view (PredictOn with a non-nil engine).
+	// resolved tenant view (PredictOnSpan with a non-nil engine).
 	TenantRows uint64
 	// CoalescedRows counts served rows that shared their engine batch
 	// call with at least one other row — the traffic that actually
@@ -265,31 +265,21 @@ func (s *Server) ModelVersion() uint64 { return s.swaps.Load() + 1 }
 // alone, not poison the whole batch it would have coalesced into (the
 // engine rejects mixed-width batches wholesale).
 func (s *Server) Predict(x []float64) (int, error) {
-	return s.PredictSpan(x, nil)
+	return s.PredictOnSpan(nil, x, nil)
 }
 
-// PredictSpan is Predict carrying a trace span: when sp is non-nil
-// (the request was sampled at admission) the batcher fills its queue,
-// encode, score, and aggregate stages plus batch attribution before
-// the result is delivered, so the caller owns a complete span
-// afterwards. Unsampled requests pass nil and pay nothing beyond the
-// shared batch instrumentation.
-func (s *Server) PredictSpan(x []float64, sp *obs.Span) (int, error) {
-	return s.PredictOnSpan(nil, x, sp)
-}
-
-// PredictOn classifies one feature vector on a pinned engine view —
+// PredictOnSpan classifies one feature vector on a pinned engine view —
 // a tenant's composed engine from TenantRegistry.Resolve — through the
 // micro-batcher: requests pinned to the same view coalesce into one
 // fused engine batch call per flush, so same-tenant traffic (and tenant
 // base-passthrough traffic, which pins the shared base engine) rides
 // the batch kernels instead of degrading to per-request calls. A nil
-// eng rides the current serving engine, same as Predict.
-func (s *Server) PredictOn(eng *infer.Engine, x []float64) (int, error) {
-	return s.PredictOnSpan(eng, x, nil)
-}
-
-// PredictOnSpan is PredictOn carrying a trace span (see PredictSpan).
+// eng rides the current serving engine, same as Predict. When sp is
+// non-nil (the request was sampled at admission) the batcher fills its
+// queue, encode, score, and aggregate stages plus batch attribution
+// before the result is delivered, so the caller owns a complete span
+// afterwards. Unsampled requests pass nil and pay nothing beyond the
+// shared batch instrumentation.
 func (s *Server) PredictOnSpan(eng *infer.Engine, x []float64, sp *obs.Span) (int, error) {
 	dimEng := eng
 	if dimEng == nil {
@@ -326,7 +316,7 @@ func (s *Server) PredictBatch(X [][]float64) ([]int, error) {
 // PredictBatchOn classifies an already-batched request directly on a
 // pinned engine view — a tenant's composed engine — bypassing the
 // coalescing queue: the caller has done the batching. A nil eng means
-// the current serving engine, as in PredictOn. Every row is checked
+// the current serving engine, as in PredictOnSpan. Every row is checked
 // (CheckRow) before any is encoded. Base and tenant batches alike count
 // toward Served and Batches and feed the batch, encode and score
 // histograms.

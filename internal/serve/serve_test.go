@@ -89,11 +89,12 @@ func TestServeBatchedMatchesDirect(t *testing.T) {
 	for name, eng := range engines {
 		t.Run(name, func(t *testing.T) {
 			want := make([]int, len(X))
-			for i, x := range X {
-				want[i], err = eng.Predict(x)
+			for i := range X {
+				p, err := eng.PredictBatch(X[i : i+1])
 				if err != nil {
 					t.Fatal(err)
 				}
+				want[i] = p[0]
 			}
 			s, err := NewServer(eng, Config{MaxBatch: 16, MaxWait: 2 * time.Millisecond})
 			if err != nil {
@@ -300,10 +301,11 @@ func TestServeHTTP(t *testing.T) {
 		return resp, buf.Bytes()
 	}
 
-	want, err := eng.Predict(X[0])
+	wants, err := eng.PredictBatch(X[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wants[0]
 	resp, body := post("/predict", map[string]any{"features": X[0]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/predict: %d %s", resp.StatusCode, body)
@@ -355,10 +357,11 @@ func TestServeHTTP(t *testing.T) {
 	if s.Engine().Backend() != infer.PackedBinary {
 		t.Fatal("swap did not install the binary engine")
 	}
-	wantBin, err := s.Engine().Predict(X[0])
+	wantBins, err := s.Engine().PredictBatch(X[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantBin := wantBins[0]
 	resp, body = post("/predict", map[string]any{"features": X[0]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/predict after swap: %d %s", resp.StatusCode, body)

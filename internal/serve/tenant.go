@@ -492,22 +492,6 @@ func (r *TenantRegistry) Install(id string, d *boosthd.Delta) error {
 	return saveErr
 }
 
-// Evict drops a tenant's resident entry (its persisted delta is
-// untouched), reporting whether one was cached. The next resolve
-// cold-loads from the store.
-func (r *TenantRegistry) Evict(id string) bool {
-	sh := r.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[id]
-	if !ok {
-		return false
-	}
-	r.removeLocked(sh, el)
-	r.journal(obs.Event{Type: obs.EvTenantEvict, Tenant: id, Detail: "operator evict"})
-	return true
-}
-
 func (r *TenantRegistry) removeLocked(sh *tenantShard, el *list.Element) {
 	e := el.Value.(*tenantEntry)
 	delete(sh.entries, e.id)

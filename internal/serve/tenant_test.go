@@ -15,6 +15,7 @@ import (
 	"boosthd/internal/boosthd"
 	"boosthd/internal/hdc"
 	"boosthd/internal/infer"
+	"boosthd/internal/obs"
 	"boosthd/internal/onlinehd"
 )
 
@@ -67,6 +68,22 @@ func newTenantFixture(t testing.TB) (*Server, *TenantRegistry, *boosthd.Model, [
 		t.Fatal(err)
 	}
 	return s, reg, m, X
+}
+
+// Evict drops a tenant's resident entry (its persisted delta is
+// untouched), reporting whether one was cached. The next resolve
+// cold-loads from the store.
+func (r *TenantRegistry) Evict(id string) bool {
+	sh := r.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	el, ok := sh.entries[id]
+	if !ok {
+		return false
+	}
+	r.removeLocked(sh, el)
+	r.journal(obs.Event{Type: obs.EvTenantEvict, Tenant: id, Detail: "operator evict"})
+	return true
 }
 
 // TestTenantRegistryResolve covers the resolve state machine: empty ID
@@ -468,8 +485,9 @@ func TestTenantRegistrySoak(t *testing.T) {
 						failed.Add(1)
 						return
 					}
-					label, err := eng.Predict(X[rng.Intn(len(X))])
-					if err != nil || label < 0 || label >= m.Cfg.Classes {
+					j := rng.Intn(len(X))
+					label, err := eng.PredictBatch(X[j : j+1])
+					if err != nil || label[0] < 0 || label[0] >= m.Cfg.Classes {
 						failed.Add(1)
 						return
 					}
@@ -551,9 +569,12 @@ func TestTenantPredictCoalesces(t *testing.T) {
 		if eng == nil {
 			eng = s.Engine()
 		}
-		if want[i], err = eng.Predict(X[i%len(X)]); err != nil {
+		j := i % len(X)
+		p, err := eng.PredictBatch(X[j : j+1])
+		if err != nil {
 			t.Fatal(err)
 		}
+		want[i] = p[0]
 	}
 
 	got := make([]int, len(want))
@@ -562,7 +583,7 @@ func TestTenantPredictCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := s.PredictOn(engines[i%3], X[i%len(X)])
+			p, err := s.PredictOnSpan(engines[i%3], X[i%len(X)], nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -697,10 +718,11 @@ func TestTenantHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tenantEng.Predict(X[0])
+	wants, err := tenantEng.PredictBatch(X[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wants[0]
 
 	// Path form and header form must agree.
 	var one struct {

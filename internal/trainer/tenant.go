@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"boosthd/internal/boosthd"
@@ -88,11 +87,6 @@ type TenantTrainer struct {
 	mu      sync.Mutex
 	streams map[string]*list.Element // tenant id -> *tenantStream element
 	lru     *list.List               // front = most recently observed
-
-	observed atomic.Uint64
-	retrains atomic.Uint64
-	failures atomic.Uint64
-	dropped  atomic.Uint64 // tenant buffers evicted by MaxTenants
 }
 
 // NewTenantTrainer builds a TenantTrainer installing deltas into reg.
@@ -126,7 +120,6 @@ func (t *TenantTrainer) stream(tenant string, classes int) *tenantStream {
 		old := t.lru.Back()
 		delete(t.streams, old.Value.(*tenantStream).id)
 		t.lru.Remove(old)
-		t.dropped.Add(1)
 	}
 	return ts
 }
@@ -159,7 +152,6 @@ func (t *TenantTrainer) ObserveTenant(tenant string, x []float64, label int) err
 		return err
 	}
 	t.stream(tenant, m.Cfg.Classes).buf.Add(x, label)
-	t.observed.Add(1)
 	return nil
 }
 
@@ -185,7 +177,6 @@ func (t *TenantTrainer) ObserveTenantBatch(tenant string, X [][]float64, y []int
 	for i := range X {
 		ts.buf.Add(X[i], y[i])
 	}
-	t.observed.Add(uint64(len(X)))
 	return nil
 }
 
@@ -232,17 +223,14 @@ func (t *TenantTrainer) RetrainTenant(tenant string) (serve.RetrainReport, error
 
 	d, err := t.fitDelta(base, X, y)
 	if err != nil {
-		t.failures.Add(1)
 		return report, fmt.Errorf("trainer: tenant %s: %w", tenant, err)
 	}
 	if err := t.reg.Install(tenant, d); err != nil {
 		// The view is installed and serving even when persistence failed;
 		// surface the store error so the operator knows the delta will
 		// not survive an eviction or restart.
-		t.failures.Add(1)
 		return report, fmt.Errorf("trainer: tenant %s: %w", tenant, err)
 	}
-	t.retrains.Add(1)
 	report.Swapped = true
 	report.TookMS = time.Since(start).Seconds() * 1e3
 	return report, nil

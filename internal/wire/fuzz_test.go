@@ -207,8 +207,8 @@ func sanityCheckDelta(t *testing.T, base *boosthd.Model, d *boosthd.Delta) {
 	if err != nil {
 		t.Fatalf("loader accepted a delta the base rejects: %v", err)
 	}
-	x := make([]float64, base.InputDim())
-	if _, err := view.Predict(x); err != nil {
+	x := [][]float64{make([]float64, base.InputDim())}
+	if _, err := view.PredictBatch(x); err != nil {
 		t.Fatalf("loaded delta cannot predict: %v", err)
 	}
 	eng, err := infer.NewBinaryEngine(base)
@@ -232,8 +232,8 @@ func sanityCheckEnsemble(t *testing.T, m *boosthd.Model) {
 		t.Fatalf("loader accepted inconsistent learner state: %d learners, %d alphas, cfg %d",
 			len(m.Learners), len(m.Alphas), m.Cfg.NumLearners)
 	}
-	x := make([]float64, m.InputDim())
-	if _, err := m.Predict(x); err != nil {
+	x := [][]float64{make([]float64, m.InputDim())}
+	if _, err := m.PredictBatch(x); err != nil {
 		t.Fatalf("loaded model cannot predict: %v", err)
 	}
 }
